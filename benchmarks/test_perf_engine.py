@@ -1,22 +1,24 @@
-"""Throughput benchmark for the vectorized incremental flow engine.
+"""Throughput benchmark: production flow engine vs its reference oracle.
 
-Replays the same randomized transfer schedule through both flow engines
-and measures completed transfers per wall-clock second.  The workload is
-the simulator's real shape: every transfer crosses the source peer's
-uplink, the backbone links on the Abilene route between the two peers'
-PoPs, and the destination's downlink, with up to two in-flight
+Replays the same randomized transfer schedule through the engine every
+simulation runs (``VectorizedFlowNetwork``) and through the scalar
+reference it is checked against (``FlowNetwork``), both constructed
+directly, and measures completed transfers per wall-clock second.  The
+workload is the simulator's real shape: every transfer crosses the source
+peer's uplink, the backbone links on the Abilene route between the two
+peers' PoPs, and the destination's downlink, with up to two in-flight
 transfers per peer (new transfers start as old ones complete).
 
 Two traffic mixes are measured at each swarm size:
 
 * ``uniform`` -- destination drawn uniformly at random, so most transfers
   cross the backbone and the whole network stays one connected component.
-  Both engines are bound by the same iterative water-filling here, so the
+  Both are bound by the same iterative water-filling here, so the
   speedup is modest.
 * ``localized`` -- destination drawn from the source's own PoP whenever
   possible (the steady state a P4P/localized tracker produces).  Intra-PoP
   transfers have empty backbone routes, the flow graph shatters into small
-  per-PoP components, and the vectorized engine's dirty-set incremental
+  per-PoP components, and the production engine's dirty-set incremental
   path re-solves only the touched component.  This is the headline
   scenario: the acceptance bar is a >= 5x speedup at 1,000 peers.
 
@@ -24,7 +26,8 @@ Results are written to ``BENCH_engine.json`` at the repo root.  A
 checked-in baseline (``benchmarks/baseline_engine.json``) pins the
 expected speedups; the test fails if any measured speedup regresses more
 than 20% below its baseline.  The 10,000-peer size runs only under
-``P4P_BENCH_FULL=1`` (minutes of scalar-engine runtime).
+``P4P_BENCH_FULL=1`` (minutes of reference runtime).  The JSON keeps its
+``scalar_*`` / ``vectorized_*`` keys: reference and production.
 """
 
 import json
@@ -36,7 +39,7 @@ import pytest
 
 from repro.network.library import abilene
 from repro.network.routing import RoutingTable
-from repro.simulator.tcp import make_flow_network
+from repro.simulator.tcp import FlowNetwork, VectorizedFlowNetwork
 
 from conftest import full_scale, print_rows
 
@@ -46,7 +49,9 @@ BASELINE_PATH = Path(__file__).resolve().parent / "baseline_engine.json"
 
 #: Allowed fractional drop below the checked-in baseline speedup.
 REGRESSION_BUDGET = 0.20
-#: Best-of-N wall-time trials per engine (min is the standard
+#: Reference first, production second; the names are the JSON key prefixes.
+CONTENDERS = (("scalar", FlowNetwork), ("vectorized", VectorizedFlowNetwork))
+#: Best-of-N wall-time trials per contender (min is the standard
 #: noise-robust estimator; a loaded machine only ever slows a run down).
 TRIALS = 2
 #: The issue's acceptance bar for the 1,000-peer localized scenario.
@@ -87,9 +92,9 @@ def _build_workload(n_peers, n_events, locality, seed):
     return topology, peers, schedule
 
 
-def _replay(engine, topology, routing, peers, schedule):
+def _replay(network_cls, topology, routing, peers, schedule):
     """Run the schedule to completion; return (events/sec, completed)."""
-    net = make_flow_network(engine)
+    net = network_cls()
     backbone = {
         key: net.add_link(("bb", key), link.headroom)
         for key, link in topology.links.items()
@@ -149,11 +154,11 @@ def test_engine_throughput_and_regression_gate():
             )
             routing = RoutingTable.build(topology)
             rates = {}
-            for engine in ("scalar", "vectorized"):
+            for engine, network_cls in CONTENDERS:
                 best = 0.0
                 for _ in range(TRIALS):
                     events_per_sec, done = _replay(
-                        engine, topology, routing, peers, schedule
+                        network_cls, topology, routing, peers, schedule
                     )
                     assert done == n_events, (engine, n_peers, label)
                     best = max(best, events_per_sec)

@@ -61,7 +61,7 @@ DECLARED_LABELS = frozenset(
         "direction",  # frame bytes in/out
         "outcome",  # cache hit/miss
         "as_number",  # provider AS numbers
-        "engine",  # simulation engine (scalar/vectorized)
+        "engine",  # flow engine emitting the metric (always "vectorized")
         "mode",  # solve mode (full/incremental)
         "swarm",  # simulated swarm ids
         "scheme",  # selection scheme (native/localized/p4p)

@@ -57,9 +57,6 @@ class ComparisonConfig:
     completion_quantum: float = 0.1
     sample_interval: float = 5.0
     tcp_window_mbit: Optional[float] = 0.25
-    #: Flow-engine selector forwarded to the swarms ("scalar" /
-    #: "vectorized"; None consults ``$P4P_SIM_ENGINE``).
-    engine: Optional[str] = None
     rng_seed: int = 17
 
     def swarm_config(self, rng_seed: int) -> SwarmConfig:
@@ -75,7 +72,6 @@ class ComparisonConfig:
             tracker_update_interval=self.tracker_update_interval,
             completion_quantum=self.completion_quantum,
             tcp_window_mbit=self.tcp_window_mbit,
-            engine=self.engine,
             rng_seed=rng_seed,
         )
 

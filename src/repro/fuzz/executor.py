@@ -423,7 +423,6 @@ class Executor:
                 until=work.until,
                 placement_seed=work.placement_seed,
                 fault_schedule_factory=self._fault_schedule_factory(spec),
-                engine=spec.engine,
                 rng_seed=work.rng_seed,
                 file_mbit=work.file_mbit,
                 neighbors=work.neighbors,
@@ -456,7 +455,6 @@ class Executor:
             coverage.append(f"chaos:violation:{kind}")
         for name in chaos_spec.byzantine:
             coverage.append(f"chaos:byz:{name}")
-        coverage.append(f"chaos:engine:{spec.engine or 'scalar'}")
         if result.restored_price_gap is not None:
             coverage.append("chaos:restored-gap")
         reconverged = result.reconverged(self.reconvergence_epsilon)

@@ -278,7 +278,6 @@ class Fuzzer:
             specs.append(
                 ScenarioSpec(
                     workload=short,
-                    engine="vectorized",
                     chaos=ChaosSpec(
                         events=ChaosSchedule.seeded(203, horizon=100.0),
                         byzantine=("churn-mild",),

@@ -10,8 +10,8 @@ exact failure signature ``(oracle, kind)``:
 2. **list reduction** -- classic ddmin (complement removal with
    progressively finer chunks) over the differential op list, the chaos
    event list, and the byzantine mutator chains;
-3. **scalar simplification** -- snap the workload, topology, engine, and
-   chaos timing knobs back to their defaults wherever the failure
+3. **scalar simplification** -- snap the workload, topology, and chaos
+   timing knobs back to their defaults wherever the failure
    survives it.
 
 Passes repeat to a fixed point under an execution budget; every
@@ -179,7 +179,6 @@ class Minimizer:
             lambda: replace(spec, workload=WorkloadSpec())
             if spec.workload != WorkloadSpec()
             else None,
-            lambda: replace(spec, engine=None) if spec.engine is not None else None,
         ]
         if spec.workload != WorkloadSpec():
             # Individual workload knobs, for when the wholesale reset fails.

@@ -124,13 +124,6 @@ def reseed_workload(spec: ScenarioSpec, rng: random.Random) -> Optional[Scenario
     )
 
 
-def swap_engine(spec: ScenarioSpec, rng: random.Random) -> Optional[ScenarioSpec]:
-    order = ("scalar", "vectorized")
-    current = spec.engine or "scalar"
-    flipped = order[1 - order.index(current)] if current in order else "scalar"
-    return replace(spec, engine=flipped)
-
-
 # -- chaos fault schedule -------------------------------------------------------
 
 _INSERTABLE = (
@@ -343,7 +336,6 @@ MUTATORS: Dict[str, Mutation] = {
     "reseed-topology": reseed_topology,
     "skew-traffic": skew_traffic,
     "reseed-workload": reseed_workload,
-    "swap-engine": swap_engine,
     "insert-fault-event": insert_fault_event,
     "drop-fault-event": drop_fault_event,
     "shift-fault-event": shift_fault_event,

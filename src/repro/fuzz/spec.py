@@ -1,8 +1,7 @@
 """ScenarioSpec: one fuzzable scenario, fully described as JSON.
 
 A spec bundles everything one fuzzer execution needs -- a topology
-recipe, a swarm/traffic workload, an engine choice, and up to three
-oracle sections:
+recipe, a swarm/traffic workload, and up to three oracle sections:
 
 * ``differential`` -- an explicit lockstep schedule for the
   scalar-vs-vectorized engine oracle
@@ -35,7 +34,6 @@ from repro.network.library import abilene
 from repro.network.topology import Topology
 from repro.simulator.chaos import ChaosSchedule
 from repro.simulator.differential import ENGINE_REGIMES, validate_schedule
-from repro.simulator.tcp import ENGINES
 
 SPEC_FORMAT = "p4p-fuzz-spec/1"
 
@@ -304,16 +302,11 @@ class ScenarioSpec:
 
     topology: TopologySpec = field(default_factory=TopologySpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    engine: Optional[str] = None  # SwarmConfig engine: scalar/vectorized/None
     differential: Optional[DifferentialSpec] = None
     chaos: Optional[ChaosSpec] = None
     view: Optional[ViewSpec] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; one of: {', '.join(ENGINES)}"
-            )
         if self.differential is None and self.chaos is None and self.view is None:
             raise ValueError("spec needs at least one oracle section")
 
@@ -336,7 +329,6 @@ class ScenarioSpec:
             "format": SPEC_FORMAT,
             "topology": self.topology.to_json(),
             "workload": self.workload.to_json(),
-            "engine": self.engine,
             "differential": (
                 self.differential.to_json() if self.differential is not None else None
             ),
@@ -356,12 +348,11 @@ class ScenarioSpec:
         _require_keys(
             "spec",
             document,
-            {"format", "topology", "workload", "engine", "differential", "chaos", "view"},
+            {"format", "topology", "workload", "differential", "chaos", "view"},
         )
         return cls(
             topology=TopologySpec.from_json(document["topology"]),
             workload=WorkloadSpec.from_json(document["workload"]),
-            engine=document["engine"],
             differential=(
                 DifferentialSpec.from_json(document["differential"])
                 if document["differential"] is not None

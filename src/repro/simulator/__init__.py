@@ -3,27 +3,19 @@ session-level TCP over max-min shared fluid flows, BitTorrent swarms,
 Liveswarms streaming, parallel swarms over one shared network, and the
 scaled Pando field test.
 
-Two interchangeable flow engines implement the max-min substrate: the
-scalar reference (`FlowNetwork`) and the incremental vectorized engine
-(`VectorizedFlowNetwork`); select per simulation via the config
-``engine=`` field or globally with ``$P4P_SIM_ENGINE``."""
+One flow engine implements the max-min substrate: the incremental
+`VectorizedFlowNetwork`, built by `make_flow_network()`.  The scalar
+`repro.simulator.tcp.FlowNetwork` is its reference oracle
+(`repro.simulator.differential`), not something a simulation runs on."""
 
 from repro.simulator.tcp import (
-    ENGINE_ENV_VAR,
-    ENGINES,
     Flow,
-    FlowNetwork,
     VectorizedFlowNetwork,
     make_flow_network,
-    resolve_engine,
 )
 
 __all__ = [
-    "ENGINE_ENV_VAR",
-    "ENGINES",
     "Flow",
-    "FlowNetwork",
     "VectorizedFlowNetwork",
     "make_flow_network",
-    "resolve_engine",
 ]

@@ -27,15 +27,10 @@ from repro.simulator.tcp import FlowNetwork, make_flow_network
 
 
 def shared_substrate(
-    engine: Optional[str] = None, telemetry: Optional[object] = None
+    telemetry: Optional[object] = None,
 ) -> Tuple[FlowNetwork, EventEngine]:
-    """A fresh (flow network, event engine) pair for parallel swarms.
-
-    ``engine`` selects the flow engine ("scalar" / "vectorized"; None
-    consults ``$P4P_SIM_ENGINE``); contention between the swarms is
-    modelled identically under either.
-    """
-    return make_flow_network(engine, telemetry=telemetry), EventEngine()
+    """A fresh (flow network, event engine) pair for parallel swarms."""
+    return make_flow_network(telemetry=telemetry), EventEngine()
 
 
 class MultiSwarmSimulation:

@@ -22,7 +22,7 @@ from repro.apptracker.selection import PeerInfo, PeerSelector
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
 from repro.simulator.engine import EventEngine
-from repro.simulator.tcp import Flow, make_flow_network, resolve_engine
+from repro.simulator.tcp import Flow, make_flow_network
 
 LinkKey = Tuple[str, str]
 
@@ -50,11 +50,8 @@ class StreamingConfig:
     rtt_base_ms: float = 4.0
     rtt_per_mile_ms: float = 0.02
     rng_seed: int = 0
-    #: Flow-engine selector (see :func:`repro.simulator.tcp.make_flow_network`).
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        resolve_engine(self.engine)  # validates the name early
         if self.stream_mbps <= 0 or self.block_mbit <= 0:
             raise ValueError("stream rate and block size must be positive")
         if self.duration <= 0:
@@ -139,7 +136,7 @@ class StreamingSimulation:
         self.selector = selector
         self.rng = random.Random(config.rng_seed)
         self.engine = EventEngine()
-        self.net = make_flow_network(config.engine)
+        self.net = make_flow_network()
         self._backbone_index: Dict[LinkKey, int] = {}
         for key, link in topology.links.items():
             if link.headroom > 0:

@@ -26,7 +26,7 @@ from repro.apptracker.selection import PeerInfo, PeerSelector
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
 from repro.simulator.engine import EventEngine
-from repro.simulator.tcp import Flow, FlowNetwork, make_flow_network, resolve_engine
+from repro.simulator.tcp import Flow, FlowNetwork, make_flow_network
 
 LinkKey = Tuple[str, str]
 
@@ -58,12 +58,8 @@ class SwarmConfig:
     rtt_base_ms: float = 4.0
     rtt_per_mile_ms: float = 0.02
     rng_seed: int = 0
-    #: Flow-engine selector: "scalar" (reference), "vectorized"
-    #: (incremental), or None to consult $P4P_SIM_ENGINE (default scalar).
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        resolve_engine(self.engine)  # validates the name early
         if self.file_mbit <= 0 or self.block_mbit <= 0:
             raise ValueError("file and block sizes must be positive")
         if self.block_mbit > self.file_mbit:
@@ -192,7 +188,7 @@ class SwarmSimulation:
         self.telemetry = telemetry
         self.rng = random.Random(config.rng_seed)
         self.engine = shared_engine or EventEngine()
-        self.net = shared_net or make_flow_network(config.engine, telemetry=telemetry)
+        self.net = shared_net or make_flow_network(telemetry=telemetry)
         self._shared = shared_net is not None
         self._attributed_mbit: Dict[LinkKey, float] = {}
         self._backbone_index: Dict[LinkKey, int] = {}

@@ -7,27 +7,28 @@ transfer starts or finishes.  Per-link byte counters are maintained so the
 evaluation metrics (bottleneck traffic, utilization timelines, unit BDP)
 can be derived.
 
-Two engines implement the same contract (selected via
-:func:`make_flow_network` or the ``P4P_SIM_ENGINE`` environment variable):
+One engine runs every simulation, and one reference checks it:
 
-* :class:`FlowNetwork` -- the reference ("scalar") engine.  Between rate
-  recomputations the per-flow remaining sizes live in a numpy array so
-  advancing the clock is vectorized, but every flow arrival or completion
-  rebuilds the whole flow->link incidence from the Python flow objects and
-  re-solves the entire network.
-* :class:`VectorizedFlowNetwork` -- the incremental engine.  The incidence
-  lives permanently in flat numpy entry arrays (a COO sparse flow x link
-  matrix with lazy deletion and periodic compaction), flow state lives in
-  reusable array slots, and each arrival/completion only re-solves the
-  links transitively affected (the dirty component), falling back to a
-  single whole-network vector solve when the dirty set grows past a
-  threshold.  Allocations agree with the scalar engine to ~1e-9 (bit-exact
-  on the full-solve path); see ``tests/test_engine_differential.py``.
+* :class:`VectorizedFlowNetwork` -- the engine (:func:`make_flow_network`
+  builds it).  The incidence lives permanently in flat numpy entry arrays
+  (a COO sparse flow x link matrix with lazy deletion and periodic
+  compaction), flow state lives in reusable array slots, and each
+  arrival/completion only re-solves the links transitively affected (the
+  dirty component), falling back to a single whole-network vector solve
+  when the dirty set grows past a threshold.
+* :class:`FlowNetwork` -- the reference oracle (and the base class holding
+  the link registry).  Between rate recomputations the per-flow remaining
+  sizes live in a numpy array so advancing the clock is vectorized, but
+  every flow arrival or completion rebuilds the whole flow->link incidence
+  from the Python flow objects and re-solves the entire network.  No
+  simulation runs on it: :mod:`repro.simulator.differential` (and through
+  it the fuzz oracle) and the tests construct it to check the engine, whose
+  allocations agree with it to ~1e-9 (bit-exact on the full-solve path);
+  see ``tests/test_engine_differential.py``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -62,7 +63,10 @@ class Flow:
 
 
 class FlowNetwork:
-    """Active transfers over a capacitated link set.
+    """Active transfers over a capacitated link set: the reference oracle.
+
+    The scalar model :class:`VectorizedFlowNetwork` is checked against, and
+    its base class (the link registry lives here); no simulation runs on it.
 
     Usage: register links up front (``add_link``), then ``start_flow`` /
     ``advance`` / ``pop_finished`` under an external clock.  Rates are
@@ -368,7 +372,6 @@ class VectorizedFlowNetwork(FlowNetwork):
         self._link_flows: List[Set[int]] = []
         # Dirty state: link ids touched since the last solve.
         self._dirty_links: Set[int] = set()
-        self._full_dirty = False
         # Consecutive solves that fell back to a full recompute.  Once the
         # streak shows the network is effectively one component, the BFS is
         # doomed and skipped; an occasional probe re-detects partitioning.
@@ -376,7 +379,6 @@ class VectorizedFlowNetwork(FlowNetwork):
         self._caps_np = np.zeros(0)
         self._caps_stale = True
         self._act_cache: Optional[np.ndarray] = None
-        self._dirty = False  # the base-class flag stays unused
         self.telemetry = telemetry
         if telemetry is not None:
             registry = telemetry.registry
@@ -577,13 +579,11 @@ class VectorizedFlowNetwork(FlowNetwork):
     # -- solving -----------------------------------------------------------
 
     def _ensure_rates(self) -> None:
-        if not self._full_dirty and not self._dirty_links:
+        if not self._dirty_links:
             return
         started = self._perf_clock()
         component = None
-        if not self._full_dirty and (
-            self._full_streak < 8 or self.stats.solves % 32 == 0
-        ):
+        if self._full_streak < 8 or self.stats.solves % 32 == 0:
             component = self._collect_component()
         if component is None:
             self._solve_full()
@@ -597,7 +597,6 @@ class VectorizedFlowNetwork(FlowNetwork):
             mode = "incremental"
             dirty = len(slots)
         self._dirty_links.clear()
-        self._full_dirty = False
         stats = self.stats
         if mode == "full":
             stats.full_solves += 1
@@ -762,34 +761,9 @@ class VectorizedFlowNetwork(FlowNetwork):
         return float(self._link_rates[index]) / self._capacities[index]
 
 
-#: Engine registry for :func:`make_flow_network`.
-ENGINES = ("scalar", "vectorized")
+def make_flow_network(telemetry: Optional[object] = None) -> VectorizedFlowNetwork:
+    """Build the flow engine every simulation runs on.
 
-#: Environment variable consulted when no explicit engine is requested.
-ENGINE_ENV_VAR = "P4P_SIM_ENGINE"
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Normalize an engine choice: explicit > $P4P_SIM_ENGINE > scalar."""
-    name = engine or os.environ.get(ENGINE_ENV_VAR) or "scalar"
-    if name not in ENGINES:
-        raise ValueError(
-            f"unknown flow engine {name!r}; choices: {', '.join(ENGINES)}"
-        )
-    return name
-
-
-def make_flow_network(
-    engine: Optional[str] = None, telemetry: Optional[object] = None
-) -> FlowNetwork:
-    """Build the selected flow engine.
-
-    ``engine`` may be ``"scalar"`` (reference oracle), ``"vectorized"``
-    (incremental engine), or None to consult ``$P4P_SIM_ENGINE`` and
-    default to the scalar reference.  ``telemetry`` is only consumed by the
-    vectorized engine (solve counters / latency histograms).
+    ``telemetry`` feeds the engine's solve counters / latency histograms.
     """
-    name = resolve_engine(engine)
-    if name == "vectorized":
-        return VectorizedFlowNetwork(telemetry=telemetry)
-    return FlowNetwork()
+    return VectorizedFlowNetwork(telemetry=telemetry)

@@ -71,22 +71,30 @@ class TestEventEngine:
             engine.advance_to(2.0)
 
 
+@pytest.fixture
+def net(request):
+    """A fresh network of the requesting test class's ``engine_cls``."""
+    return request.cls.engine_cls()
+
+
 class TestFlowNetwork:
-    def test_single_flow_completion_time(self):
-        net = FlowNetwork()
+    """The flow-network contract, asserted here on the reference oracle and,
+    through the subclasses below, on the engine every simulation runs."""
+
+    engine_cls = FlowNetwork
+
+    def test_single_flow_completion_time(self, net):
         link = net.add_link("l", 10.0)
         net.start_flow([link], 50.0)
         assert net.next_completion() == pytest.approx(5.0)
 
-    def test_two_flows_share_link(self):
-        net = FlowNetwork()
+    def test_two_flows_share_link(self, net):
         link = net.add_link("l", 10.0)
         net.start_flow([link], 50.0)
         net.start_flow([link], 50.0)
         assert net.next_completion() == pytest.approx(10.0)
 
-    def test_advance_and_finish(self):
-        net = FlowNetwork()
+    def test_advance_and_finish(self, net):
         link = net.add_link("l", 10.0)
         flow = net.start_flow([link], 50.0)
         net.advance(5.0)
@@ -94,16 +102,14 @@ class TestFlowNetwork:
         assert [f.flow_id for f in done] == [flow.flow_id]
         assert net.n_flows == 0
 
-    def test_partial_progress(self):
-        net = FlowNetwork()
+    def test_partial_progress(self, net):
         link = net.add_link("l", 10.0)
         net.start_flow([link], 50.0)
         net.advance(2.0)
         assert net.pop_finished() == []
         assert net.next_completion() == pytest.approx(5.0)
 
-    def test_rates_adapt_on_arrival(self):
-        net = FlowNetwork()
+    def test_rates_adapt_on_arrival(self, net):
         link = net.add_link("l", 10.0)
         net.start_flow([link], 100.0)
         net.advance(2.0)  # 20 mbit done, 80 left
@@ -111,8 +117,7 @@ class TestFlowNetwork:
         # Both now at 5 Mbps: first finishes at 2 + 80/5 = 18.
         assert net.next_completion() == pytest.approx(18.0)
 
-    def test_rates_adapt_on_departure(self):
-        net = FlowNetwork()
+    def test_rates_adapt_on_departure(self, net):
         link = net.add_link("l", 10.0)
         first = net.start_flow([link], 100.0)
         net.start_flow([link], 100.0)
@@ -121,15 +126,13 @@ class TestFlowNetwork:
         # Remaining flow accelerates to 10 Mbps: 90 left -> t = 11.
         assert net.next_completion() == pytest.approx(11.0)
 
-    def test_link_byte_accounting(self):
-        net = FlowNetwork()
+    def test_link_byte_accounting(self, net):
         link = net.add_link("l", 10.0)
         net.start_flow([link], 50.0)
         net.advance(3.0)
         assert net.link_traffic()["l"] == pytest.approx(30.0)
 
-    def test_accounting_across_rate_changes(self):
-        net = FlowNetwork()
+    def test_accounting_across_rate_changes(self, net):
         link = net.add_link("l", 10.0)
         net.start_flow([link], 20.0)
         net.advance(2.0)  # done at t=2 exactly
@@ -139,53 +142,45 @@ class TestFlowNetwork:
         net.advance(6.0)
         assert net.link_traffic()["l"] == pytest.approx(30.0)
 
-    def test_multilink_flow_takes_min(self):
-        net = FlowNetwork()
+    def test_multilink_flow_takes_min(self, net):
         a = net.add_link("a", 10.0)
         b = net.add_link("b", 4.0)
         net.start_flow([a, b], 8.0)
         assert net.next_completion() == pytest.approx(2.0)
 
-    def test_utilization(self):
-        net = FlowNetwork()
+    def test_utilization(self, net):
         a = net.add_link("a", 10.0)
         net.start_flow([a], 100.0)
         assert net.utilization(a) == pytest.approx(1.0)
 
-    def test_idle_network(self):
-        net = FlowNetwork()
+    def test_idle_network(self, net):
         net.add_link("a", 10.0)
         assert net.next_completion() is None
         assert net.pop_finished() == []
 
-    def test_duplicate_link_name_rejected(self):
-        net = FlowNetwork()
+    def test_duplicate_link_name_rejected(self, net):
         net.add_link("a", 10.0)
         with pytest.raises(ValueError):
             net.add_link("a", 5.0)
 
-    def test_bad_flow_size_rejected(self):
-        net = FlowNetwork()
+    def test_bad_flow_size_rejected(self, net):
         net.add_link("a", 10.0)
         with pytest.raises(ValueError):
             net.start_flow([0], 0.0)
 
-    def test_unknown_link_index_rejected(self):
-        net = FlowNetwork()
+    def test_unknown_link_index_rejected(self, net):
         net.add_link("a", 10.0)
         with pytest.raises(IndexError):
             net.start_flow([5], 1.0)
 
-    def test_clock_monotonic(self):
-        net = FlowNetwork()
+    def test_clock_monotonic(self, net):
         net.add_link("a", 10.0)
         net.advance(5.0)
         with pytest.raises(ValueError):
             net.advance(1.0)
 
-    def test_conservation_many_flows(self):
+    def test_conservation_many_flows(self, net):
         """Total delivered Mbit equals total link Mbit on a single link."""
-        net = FlowNetwork()
         link = net.add_link("l", 7.0)
         sizes = [5.0, 9.0, 3.0, 14.0]
         for size in sizes:
@@ -203,41 +198,46 @@ class TestFlowNetwork:
 
 
 class TestFlowRateCaps:
-    def test_cap_binds_below_fair_share(self):
-        net = FlowNetwork()
+    engine_cls = FlowNetwork
+
+    def test_cap_binds_below_fair_share(self, net):
         link = net.add_link("l", 10.0)
         net.start_flow([link], 10.0, rate_cap=2.0)
         net.start_flow([link], 10.0)
         # Capped flow at 2; the other takes the remaining 8.
         assert net.next_completion() == pytest.approx(10.0 / 8.0)
 
-    def test_cap_above_share_is_inert(self):
-        net = FlowNetwork()
+    def test_cap_above_share_is_inert(self, net):
         link = net.add_link("l", 10.0)
         net.start_flow([link], 10.0, rate_cap=100.0)
         net.start_flow([link], 10.0, rate_cap=100.0)
         assert net.next_completion() == pytest.approx(2.0)
 
-    def test_capped_flow_without_links(self):
-        net = FlowNetwork()
+    def test_capped_flow_without_links(self, net):
         net.add_link("l", 10.0)
         flow = net.start_flow([], 4.0, rate_cap=2.0)
         net.advance(2.0)
         done = net.pop_finished()
         assert [f.flow_id for f in done] == [flow.flow_id]
 
-    def test_nonpositive_cap_rejected(self):
-        net = FlowNetwork()
+    def test_nonpositive_cap_rejected(self, net):
         net.add_link("l", 10.0)
         with pytest.raises(ValueError):
             net.start_flow([0], 1.0, rate_cap=0.0)
 
-    def test_accounting_respects_caps(self):
-        net = FlowNetwork()
+    def test_accounting_respects_caps(self, net):
         link = net.add_link("l", 10.0)
         net.start_flow([link], 100.0, rate_cap=3.0)
         net.advance(2.0)
         assert net.link_traffic()["l"] == pytest.approx(6.0)
+
+
+class TestVectorizedFlowNetwork(TestFlowNetwork):
+    engine_cls = VectorizedFlowNetwork
+
+
+class TestVectorizedFlowRateCaps(TestFlowRateCaps):
+    engine_cls = VectorizedFlowNetwork
 
 
 class TestRegressionsFromDifferentialHarness:

@@ -65,7 +65,6 @@ def _full_spec():
     return ScenarioSpec(
         topology=TopologySpec(family="synthetic", n_pops=8, n_hubs=3, seed=4),
         workload=WorkloadSpec(until=2000.0, n_peers=8),
-        engine="vectorized",
         differential=DifferentialSpec(
             capacities=tuple(capacities), ops=tuple(ops), regime="full-only"
         ),
@@ -105,8 +104,8 @@ def test_spec_rejects_garbage():
         ScenarioSpec.from_json(
             {**good, "workload": {**good["workload"], "n_peers": 4000}}
         )
-    with pytest.raises(ValueError):  # unknown engine
-        ScenarioSpec.from_json({**good, "engine": "quantum"})
+    with pytest.raises(ValueError):  # a spec carries no engine key: strict key check
+        ScenarioSpec.from_json({**good, "engine": None})
     with pytest.raises(ValueError):  # malformed differential op
         bad_diff = {**good["differential"], "ops": [{"op": "teleport"}]}
         ScenarioSpec.from_json({**good, "differential": bad_diff})
@@ -279,7 +278,6 @@ def test_minimizer_converges_on_planted_failure():
     spec = ScenarioSpec(
         topology=TopologySpec(family="synthetic", n_pops=10, n_hubs=4, seed=2),
         workload=WorkloadSpec(until=3000.0, n_peers=10),
-        engine="vectorized",
         differential=DifferentialSpec(
             capacities=(20.0, 10.0, 30.0), ops=tuple(ops), regime="incremental-only"
         ),
@@ -296,7 +294,6 @@ def test_minimizer_converges_on_planted_failure():
     assert minimized.sections == ("differential",)  # view section pruned
     assert len(minimized.differential.ops) <= 2
     assert len(minimized.differential.capacities) <= 1
-    assert minimized.engine is None
     assert minimized.topology == TopologySpec()
     assert minimized.workload == WorkloadSpec()
     assert not results[0].budget_exhausted
