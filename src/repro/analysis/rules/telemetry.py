@@ -70,6 +70,7 @@ DECLARED_LABELS = frozenset(
         "oracle",  # fuzzer oracle names (differential/chaos/view/universal)
         "slo",  # declared SLO names (DEFAULT_PORTAL_SLOS and test SLOs)
         "worker",  # serving-plane worker index (bounded by the worker count)
+        "document",  # memoised full-mesh view documents (pdistances, costmap-*)
     }
 )
 

@@ -24,7 +24,8 @@ a thread per connection:
   sharded over PID space, and published by atomic reference swap
   (:class:`~repro.portal.views.ViewPublisher`); the view handlers serve
   from the published snapshot instead of re-aggregating the full mesh
-  per request.
+  per request, and an unrestricted read is answered with the snapshot's
+  already-encoded document (built by the first such read of a version).
 
 * **Request coalescing.**  Identical concurrent ``get_pdistances``
   requests that find the snapshot stale park on one in-flight
@@ -34,6 +35,7 @@ a thread per connection:
 Telemetry, distributed tracing, and SLO accounting ride along unchanged
 -- dispatch is the same instrumented code path -- plus the serving-plane
 instruments: ``p4p_portal_view_publications_total``,
+``p4p_portal_view_encodes_total{document}``,
 ``p4p_portal_view_serves_total{outcome}``, and
 ``p4p_portal_worker_connections{worker}``.
 """
@@ -49,8 +51,9 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.itracker import ITracker
+from repro.core.pdistance import PDistanceMap
 from repro.observability import SLO, Telemetry
-from repro.portal import protocol
+from repro.portal import alto, protocol
 from repro.portal.dispatch import PortalDispatcher
 from repro.portal.overload import OverloadConfig
 from repro.portal.views import ViewPublisher
@@ -475,32 +478,37 @@ class AsyncPortalServer(PortalDispatcher):
                 governor.release()
 
     # -- view handlers (served from the published snapshot) ----------------
-    # During brownout each handler tries the last *published* snapshot
-    # first (availability over freshness, responses explicitly marked
-    # ``degraded``); the fresh path is the fallback, not the default.
+    # Each handler takes one snapshot -- during brownout the last
+    # *published* one, whatever its age (availability over freshness,
+    # responses explicitly marked ``degraded``) -- so the data and what is
+    # derived from its version (the ALTO vtag) cannot disagree.  An
+    # unrestricted read is answered with that snapshot's memoised,
+    # already-encoded document; a restricted one is rebuilt from the shards.
 
     def _do_get_pdistances(self, params: Dict[str, Any]) -> Dict[str, Any]:
         pids = params.get("pids")
-        if self.overload.brownout_active:
-            stale = self.publisher.stale_view(pids)
-            if stale is not None:
-                return protocol.pdistance_to_wire(stale)
-        view = self.publisher.view(pids)
-        return protocol.pdistance_to_wire(view)
+        publisher = self.publisher
+        snapshot = publisher.snapshot(stale_ok=self.overload.brownout_active)
+        if pids is not None:
+            return protocol.pdistance_to_wire(publisher.finish(snapshot, pids))
+        return publisher.document(
+            snapshot, "pdistances", protocol.pdistance_to_wire
+        )
 
     def _do_get_alto_costmap(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.portal import alto
-
         mode = params.get("mode", alto.NUMERICAL)
         pids = params.get("pids")
-        view = None
-        if self.overload.brownout_active:
-            view = self.publisher.stale_view(pids)
-        if view is None:
-            view = self.publisher.view(pids)
-        return alto.cost_map_document(
-            view, mode=mode, map_vtag=f"p4p-{self.itracker.version}"
-        )
+        publisher = self.publisher
+        snapshot = publisher.snapshot(stale_ok=self.overload.brownout_active)
+
+        def build(view: PDistanceMap) -> Dict[str, Any]:
+            return alto.cost_map_document(
+                view, mode=mode, map_vtag=f"p4p-{snapshot.key[1]}"
+            )
+
+        if pids is not None:
+            return build(publisher.finish(snapshot, pids))
+        return publisher.document(snapshot, f"costmap-{mode}", build)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -31,7 +31,9 @@ catalogs (:data:`REQUEST_ENVELOPE_KEYS`, :data:`RESPONSE_ENVELOPE_KEYS`)
 are what the conformance suite checks every frame against -- a new
 top-level key that is not declared here is a wire-contract bug.
 
-Frame format: 4-byte big-endian payload length, then UTF-8 JSON.
+Frame format: 4-byte big-endian payload length, then UTF-8 JSON.  A
+``result`` that is an :class:`EncodedDocument` already carries its JSON
+bytes and :func:`encode_frame` copies them into the frame as they are.
 """
 
 from __future__ import annotations
@@ -77,11 +79,51 @@ class SlowReaderError(ProtocolError):
     (the slowloris defence: a trickling peer must not pin a worker)."""
 
 
+def _dumps(value: Any) -> bytes:
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+class EncodedDocument(dict):
+    """A result document that carries its own wire encoding.
+
+    To every in-process reader it *is* the plain document (``==``,
+    indexing, ``json.dumps``); :func:`encode_frame` splices ``encoded``
+    into the frame instead of serialising the rows again.  One instance
+    answers many requests, so nobody may mutate it.
+    """
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, document: Dict[str, Any]) -> None:
+        super().__init__(document)
+        self.encoded = _dumps(document)
+
+
 def encode_frame(message: Dict[str, Any]) -> bytes:
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
+    """Header plus compact JSON; :class:`ProtocolError` over the limit."""
+    if type(message.get("result")) is not EncodedDocument:
+        payload = _dumps(message)
+        if len(payload) > MAX_FRAME_BYTES:
+            raise ProtocolError("frame too large")
+        return _HEADER.pack(len(payload)) + payload
+    # Byte-for-byte what ``_dumps(message)`` would produce, with the
+    # pre-encoded result copied once, straight into the frame.
+    parts = [b""]  # header slot
+    opener = b"{"
+    for key, value in message.items():
+        parts += (
+            opener,
+            _dumps(key),
+            b":",
+            value.encoded if type(value) is EncodedDocument else _dumps(value),
+        )
+        opener = b","
+    parts.append(b"}")
+    length = sum(map(len, parts))
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError("frame too large")
-    return _HEADER.pack(len(payload)) + payload
+    parts[0] = _HEADER.pack(length)
+    return b"".join(parts)
 
 
 def read_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:

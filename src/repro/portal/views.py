@@ -29,6 +29,14 @@ request *after* restriction via :meth:`~repro.core.itracker.ITracker.
 finish_view`, seeded by the snapshot's version -- the same order and
 seed the iTracker uses inline, which is what keeps the cached path
 bit-identical to the blocking server's.
+
+The snapshot also memoises the *encoded* full-mesh documents
+(:meth:`ViewPublisher.document`): an unrestricted read is the same bytes
+for every caller until the next publication, so the rows are walked and
+serialised once per generation, by the first request that asks, and the
+memo is dropped with the snapshot.  Restricted reads are rebuilt per
+request -- their footprints differ per swarm and no hit rate has been
+measured that would justify keeping them.
 """
 
 from __future__ import annotations
@@ -36,10 +44,11 @@ from __future__ import annotations
 import threading
 import zlib
 from concurrent.futures import Future
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.itracker import ITracker
 from repro.core.pdistance import PDistanceMap
+from repro.portal.protocol import EncodedDocument
 
 #: How long a coalesced reader waits on the in-flight computation before
 #: giving up and computing its own view (a safety valve, not a code path
@@ -101,9 +110,10 @@ class ShardedView:
 
 
 class _Snapshot:
-    """One published generation: raw shards plus the finished full view."""
+    """One published generation: raw shards, the finished full view, and
+    the full-mesh wire documents encoded from it so far."""
 
-    __slots__ = ("key", "sharded", "full")
+    __slots__ = ("key", "sharded", "full", "documents")
 
     def __init__(
         self,
@@ -114,6 +124,7 @@ class _Snapshot:
         self.key = key  # (epoch, version) identity of the price state
         self.sharded = sharded
         self.full = full
+        self.documents: Dict[str, EncodedDocument] = {}
 
 
 class ViewPublisher:
@@ -155,7 +166,14 @@ class ViewPublisher:
             self._served_computed = self._serves.labels(outcome="computed")
             self._served_coalesced = self._serves.labels(outcome="coalesced")
             self._served_stale = self._serves.labels(outcome="stale")
+            self._encodes = registry.counter(
+                "p4p_portal_view_encodes_total",
+                "Full-mesh wire documents built and encoded (once per "
+                "document per published snapshot).",
+                ("document",),
+            )
         else:
+            self._encodes = None
             self._publications = None
             self._served_published = None
             self._served_computed = None
@@ -247,8 +265,7 @@ class ViewPublisher:
     def view(self, pids: Optional[Sequence[str]] = None) -> PDistanceMap:
         """What ``itracker.get_pdistances(pids=pids)`` would return,
         served from the published snapshot."""
-        snapshot = self.current()
-        return self._finish(snapshot, pids)
+        return self.finish(self.current(), pids)
 
     def has_published(self) -> bool:
         """True once any snapshot has ever been published (the brownout
@@ -256,29 +273,52 @@ class ViewPublisher:
         with self._lock:
             return self._current is not None
 
-    def stale_view(
-        self, pids: Optional[Sequence[str]] = None
-    ) -> Optional[PDistanceMap]:
-        """The last *published* snapshot, regardless of freshness.
+    def snapshot(self, stale_ok: bool = False) -> _Snapshot:
+        """The snapshot a view read is answered from: :meth:`current`,
+        unless ``stale_ok`` and anything has been published.
 
-        The brownout read path: under sustained overload the serving
-        plane answers view reads from here without re-aggregating, so
+        ``stale_ok`` is the brownout read path: under sustained overload
+        the serving plane answers view reads from the last *published*
+        snapshot, regardless of freshness, without re-aggregating, so
         guidance stays available (explicitly degraded) while the
-        aggregation cost is shed.  ``None`` before the first
-        publication -- the caller must fall back to :meth:`view`.
+        aggregation cost is shed.  Before the first publication there is
+        nothing stale to serve and the fresh path is the fallback.
         """
-        with self._lock:
-            snapshot = self._current
-        if snapshot is None:
-            return None
-        if self._served_stale is not None:
-            self._served_stale.inc()
-        return self._finish(snapshot, pids)
+        if stale_ok:
+            with self._lock:
+                snapshot = self._current
+            if snapshot is not None:
+                if self._served_stale is not None:
+                    self._served_stale.inc()
+                return snapshot
+        return self.current()
 
-    def _finish(
+    def finish(
         self, snapshot: _Snapshot, pids: Optional[Sequence[str]]
     ) -> PDistanceMap:
+        """``snapshot``'s view over ``pids`` (the full view for ``None``)."""
         if pids is None:
             return snapshot.full
         restricted = snapshot.sharded.restricted(pids)
         return self.itracker.finish_view(restricted, version=snapshot.key[1])
+
+    def document(
+        self,
+        snapshot: _Snapshot,
+        name: str,
+        build: Callable[[PDistanceMap], Dict[str, Any]],
+    ) -> EncodedDocument:
+        """The wire document ``name`` of ``snapshot``'s full view, built
+        and encoded by the first caller and shared by every later one.
+
+        No lock: two workers missing at once both build the same bytes
+        and one assignment wins, which costs a duplicate build once per
+        generation instead of a lock acquisition per read.
+        """
+        document = snapshot.documents.get(name)
+        if document is None:
+            document = EncodedDocument(build(snapshot.full))
+            snapshot.documents[name] = document
+            if self._encodes is not None:
+                self._encodes.labels(document=name).inc()
+        return document

@@ -1,0 +1,294 @@
+"""Encode-once full-mesh views on the async serving plane.
+
+An unrestricted ``get_pdistances`` / ``get_alto_costmap`` read is the
+same bytes for every caller until the price state's ``(epoch, version)``
+moves, so :class:`~repro.portal.aserver.AsyncPortalServer` answers it
+with a document memoised -- already encoded -- on the published snapshot
+and :func:`~repro.portal.protocol.encode_frame` splices those bytes into
+the frame.  Pinned here: the spliced frame is byte-for-byte the frame of
+the plain rebuilt document (the threaded server rebuilds per request and
+is the reference), each document is built once per generation, restricted
+reads bypass the memo, racing first builds cannot tear a frame, the frame
+size limit still applies, and the ALTO version tag names the version of
+the data it labels.
+"""
+
+import json
+import sys
+import threading
+
+import pytest
+
+from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
+from repro.core.pdistance import uniform_pid_map
+from repro.network.library import abilene
+from repro.observability import NULL_TELEMETRY, Telemetry, flatten_snapshot
+from repro.portal import alto, protocol
+from repro.portal.aserver import AsyncPortalServer
+from repro.portal.overload import OverloadConfig
+from repro.portal.server import PortalServer
+from tests.test_portal_conformance import exchange
+
+#: The three memoised documents: (memo name, request message).
+DOCUMENTS = (
+    ("pdistances", {"method": "get_pdistances", "params": {}}),
+    ("costmap-numerical", {"method": "get_alto_costmap", "params": {}}),
+    (
+        "costmap-ordinal",
+        {"method": "get_alto_costmap", "params": {"mode": "ordinal"}},
+    ),
+)
+RESTRICTED = (
+    {"method": "get_pdistances", "params": {"pids": ["NYCM", "CHIN", "WASH"]}},
+    {"method": "get_alto_costmap", "params": {"pids": ["NYCM", "CHIN"]}},
+)
+CONFIGS = {
+    "plain": {},
+    "perturbed": {"perturbation": 0.05},
+    "ranks": {"serve_ranks": True},
+}
+
+
+def make_itracker(**config) -> ITracker:
+    topo = abilene()
+    tracker = ITracker(
+        topology=topo,
+        config=ITrackerConfig(mode=PriceMode.DYNAMIC, **config),
+        pid_map=uniform_pid_map(topo),
+        telemetry=NULL_TELEMETRY,
+    )
+    advance(tracker)
+    return tracker
+
+
+def advance(tracker: ITracker) -> None:
+    """One deterministic price update (a function of the version only,
+    so identically-built trackers stay twins)."""
+    links = sorted(tracker.topology.links)
+    tracker.observe_loads(
+        {
+            link: 50.0 + 13.0 * ((tracker.version + offset) % 7)
+            for offset, link in enumerate(links)
+        },
+        now=100.0 * (tracker.version + 1),
+    )
+
+
+def make_async(tracker: ITracker, telemetry=NULL_TELEMETRY, **kwargs):
+    kwargs.setdefault("workers", 1)
+    return AsyncPortalServer(
+        tracker,
+        telemetry=telemetry,
+        overload=OverloadConfig(enabled=True),
+        **kwargs,
+    )
+
+
+def plain_frame(response) -> bytes:
+    """The frame as plain ``json.dumps`` of plain dicts would build it."""
+    payload = json.dumps(json.loads(json.dumps(response)), separators=(",", ":"))
+    return protocol._HEADER.pack(len(payload)) + payload.encode("utf-8")
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.timeout(60)
+class TestByteIdentity:
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_spliced_frame_equals_the_plain_rebuilt_frame(self, config):
+        """Fresh and in brownout, in process and over a socket."""
+        with PortalServer(
+            make_itracker(**CONFIGS[config]), telemetry=NULL_TELEMETRY
+        ) as reference, make_async(make_itracker(**CONFIGS[config])) as server:
+            for brownout in (False, True, False):
+                server.force_brownout(brownout)
+                for name, message in DOCUMENTS:
+                    expected = reference.dispatch(message)
+                    assert type(expected["result"]) is dict
+                    if brownout:
+                        expected["degraded"] = "brownout"
+                    response = server.dispatch(message)
+                    # The memoised path really is the one under test ...
+                    assert type(response["result"]) is protocol.EncodedDocument
+                    # ... it reads as the threaded server's plain dict ...
+                    assert response == expected
+                    assert json.dumps(response) == json.dumps(expected)
+                    # ... and its frame is the plain frame, byte for byte.
+                    frame = protocol.encode_frame(response)
+                    assert frame == plain_frame(expected), name
+                    assert frame == protocol.encode_frame(expected), name
+                    request = protocol.encode_frame(message)
+                    assert exchange(server.address, [request]) == [frame], name
+
+    def test_envelope_keys_keep_their_order_around_the_splice(self):
+        document = protocol.EncodedDocument({"pids": ["a"], "distances": []})
+        for message in (
+            {"result": document},
+            {"result": document, "degraded": "brownout"},
+            {"degraded": "brownout", "result": document, "retry_after": 0.5},
+        ):
+            assert protocol.encode_frame(message) == plain_frame(message)
+
+    def test_oversized_spliced_frame_is_refused(self, monkeypatch):
+        with make_async(make_itracker()) as server:
+            response = server.dispatch(DOCUMENTS[0][1])
+        frame = protocol.encode_frame(response)
+        payload_bytes = len(frame) - protocol._HEADER.size
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", payload_bytes)
+        assert protocol.encode_frame(response) == frame  # at the limit
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", payload_bytes - 1)
+        with pytest.raises(protocol.ProtocolError):
+            protocol.encode_frame(response)
+        with pytest.raises(protocol.ProtocolError):
+            protocol.encode_frame(json.loads(json.dumps(response)))
+
+
+@pytest.mark.timeout(60)
+class TestBuiltOncePerGeneration:
+    def test_k_reads_build_each_document_once_and_a_bump_once_more(
+        self, monkeypatch
+    ):
+        to_wire = count_calls(monkeypatch, protocol, "pdistance_to_wire")
+        costmap = count_calls(monkeypatch, alto, "cost_map_document")
+        telemetry = Telemetry()
+        tracker = make_itracker()
+
+        def encodes():
+            flat = flatten_snapshot(telemetry.snapshot())
+            return {
+                name: flat.get(
+                    f'p4p_portal_view_encodes_total{{document="{name}"}}', 0
+                )
+                for name, _ in DOCUMENTS
+            }
+
+        def read_all(k):
+            for _ in range(k):
+                for _, message in DOCUMENTS:
+                    assert "result" in server.dispatch(message)
+
+        with make_async(tracker, telemetry=telemetry) as server:
+            read_all(5)
+            assert (len(to_wire), len(costmap)) == (1, 2)
+            advance(tracker)  # version bump
+            read_all(5)
+            assert (len(to_wire), len(costmap)) == (2, 4)
+            tracker._epoch += 1  # the epoch alone (restore() moves both)
+            read_all(5)
+            assert (len(to_wire), len(costmap)) == (3, 6)
+            assert encodes() == {name: 3 for name, _ in DOCUMENTS}
+            # One generation is held: the memo lives on the snapshot.
+            assert set(server.publisher.current().documents) == {
+                name for name, _ in DOCUMENTS
+            }
+
+    def test_restricted_reads_never_touch_the_memo(self, monkeypatch):
+        to_wire = count_calls(monkeypatch, protocol, "pdistance_to_wire")
+        costmap = count_calls(monkeypatch, alto, "cost_map_document")
+        with PortalServer(
+            make_itracker(), telemetry=NULL_TELEMETRY
+        ) as reference, make_async(make_itracker()) as server:
+            for brownout in (False, True):
+                server.force_brownout(brownout)
+                for message in RESTRICTED:
+                    expected = reference.dispatch(message)
+                    if brownout:
+                        expected["degraded"] = "brownout"
+                    del to_wire[:], costmap[:]
+                    for _ in range(3):
+                        response = server.dispatch(message)
+                        assert type(response["result"]) is dict
+                        assert protocol.encode_frame(response) == plain_frame(
+                            expected
+                        )
+                    assert len(to_wire) + len(costmap) == 3  # rebuilt per read
+            assert server.publisher.current().documents == {}
+
+
+@pytest.mark.timeout(120)
+class TestConcurrentFirstBuild:
+    def test_workers_racing_on_a_fresh_version_answer_the_right_bytes(self):
+        """Every thread is released at once onto a version nobody has
+        encoded yet, across two workers: a duplicated first build is
+        fine, a torn or mixed-version frame is not."""
+        k = 8
+        tracker, twin = make_itracker(), make_itracker()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PortalServer(
+                twin, telemetry=NULL_TELEMETRY
+            ) as reference, make_async(
+                tracker, workers=2, accept_model="dispatcher"
+            ) as server:
+                for _ in range(4):
+                    advance(tracker)
+                    advance(twin)
+                    for _, message in DOCUMENTS:
+                        expected = plain_frame(reference.dispatch(message))
+                        request = protocol.encode_frame(message)
+                        barrier = threading.Barrier(k)
+                        frames, errors = [], []
+
+                        def worker():
+                            try:
+                                barrier.wait(timeout=20.0)
+                                frames.extend(
+                                    exchange(server.address, [request] * 3)
+                                )
+                            except Exception as exc:  # pragma: no cover
+                                errors.append(exc)
+
+                        threads = [
+                            threading.Thread(target=worker) for _ in range(k)
+                        ]
+                        for thread in threads:
+                            thread.start()
+                        for thread in threads:
+                            thread.join(timeout=60.0)
+                            assert not thread.is_alive()
+                        assert not errors
+                        assert len(frames) == 3 * k
+                        assert set(frames) == {expected}
+        finally:
+            sys.setswitchinterval(previous)
+
+
+@pytest.mark.timeout(30)
+class TestAltoVtagNamesTheServedVersion:
+    @pytest.mark.parametrize("pids", [None, ["NYCM", "CHIN", "WASH"]])
+    def test_stale_costmap_is_tagged_with_its_own_version(self, pids):
+        tracker = make_itracker()
+        message = {"method": "get_alto_costmap", "params": {"pids": pids}}
+        with make_async(tracker) as server:
+            published = tracker.version
+            fresh = server.dispatch(message)["result"]
+            server.force_brownout(True)
+            advance(tracker)
+            assert tracker.version == published + 1
+            stale = server.dispatch(message)
+            assert stale["degraded"] == "brownout"
+            # The costs are the published (old) version's, and so is the tag.
+            assert stale["result"]["cost-map"] == fresh["cost-map"]
+            tags = [
+                entry["tag"]
+                for entry in stale["result"]["meta"]["dependent-vtags"]
+            ]
+            assert tags == [f"p4p-{published}"]
+            # Out of brownout the new version is served under its own tag.
+            server.force_brownout(False)
+            current = server.dispatch(message)["result"]
+            assert current["meta"]["dependent-vtags"][0]["tag"] == (
+                f"p4p-{published + 1}"
+            )
+            assert current["cost-map"] != fresh["cost-map"]
