@@ -218,6 +218,15 @@ class ITracker:
             view = view.to_ranks()
         return view
 
+    @property
+    def serves_raw_views(self) -> bool:
+        """True when :meth:`finish_view` is the identity: no perturbation
+        and no rank coarsening is configured, so a restriction of the raw
+        view is served as it is (and its encoded pieces may be shared
+        across requests -- both degradations depend on the restricted
+        set as a whole)."""
+        return not (self.config.perturbation > 0 or self.config.serve_ranks)
+
     # -- the policy / capability interfaces --------------------------------------
 
     def get_policy(self) -> NetworkPolicy:

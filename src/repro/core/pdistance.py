@@ -97,11 +97,13 @@ class PDistanceMap:
 
     def restricted_to(self, pids: Sequence[str]) -> "PDistanceMap":
         """Sub-map over a subset of PIDs (an application's swarm footprint)."""
-        keep = [pid for pid in self.pids if pid in set(pids)]
+        requested = set(pids)
+        keep = [pid for pid in self.pids if pid in requested]
+        kept = set(keep)
         sub = {
             pair: value
             for pair, value in self.distances.items()
-            if pair[0] in set(keep) and pair[1] in set(keep)
+            if pair[0] in kept and pair[1] in kept
         }
         return PDistanceMap(pids=tuple(keep), distances=sub)
 

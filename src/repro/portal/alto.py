@@ -90,13 +90,20 @@ def cost_map_document(
             row[dst] = int(value) if mode == ORDINAL and src != dst else value
         cost_map[src] = row
     return {
-        "meta": {
-            "dependent-vtags": [
-                {"resource-id": dependent_resource_id, "tag": map_vtag}
-            ],
-            "cost-type": {"cost-mode": mode, "cost-metric": "routingcost"},
-        },
+        "meta": cost_map_meta(mode, map_vtag, dependent_resource_id),
         "cost-map": cost_map,
+    }
+
+
+def cost_map_meta(
+    mode: str, map_vtag: str, dependent_resource_id: str = "p4p-network-map"
+) -> Dict[str, Any]:
+    """The ``meta`` member of a cost map in ``mode`` over ``map_vtag``."""
+    return {
+        "dependent-vtags": [
+            {"resource-id": dependent_resource_id, "tag": map_vtag}
+        ],
+        "cost-type": {"cost-mode": mode, "cost-metric": "routingcost"},
     }
 
 

@@ -24,8 +24,10 @@ a thread per connection:
   sharded over PID space, and published by atomic reference swap
   (:class:`~repro.portal.views.ViewPublisher`); the view handlers serve
   from the published snapshot instead of re-aggregating the full mesh
-  per request, and an unrestricted read is answered with the snapshot's
-  already-encoded document (built by the first such read of a version).
+  per request, an unrestricted read is answered with the snapshot's
+  already-encoded document (built by the first such read of a version),
+  and a restricted read of undegraded values is spliced from source rows
+  encoded by the first read of a version that touches them.
 
 * **Request coalescing.**  Identical concurrent ``get_pdistances``
   requests that find the snapshot stale park on one in-flight
@@ -483,17 +485,22 @@ class AsyncPortalServer(PortalDispatcher):
     # responses explicitly marked ``degraded``) -- so the data and what is
     # derived from its version (the ALTO vtag) cannot disagree.  An
     # unrestricted read is answered with that snapshot's memoised,
-    # already-encoded document; a restricted one is rebuilt from the shards.
+    # already-encoded document.  A restricted read of raw values is
+    # spliced from the snapshot's encoded rows; one the iTracker degrades
+    # (noise, ranks -- ordinal cost maps are ranks too) depends on the
+    # restricted set as a whole and is rebuilt from the shards.
 
     def _do_get_pdistances(self, params: Dict[str, Any]) -> Dict[str, Any]:
         pids = params.get("pids")
         publisher = self.publisher
         snapshot = publisher.snapshot(stale_ok=self.overload.brownout_active)
-        if pids is not None:
-            return protocol.pdistance_to_wire(publisher.finish(snapshot, pids))
-        return publisher.document(
-            snapshot, "pdistances", protocol.pdistance_to_wire
-        )
+        if pids is None:
+            return publisher.document(
+                snapshot, "pdistances", protocol.pdistance_to_wire
+            )
+        if self.itracker.serves_raw_views:
+            return publisher.spliced_pdistances(snapshot, pids)
+        return protocol.pdistance_to_wire(publisher.finish(snapshot, pids))
 
     def _do_get_alto_costmap(self, params: Dict[str, Any]) -> Dict[str, Any]:
         mode = params.get("mode", alto.NUMERICAL)
@@ -506,9 +513,11 @@ class AsyncPortalServer(PortalDispatcher):
                 view, mode=mode, map_vtag=f"p4p-{snapshot.key[1]}"
             )
 
-        if pids is not None:
-            return build(publisher.finish(snapshot, pids))
-        return publisher.document(snapshot, f"costmap-{mode}", build)
+        if pids is None:
+            return publisher.document(snapshot, f"costmap-{mode}", build)
+        if mode == alto.NUMERICAL and self.itracker.serves_raw_views:
+            return publisher.spliced_costmap(snapshot, pids)
+        return build(publisher.finish(snapshot, pids))
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -22,7 +22,7 @@ iTracker state, never of the transport that carried it.
 from __future__ import annotations
 
 import logging
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.capability import AccessDeniedError, CapabilityKind
 from repro.core.itracker import ITracker
@@ -98,6 +98,10 @@ class PortalDispatcher:
             ("method",),
             buckets=DEFAULT_LATENCY_BUCKETS,
         )
+        # label -> (latency child, requests child), bound on first use so
+        # the request path pays no label resolution; cardinality is the
+        # ``_do_*`` handlers plus "<unknown>" (see dispatch()).
+        self._per_method: Dict[str, Tuple[Any, Any]] = {}
         self._inflight = registry.gauge(
             "p4p_portal_inflight_requests",
             "Requests currently inside dispatch.",
@@ -195,8 +199,15 @@ class PortalDispatcher:
         finally:
             elapsed = clock() - started
             self._inflight.dec()
-            self._latency.labels(method=label).observe(elapsed)
-            self._requests.labels(method=label).inc()
+            children = self._per_method.get(label)
+            if children is None:
+                children = self._per_method[label] = (
+                    self._latency.labels(method=label),
+                    self._requests.labels(method=label),
+                )
+            latency, requests = children
+            latency.observe(elapsed)
+            requests.inc()
             if span is not None:
                 reset_active(token)
                 self._tracer.buffer.finish(span)

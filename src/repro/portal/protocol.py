@@ -79,8 +79,14 @@ class SlowReaderError(ProtocolError):
     (the slowloris defence: a trickling peer must not pin a worker)."""
 
 
-def _dumps(value: Any) -> bytes:
-    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+# ``json.dumps`` with non-default separators builds a ``JSONEncoder`` per
+# call; every frame is compact JSON, so one encoder serves them all.
+_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def encode_json(value: Any) -> bytes:
+    """Compact UTF-8 JSON: the byte form of everything put in a frame."""
+    return _COMPACT(value).encode("utf-8")
 
 
 class EncodedDocument(dict):
@@ -89,34 +95,36 @@ class EncodedDocument(dict):
     To every in-process reader it *is* the plain document (``==``,
     indexing, ``json.dumps``); :func:`encode_frame` splices ``encoded``
     into the frame instead of serialising the rows again.  One instance
-    answers many requests, so nobody may mutate it.
+    answers many requests, so nobody may mutate it.  A caller that
+    assembled ``document`` from parts it had already encoded passes the
+    joined bytes as ``encoded``; they must equal ``encode_json(document)``.
     """
 
     __slots__ = ("encoded",)
 
-    def __init__(self, document: Dict[str, Any]) -> None:
+    def __init__(
+        self, document: Dict[str, Any], encoded: Optional[bytes] = None
+    ) -> None:
         super().__init__(document)
-        self.encoded = _dumps(document)
+        self.encoded = encode_json(document) if encoded is None else encoded
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Header plus compact JSON; :class:`ProtocolError` over the limit."""
     if type(message.get("result")) is not EncodedDocument:
-        payload = _dumps(message)
+        payload = encode_json(message)
         if len(payload) > MAX_FRAME_BYTES:
             raise ProtocolError("frame too large")
         return _HEADER.pack(len(payload)) + payload
-    # Byte-for-byte what ``_dumps(message)`` would produce, with the
+    # Byte-for-byte what ``encode_json(message)`` would produce, with the
     # pre-encoded result copied once, straight into the frame.
     parts = [b""]  # header slot
     opener = b"{"
     for key, value in message.items():
-        parts += (
-            opener,
-            _dumps(key),
-            b":",
-            value.encoded if type(value) is EncodedDocument else _dumps(value),
-        )
+        if type(value) is EncodedDocument:
+            parts += (opener, encode_json(key), b":", value.encoded)
+        else:
+            parts += (opener, encode_json(key), b":", encode_json(value))
         opener = b","
     parts.append(b"}")
     length = sum(map(len, parts))
@@ -317,7 +325,7 @@ def pdistance_from_wire(document: Dict[str, Any]) -> PDistanceMap:
 #: handlers -- adding a handler without a schema entry (or orphaning an
 #: entry) is a lint failure, not a latent bug.
 METHOD_SCHEMAS: Dict[str, Dict[str, Tuple[bool, str]]] = {
-    "get_pdistances": {"pids": (False, "array")},
+    "get_pdistances": {"pids": (False, "array of strings")},
     "get_policy": {},
     "get_capabilities": {
         "requester": (True, "string"),
@@ -331,7 +339,7 @@ METHOD_SCHEMAS: Dict[str, Dict[str, Tuple[bool, str]]] = {
     "get_metrics": {"format": (False, "string")},
     "get_alto_costmap": {
         "mode": (False, "string"),
-        "pids": (False, "array"),
+        "pids": (False, "array of strings"),
     },
     "get_alto_networkmap": {},
 }
@@ -339,6 +347,7 @@ METHOD_SCHEMAS: Dict[str, Dict[str, Tuple[bool, str]]] = {
 _JSON_TYPES: Dict[str, tuple] = {
     "string": (str,),
     "array": (list,),
+    "array of strings": (list,),  # elements checked in validate_params
     "object": (dict,),
     "number": (int, float),
     "integer": (int,),
@@ -367,11 +376,17 @@ def validate_params(method: str, params: Dict[str, Any]) -> None:
                 raise ValueError(f"{name} is required")
             continue
         expected = _JSON_TYPES[type_name]
-        if isinstance(value, bool) and bool not in expected:
-            raise ValueError(
-                f"parameter {name!r} for {method} must be {type_name}"
-            )
-        if not isinstance(value, expected):
+        well_typed = isinstance(value, expected) and (
+            bool in expected or not isinstance(value, bool)
+        )
+        if well_typed and type_name == "array of strings":
+            # Handlers hash the elements (PID lookups): anything but a
+            # string is the client's error, not a handler crash.
+            for element in value:
+                if not isinstance(element, str):
+                    well_typed = False
+                    break
+        if not well_typed:
             raise ValueError(
                 f"parameter {name!r} for {method} must be {type_name}"
             )

@@ -7,13 +7,13 @@ state's ``(epoch, version)`` identity advances (once per update period),
 while "millions of users" read it in between.  This module turns that
 asymmetry into the async serving plane's hot path:
 
-* :class:`ShardedView` -- one immutable raw external view, partitioned
-  over PID space (stable hash of the source PID -> shard).  Restricting
-  to a swarm's PID footprint touches only the shards owning those
-  sources instead of scanning the full mesh, and reassembles rows in
-  exactly the order :meth:`~repro.core.pdistance.PDistanceMap.
-  restricted_to` would produce -- the wire bytes must not depend on
-  which server computed them.
+* :class:`ShardedView` -- one immutable raw external view, one
+  ``{dst: value}`` row per source, partitioned over PID space (stable
+  hash of the source PID -> shard).  Restricting to a swarm's k-PID
+  footprint is k lookups in each of the k rows it keeps instead of a
+  scan of the full mesh, in exactly the order :meth:`~repro.core.
+  pdistance.PDistanceMap.restricted_to` would produce -- the wire bytes
+  must not depend on which server computed them.
 
 * :class:`ViewPublisher` -- versioned copy-on-update publication with
   request coalescing.  Readers grab the current published snapshot with
@@ -34,9 +34,17 @@ The snapshot also memoises the *encoded* full-mesh documents
 (:meth:`ViewPublisher.document`): an unrestricted read is the same bytes
 for every caller until the next publication, so the rows are walked and
 serialised once per generation, by the first request that asks, and the
-memo is dropped with the snapshot.  Restricted reads are rebuilt per
-request -- their footprints differ per swarm and no hit rate has been
-measured that would justify keeping them.
+memo is dropped with the snapshot.  Restricted responses are not kept --
+their footprints differ per swarm and nobody has measured a hit rate --
+but what they are made of is: the first read to touch a source row in a
+generation encodes that row's cells (:meth:`ViewPublisher.cells`), and a
+restricted read whose view needs no degradation is those cells' shared
+``[src, dst, value]`` triples and bytes, looked up and joined
+(:meth:`ViewPublisher.spliced_pdistances`, :meth:`~ViewPublisher.
+spliced_costmap`).  Perturbation and ranks are functions of the
+restricted *set* (noise is drawn in restricted iteration order, ranks
+are taken within the restricted row), so those configurations rebuild
+through :meth:`ViewPublisher.finish` as before.
 """
 
 from __future__ import annotations
@@ -48,7 +56,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.itracker import ITracker
 from repro.core.pdistance import PDistanceMap
-from repro.portal.protocol import EncodedDocument
+from repro.portal import alto
+from repro.portal.protocol import EncodedDocument, encode_json
 
 #: How long a coalesced reader waits on the in-flight computation before
 #: giving up and computing its own view (a safety valve, not a code path
@@ -65,10 +74,13 @@ def shard_of(pid: str, n_shards: int) -> int:
 class ShardedView:
     """One immutable external view, partitioned by source PID.
 
-    Each shard maps ``src -> [(dst, value), ...]`` with rows in the full
-    view's insertion order (the intra-PID ``(src, src)`` entry first,
-    then destinations in PID order) -- the invariant that lets
-    :meth:`restricted` rebuild byte-identical sub-views.
+    Each shard maps ``src -> {dst: value}``.  The view must be a full
+    mesh laid out the way :func:`~repro.core.pdistance.external_view`
+    lays it out -- per source, the intra-PID ``(src, src)`` entry first,
+    then every other PID in PID order -- which is checked here once, so
+    that a restriction to k PIDs can be read off as k lookups per kept
+    row (the diagonal, then the other kept PIDs in order) and still be
+    byte-identical to the unsharded one.
     """
 
     def __init__(self, view: PDistanceMap, n_shards: int = 8) -> None:
@@ -76,44 +88,76 @@ class ShardedView:
             raise ValueError("n_shards must be >= 1")
         self.view = view
         self.n_shards = n_shards
-        shards: List[Dict[str, List[Tuple[str, float]]]] = [
-            {} for _ in range(n_shards)
-        ]
+        rows: Dict[str, Dict[str, float]] = {pid: {} for pid in view.pids}
         for (src, dst), value in view.distances.items():
-            shards[shard_of(src, n_shards)].setdefault(src, []).append((dst, value))
-        self._shards: Tuple[Dict[str, List[Tuple[str, float]]], ...] = tuple(shards)
+            rows[src][dst] = value
+        pids = list(view.pids)
+        shards: List[Dict[str, Dict[str, float]]] = [{} for _ in range(n_shards)]
+        for index, (src, row) in enumerate(rows.items()):
+            if list(row) != [src] + pids[:index] + pids[index + 1:]:
+                raise ValueError(
+                    f"row {src!r} is not a full-mesh row in external-view order"
+                )
+            shards[shard_of(src, n_shards)][src] = row
+        self._shards: Tuple[Dict[str, Dict[str, float]], ...] = tuple(shards)
+        self._rank = {pid: index for index, pid in enumerate(pids)}
 
     def shard_sizes(self) -> List[int]:
         """Row count per shard (for tests and the shard-balance gauge)."""
         return [
-            sum(len(rows) for rows in shard.values()) for shard in self._shards
+            sum(len(row) for row in shard.values()) for shard in self._shards
         ]
 
-    def restricted(self, pids: Sequence[str]) -> PDistanceMap:
-        """Sub-view over ``pids``, equal to ``view.restricted_to(pids)``.
+    def row(self, src: str) -> Dict[str, float]:
+        """``{dst: value}`` of one source, in the view's insertion order."""
+        return self._shards[shard_of(src, self.n_shards)][src]
 
-        Iterates kept sources in full-view PID order and each source's
-        rows in insertion order, so the resulting distance dict -- and
-        therefore its JSON wire encoding -- matches the unsharded
-        restriction exactly.
-        """
-        requested = set(pids)
-        keep = [pid for pid in self.view.pids if pid in requested]
-        keep_set = set(keep)
+    def kept(self, pids: Sequence[str]) -> List[str]:
+        """The visible PIDs among ``pids``, once each, in view order."""
+        rank = self._rank
+        return sorted(rank.keys() & set(pids), key=rank.__getitem__)
+
+    def restricted(self, pids: Sequence[str]) -> PDistanceMap:
+        """Sub-view over ``pids``, equal to ``view.restricted_to(pids)``
+        entry for entry and in the same order, so its JSON wire encoding
+        matches the unsharded restriction exactly."""
+        keep = self.kept(pids)
         distances: Dict[Tuple[str, str], float] = {}
         for src in keep:
-            rows = self._shards[shard_of(src, self.n_shards)].get(src, ())
-            for dst, value in rows:
-                if dst in keep_set:
-                    distances[(src, dst)] = value
+            row = self.row(src)
+            distances[(src, src)] = row[src]  # rows start at the diagonal
+            for dst in keep:
+                if dst != src:
+                    distances[(src, dst)] = row[dst]
         return PDistanceMap(pids=tuple(keep), distances=distances)
+
+
+#: One destination of an encoded source row: the ``[src, dst, value]``
+#: triple every ``get_pdistances`` result over that pair shares, its
+#: compact JSON, and the ``"dst":value`` member of an ALTO cost-map row.
+Cell = Tuple[List[Any], bytes, bytes]
+
+
+def _encode_row(src: str, row: Dict[str, float]) -> Dict[str, Cell]:
+    head = b"[" + encode_json(src) + b","
+    cells: Dict[str, Cell] = {}
+    for dst, value in row.items():
+        name = encode_json(dst)
+        number = encode_json(value)
+        cells[dst] = (
+            [src, dst, value],
+            head + name + b"," + number + b"]",
+            name + b":" + number,
+        )
+    return cells
 
 
 class _Snapshot:
     """One published generation: raw shards, the finished full view, and
-    the full-mesh wire documents encoded from it so far."""
+    what has been encoded from them so far -- the full-mesh wire
+    documents and the per-source rows of cells."""
 
-    __slots__ = ("key", "sharded", "full", "documents")
+    __slots__ = ("key", "sharded", "full", "documents", "cells")
 
     def __init__(
         self,
@@ -125,6 +169,7 @@ class _Snapshot:
         self.sharded = sharded
         self.full = full
         self.documents: Dict[str, EncodedDocument] = {}
+        self.cells: Dict[str, Dict[str, Cell]] = {}
 
 
 class ViewPublisher:
@@ -168,8 +213,9 @@ class ViewPublisher:
             self._served_stale = self._serves.labels(outcome="stale")
             self._encodes = registry.counter(
                 "p4p_portal_view_encodes_total",
-                "Full-mesh wire documents built and encoded (once per "
-                "document per published snapshot).",
+                "Wire encodings built from a published snapshot: each "
+                "full-mesh document, and each source row of cells "
+                "(document=\"row\"), once per snapshot.",
                 ("document",),
             )
         else:
@@ -322,3 +368,67 @@ class ViewPublisher:
             if self._encodes is not None:
                 self._encodes.labels(document=name).inc()
         return document
+
+    def cells(self, snapshot: _Snapshot, src: str) -> Dict[str, Cell]:
+        """``snapshot``'s encoded row of ``src``: one :data:`Cell` per
+        destination, built by the first read that touches the row and
+        shared -- never mutated -- by every later one.  Lock-free like
+        :meth:`document`, and dropped with the snapshot."""
+        cells = snapshot.cells.get(src)
+        if cells is None:
+            cells = _encode_row(src, snapshot.sharded.row(src))
+            snapshot.cells[src] = cells
+            if self._encodes is not None:
+                self._encodes.labels(document="row").inc()
+        return cells
+
+    def spliced_pdistances(
+        self, snapshot: _Snapshot, pids: Sequence[str]
+    ) -> EncodedDocument:
+        """``pdistance_to_wire`` of ``snapshot``'s raw view over ``pids``,
+        assembled from its rows' cells instead of rebuilt.  Only for an
+        iTracker that :attr:`~ITracker.serves_raw_views`."""
+        keep = snapshot.sharded.kept(pids)
+        triples: List[List[Any]] = []
+        parts: List[bytes] = []
+        for src in keep:
+            cells = self.cells(snapshot, src)
+            triple, part, _ = cells[src]  # rows start at the diagonal
+            triples.append(triple)
+            parts.append(part)
+            for dst in keep:
+                if dst != src:
+                    triple, part, _ = cells[dst]
+                    triples.append(triple)
+                    parts.append(part)
+        return EncodedDocument(
+            {"pids": keep, "distances": triples},
+            b'{"pids":%b,"distances":[%b]}'
+            % (encode_json(keep), b",".join(parts)),
+        )
+
+    def spliced_costmap(
+        self, snapshot: _Snapshot, pids: Sequence[str]
+    ) -> EncodedDocument:
+        """The numerical ``alto.cost_map_document`` of ``snapshot``'s raw
+        view over ``pids``, tagged with the snapshot's version, assembled
+        from its rows' cells.  Same precondition as
+        :meth:`spliced_pdistances`."""
+        keep = snapshot.sharded.kept(pids)
+        meta = alto.cost_map_meta(alto.NUMERICAL, f"p4p-{snapshot.key[1]}")
+        cost_map: Dict[str, Dict[str, float]] = {}
+        rows: List[bytes] = []
+        for src in keep:  # cost-map rows run in PID order, diagonal in place
+            cells = self.cells(snapshot, src)
+            row: Dict[str, float] = {}
+            members: List[bytes] = []
+            for dst in keep:
+                triple, _, member = cells[dst]
+                row[dst] = triple[2]
+                members.append(member)
+            cost_map[src] = row
+            rows.append(b"%b:{%b}" % (encode_json(src), b",".join(members)))
+        return EncodedDocument(
+            {"meta": meta, "cost-map": cost_map},
+            b'{"meta":%b,"cost-map":{%b}}' % (encode_json(meta), b",".join(rows)),
+        )

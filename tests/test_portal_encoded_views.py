@@ -7,10 +7,10 @@ with a document memoised -- already encoded -- on the published snapshot
 and :func:`~repro.portal.protocol.encode_frame` splices those bytes into
 the frame.  Pinned here: the spliced frame is byte-for-byte the frame of
 the plain rebuilt document (the threaded server rebuilds per request and
-is the reference), each document is built once per generation, restricted
-reads bypass the memo, racing first builds cannot tear a frame, the frame
-size limit still applies, and the ALTO version tag names the version of
-the data it labels.
+is the reference), each document is built once per generation, racing
+first builds cannot tear a frame, the frame size limit still applies, and
+the ALTO version tag names the version of the data it labels.  Restricted
+reads have their own contract in ``test_portal_restricted_reads.py``.
 """
 
 import json
@@ -37,10 +37,6 @@ DOCUMENTS = (
         "costmap-ordinal",
         {"method": "get_alto_costmap", "params": {"mode": "ordinal"}},
     ),
-)
-RESTRICTED = (
-    {"method": "get_pdistances", "params": {"pids": ["NYCM", "CHIN", "WASH"]}},
-    {"method": "get_alto_costmap", "params": {"pids": ["NYCM", "CHIN"]}},
 )
 CONFIGS = {
     "plain": {},
@@ -191,28 +187,6 @@ class TestBuiltOncePerGeneration:
             assert set(server.publisher.current().documents) == {
                 name for name, _ in DOCUMENTS
             }
-
-    def test_restricted_reads_never_touch_the_memo(self, monkeypatch):
-        to_wire = count_calls(monkeypatch, protocol, "pdistance_to_wire")
-        costmap = count_calls(monkeypatch, alto, "cost_map_document")
-        with PortalServer(
-            make_itracker(), telemetry=NULL_TELEMETRY
-        ) as reference, make_async(make_itracker()) as server:
-            for brownout in (False, True):
-                server.force_brownout(brownout)
-                for message in RESTRICTED:
-                    expected = reference.dispatch(message)
-                    if brownout:
-                        expected["degraded"] = "brownout"
-                    del to_wire[:], costmap[:]
-                    for _ in range(3):
-                        response = server.dispatch(message)
-                        assert type(response["result"]) is dict
-                        assert protocol.encode_frame(response) == plain_frame(
-                            expected
-                        )
-                    assert len(to_wire) + len(costmap) == 3  # rebuilt per read
-            assert server.publisher.current().documents == {}
 
 
 @pytest.mark.timeout(120)
