@@ -1,11 +1,12 @@
 """Overhead budget for the telemetry-instrumented dispatch path.
 
 The whole point of ``repro.observability`` is that instrumentation is
-cheap enough to leave on: ``PortalServer.dispatch`` with a live
+cheap enough to leave on: ``PortalDispatcher.dispatch`` with a live
 :class:`~repro.observability.telemetry.Telemetry` bundle must stay within
 10% of the same dispatch wired to ``NULL_TELEMETRY`` (every instrument a
-no-op).  Measured in-process -- no sockets -- so the comparison isolates
-exactly the registry work.
+no-op).  Measured on the bare, transport-free dispatcher -- no sockets,
+the view recomputed per request -- so the comparison isolates exactly
+the registry work.
 """
 
 import time
@@ -15,7 +16,7 @@ import pytest
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
 from repro.network.library import abilene
 from repro.observability import NULL_TELEMETRY, Telemetry
-from repro.portal.server import PortalServer
+from repro.portal.dispatch import PortalDispatcher
 
 
 def _build_server(telemetry):
@@ -23,9 +24,7 @@ def _build_server(telemetry):
         topology=abilene(), config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
     )
     tracker.telemetry = telemetry
-    # Bind to an ephemeral port but never serve: dispatch() is called
-    # directly, so the benchmark measures routing + instrumentation only.
-    return PortalServer(tracker, telemetry=telemetry)
+    return PortalDispatcher(tracker, telemetry=telemetry)
 
 
 def _time_dispatch(server, message, calls, trials):
@@ -47,14 +46,10 @@ def test_instrumented_dispatch_overhead_under_10_percent():
     calls, trials = 300, 7
     null_server = _build_server(NULL_TELEMETRY)
     real_server = _build_server(Telemetry())
-    try:
-        for server in (null_server, real_server):  # warm caches / JIT-free
-            _time_dispatch(server, message, calls, 1)
-        null_t = _time_dispatch(null_server, message, calls, trials)
-        real_t = _time_dispatch(real_server, message, calls, trials)
-    finally:
-        null_server.close()
-        real_server.close()
+    for server in (null_server, real_server):  # warm caches / JIT-free
+        _time_dispatch(server, message, calls, 1)
+    null_t = _time_dispatch(null_server, message, calls, trials)
+    real_t = _time_dispatch(real_server, message, calls, trials)
     overhead = real_t / null_t - 1.0
     print(
         f"\n  dispatch x{calls}: null={null_t * 1e3:.2f}ms "

@@ -15,8 +15,8 @@ from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
 from repro.core.pdistance import uniform_pid_map
 from repro.core.policy import TimeOfDayPolicy
 from repro.network.library import abilene
+from repro.portal.aserver import AsyncPortalServer
 from repro.portal.client import PortalClient, discover_itracker, register_itracker
-from repro.portal.server import PortalServer
 
 
 def main() -> None:
@@ -34,7 +34,7 @@ def main() -> None:
         Capability(CapabilityKind.CACHE, pid="CHIN", capacity_mbps=2000, name="cache-chi")
     )
 
-    with PortalServer(itracker) as server:
+    with AsyncPortalServer(itracker) as server:
         host, port = server.address
         register_itracker("abilene.example", host, port)
         print(f"portal serving at {host}:{port} (registered as abilene.example)")

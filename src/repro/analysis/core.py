@@ -46,7 +46,7 @@ class Finding:
     """One rule violation at one source location."""
 
     rule: str
-    path: str  # posix path relative to the lint root, e.g. "repro/portal/server.py"
+    path: str  # posix path relative to the lint root, e.g. "repro/portal/aserver.py"
     line: int
     col: int
     message: str

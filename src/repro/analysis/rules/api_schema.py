@@ -1,7 +1,7 @@
 """API001: portal dispatch methods and wire schemas must stay in sync.
 
-:class:`~repro.portal.server.PortalServer` routes ``method`` strings to
-``_do_<method>`` handlers, and :data:`repro.portal.protocol.
+:class:`~repro.portal.dispatch.PortalDispatcher` routes ``method``
+strings to ``_do_<method>`` handlers, and :data:`repro.portal.protocol.
 METHOD_SCHEMAS` declares each method's parameter schema (used by
 ``validate_params`` to reject malformed requests before they reach a
 handler).  Nothing ties the two together at runtime -- a handler added

@@ -1,7 +1,7 @@
 """LCK001: lock discipline for state shared across threads.
 
-The threaded portal server and the observability registry/tracing layer
-guard mutable state with ``with self._lock:`` blocks.  The invariant this
+The portal's view publisher and overload governor and the observability
+registry/tracing layer guard mutable state with ``with self._lock:`` blocks.  The invariant this
 rule enforces is *consistency*: an attribute that is ever **written**
 under a lock is considered lock-guarded for its class, and every other
 access (read or write) to it from a method of the same class must also

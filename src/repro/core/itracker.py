@@ -103,8 +103,8 @@ class ITracker:
     explicit_prices: Optional[Dict[LinkKey, float]] = None
     #: Optional :class:`repro.observability.Telemetry`; when present every
     #: dynamic price update records a span (super-gradient norm, MLU) and
-    #: refreshes the ``p4p_core_*`` gauges.  A :class:`~repro.portal.server.
-    #: PortalServer` fronting this iTracker shares its bundle automatically.
+    #: refreshes the ``p4p_core_*`` gauges.  A :class:`~repro.portal.aserver.
+    #: AsyncPortalServer` fronting this iTracker shares its bundle automatically.
     telemetry: Optional[Any] = field(default=None, repr=False)
     #: Optional :class:`repro.core.statestore.StateStore`; when present
     #: every version bump appends a WAL record and :meth:`checkpoint` /

@@ -3,8 +3,8 @@
 A dependency-free subset of the Prometheus data model, sized for this
 repository: labeled :class:`Counter`, :class:`Gauge`, and
 :class:`Histogram` instruments live in a :class:`MetricsRegistry`.  All
-updates are thread-safe (the threaded portal server hammers one registry
-from many connection handlers) and every time-dependent operation goes
+updates are thread-safe (the portal server's worker loops hammer one
+registry from many connection handlers) and every time-dependent operation goes
 through the registry's injectable clock, so the same instruments work on
 wall time in a live portal and on simulation time inside the
 discrete-event simulator.

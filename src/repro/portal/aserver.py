@@ -1,11 +1,13 @@
-"""The asyncio portal serving plane: the scale-out twin of
-:class:`~repro.portal.server.PortalServer`.
+"""The iTracker portal server: serves the P4P interfaces over sockets.
 
-Same iTracker, same length-prefixed JSON wire protocol, same dispatch
-semantics (both servers subclass :class:`~repro.portal.dispatch.
-PortalDispatcher`, and ``tests/test_portal_conformance.py`` pins the wire
-behaviour byte-for-byte) -- but built for "millions of users" instead of
-a thread per connection:
+One :class:`AsyncPortalServer` fronts one :class:`~repro.core.itracker.
+ITracker` over the length-prefixed JSON protocol of :mod:`repro.portal.
+protocol`; each connection may issue any number of requests.  Routing,
+method handlers and instrumentation are the transport-free
+:class:`~repro.portal.dispatch.PortalDispatcher` this class subclasses
+(``tests/test_portal_conformance.py`` pins the wire behaviour
+byte-for-byte against it); what this module adds is the asyncio
+transport, built for "millions of users":
 
 * **Multi-worker accept model.**  ``workers`` event loops, each on its
   own thread with its own connection set (shared-nothing: a connection
@@ -19,9 +21,9 @@ a thread per connection:
 
   ``auto`` (the default) picks ``reuseport`` when the platform has it.
 
-* **PID-space sharding with versioned copy-on-update publication.**  The
-  read-mostly external view is computed once per ``(epoch, version)``,
-  sharded over PID space, and published by atomic reference swap
+* **Versioned copy-on-update publication.**  The read-mostly external
+  view is computed once per ``(epoch, version)``, indexed by source
+  row, and published by atomic reference swap
   (:class:`~repro.portal.views.ViewPublisher`); the view handlers serve
   from the published snapshot instead of re-aggregating the full mesh
   per request, an unrestricted read is answered with the snapshot's
@@ -136,9 +138,10 @@ class _Worker:
         if self.listener is not None:
             self.listener.close()
             await self.listener.wait_closed()
-        # Sever established connections exactly like the threaded
-        # server's close(): a dead portal must not answer from beyond
-        # the grave (chaos harness / client reconnect logic rely on it).
+        # Sever established connections: a crashed portal process takes
+        # its sockets with it, and a closed one must not answer from
+        # beyond the grave (chaos harness / client reconnect logic rely
+        # on it).
         for writer in list(self.connections):
             transport = writer.transport
             if transport is not None:
@@ -215,7 +218,6 @@ class AsyncPortalServer(PortalDispatcher):
         staleness_provider: Optional[Callable[[], Optional[float]]] = None,
         slos: Optional[Sequence[SLO]] = None,
         accept_model: str = "auto",
-        view_shards: int = 8,
         backlog: int = 128,
         overload: Optional[OverloadConfig] = None,
     ):
@@ -237,9 +239,7 @@ class AsyncPortalServer(PortalDispatcher):
         elif accept_model == "reuseport" and not _reuseport_available():
             raise ValueError("SO_REUSEPORT is not available on this platform")
         self.accept_model = accept_model
-        self.publisher = ViewPublisher(
-            itracker, n_shards=view_shards, telemetry=self.telemetry
-        )
+        self.publisher = ViewPublisher(itracker, telemetry=self.telemetry)
         registry = self.telemetry.registry
         self._worker_connections = registry.gauge(
             "p4p_portal_worker_connections",
@@ -386,8 +386,8 @@ class AsyncPortalServer(PortalDispatcher):
                     governor.count_connection_reject("slow_reader")
                     break
                 except (protocol.ProtocolError, ConnectionError, OSError):
-                    # Torn/oversized/malformed frame or a peer reset: the
-                    # threaded server severs here, so must we.
+                    # Torn/oversized/malformed frame or a peer reset:
+                    # framing is lost, sever.
                     break
                 if framed is None:
                     break
@@ -488,7 +488,7 @@ class AsyncPortalServer(PortalDispatcher):
     # already-encoded document.  A restricted read of raw values is
     # spliced from the snapshot's encoded rows; one the iTracker degrades
     # (noise, ranks -- ordinal cost maps are ranks too) depends on the
-    # restricted set as a whole and is rebuilt from the shards.
+    # restricted set as a whole and is rebuilt from the rows.
 
     def _do_get_pdistances(self, params: Dict[str, Any]) -> Dict[str, Any]:
         pids = params.get("pids")

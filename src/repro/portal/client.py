@@ -95,7 +95,8 @@ class PortalClient:
         self._timeout = timeout
         self._sock = socket.create_connection(self._address, timeout=timeout)
         self._cached_view: Optional[PDistanceMap] = None
-        self._cached_version: Optional[int] = None
+        #: ``(epoch, version)`` identity of ``_cached_view``.
+        self._cached_version: Optional[Tuple[int, int]] = None
         self._telemetry = telemetry
         #: Per-request deadline budget (seconds) stamped on every frame's
         #: ``deadline`` envelope; the server abandons work it cannot
@@ -228,6 +229,10 @@ class PortalClient:
 
     def _reconnect(self) -> None:
         self.close()
+        # The peer process may have been replaced by one whose counters
+        # restart at the same identity: what it served is not cached.
+        self._cached_view = None
+        self._cached_version = None
         try:
             self._sock = socket.create_connection(self._address, timeout=self._timeout)
         except OSError as exc:
@@ -251,7 +256,8 @@ class PortalClient:
         return self._call("get_state_delta", since=since)
 
     def get_pdistances(self, pids: Optional[List[str]] = None) -> PDistanceMap:
-        """Fetch the external view; full views are cached by version.
+        """Fetch the external view; full views are cached by the price
+        state's ``(epoch, version)`` identity, within one connection.
 
         Partial views (``pids`` given) **bypass the version cache entirely**:
         every call issues a fresh RPC and neither reads nor updates the
@@ -262,7 +268,8 @@ class PortalClient:
         :meth:`~repro.core.pdistance.PDistanceMap.restricted_to`.
         """
         if pids is None:
-            version = self.get_version()
+            info = self.get_version_info()
+            version = (int(info.get("epoch", 0)), int(info["version"]))
             if self._cached_view is not None and version == self._cached_version:
                 self._count_cache("hit")
                 return self._cached_view

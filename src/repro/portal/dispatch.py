@@ -5,18 +5,18 @@
 interfaces, parameter validation against
 :data:`repro.portal.protocol.METHOD_SCHEMAS`, the error-frame contract,
 and the full telemetry/tracing/SLO instrumentation of the request path.
-Two transports mount it today:
+One transport mounts it: :class:`repro.portal.aserver.AsyncPortalServer`
+(multi-worker event loops, versioned view publication, request
+coalescing), which overrides the two view handlers to serve from its
+published snapshot.
 
-* :class:`repro.portal.server.PortalServer` -- the thread-per-connection
-  blocking server (one handler thread per connection);
-* :class:`repro.portal.aserver.AsyncPortalServer` -- the asyncio serving
-  plane (multi-worker event loops, sharded view publication, request
-  coalescing).
-
-Keeping dispatch in one class is what makes the two servers
-*byte-identical* on the wire (``tests/test_portal_conformance.py``): a
-response frame is a pure function of the request message and the
-iTracker state, never of the transport that carried it.
+Used bare, with no transport, it is the *conformance reference*: its
+view handlers recompute from the iTracker on every request -- no
+publisher, no memo, no splice -- so ``encode_frame(dispatch(message))``
+is what every byte the server puts on the wire is compared against
+(``tests/test_portal_conformance.py``).  A response frame is a pure
+function of the request message and the iTracker state, never of the
+transport or the view cache that produced it.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ class PortalRequestError(Exception):
 class PortalDispatcher:
     """Routes portal request messages to one iTracker; transport-free.
 
-    Subclasses add a transport (threaded sockets, asyncio) and may
-    override individual ``_do_*`` handlers -- the async server overrides
-    the view methods to serve from its sharded publication cache -- but
-    the dispatch contract (validation, error frames, instrumentation)
-    lives here and is shared.
+    A subclass adds a transport and may override individual ``_do_*``
+    handlers -- the server overrides the view methods to serve from its
+    publication cache -- but the dispatch contract (validation, error
+    frames, instrumentation) lives here and is shared.
     """
 
     def __init__(
@@ -126,9 +125,9 @@ class PortalDispatcher:
         self._trace_enabled = not isinstance(self.telemetry.traces, NullTraceBuffer)
         self._tracer = Tracer(self.telemetry.traces)
         # Overload governance: disabled by default (admission always
-        # admits, governance timeouts stay off), so existing servers and
-        # the conformance suite see unchanged behaviour; the transports
-        # wire admission/drain around dispatch, while dispatch itself
+        # admits, governance timeouts stay off), so the conformance
+        # suite sees unchanged behaviour; the transport wires
+        # admission/drain around dispatch, while dispatch itself
         # enforces deadlines and brownout method gating.
         self.overload = OverloadGovernor(
             overload if overload is not None else OverloadConfig(enabled=False),

@@ -1,7 +1,7 @@
 """Fault injection for the portal wire layer.
 
 :class:`FaultyPortal` is a TCP proxy that sits between a portal client and
-a real :class:`~repro.portal.server.PortalServer` and injects faults
+a real :class:`~repro.portal.aserver.AsyncPortalServer` and injects faults
 per-request on a deterministic schedule: connection refusal, mid-frame
 resets, added latency, corrupted or truncated JSON frames, error
 responses, and *byzantine* p-distance payloads (negative distances,

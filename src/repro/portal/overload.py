@@ -5,19 +5,20 @@ The paper's portal must answer ``get_pdistance`` for every joining peer
 of users" -- an *open-loop* arrival process: peers do not slow down
 because the portal is slow, so offered load past capacity turns into
 unbounded queueing delay unless the server sheds work explicitly.  This
-module is the decision layer both transports mount:
+module is the decision layer the portal server mounts:
 
 * :class:`AdmissionController` -- a bounded inflight/queue budget with
   CoDel-style adaptive shedding.  The controller watches *queueing
-  delay* (time a request waits for an execution slot, or the event
-  loop's scheduling lag), not queue length: once the minimum observed
-  delay stays above ``codel_target`` for ``codel_interval`` seconds the
-  controller enters a shedding state and drops a deterministically
-  increasing fraction of arrivals (1/2, then 3/4, 7/8, ... -- the CoDel
-  control law's "drop harder while still above target" shape) until the
-  delay falls back under target.  Shed requests are answered with a
-  structured ``busy`` frame carrying ``retry_after`` -- cheap to
-  produce, so shedding *restores* capacity instead of consuming it.
+  delay* (the event loop's scheduling lag; in the step-clock scenario,
+  the modelled wait for a slot), not queue length: once the minimum
+  observed delay stays above ``codel_target`` for ``codel_interval``
+  seconds the controller enters a shedding state and drops a
+  deterministically increasing fraction of arrivals (1/2, then 3/4,
+  7/8, ... -- the CoDel control law's "drop harder while still above
+  target" shape) until the delay falls back under target.  Shed
+  requests are answered with a structured ``busy`` frame carrying
+  ``retry_after`` -- cheap to produce, so shedding *restores* capacity
+  instead of consuming it.
 
 * :class:`BrownoutController` -- sustained shedding escalates to
   *brownout*: the serving plane keeps answering view reads from the
@@ -43,7 +44,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, FrozenSet, Optional, Tuple
+from typing import Any, Callable, FrozenSet, Optional
 
 Clock = Callable[[], float]
 
@@ -62,14 +63,13 @@ class OverloadConfig:
 
     The defaults are deliberately generous: a server constructed without
     an explicit config (``enabled=False``) behaves exactly like the
-    pre-overload-control code paths, which is what keeps the dual-server
-    conformance suite byte-identical at low load.
+    pre-overload-control code paths, which is what keeps the conformance
+    suite byte-identical at low load.
     """
 
     enabled: bool = True
-    #: Concurrent dispatches allowed before arrivals queue (threaded
-    #: server: handler threads competing; async server: a bookkeeping
-    #: bound, the loop serializes dispatch anyway).
+    #: Concurrent dispatches allowed before arrivals queue (on the
+    #: server a bookkeeping bound: the loop serializes dispatch anyway).
     inflight_budget: int = 64
     #: Arrivals allowed to wait for a slot before hard shedding.
     queue_budget: int = 128
@@ -205,7 +205,7 @@ class AdmissionController:
     # -- the CoDel delay signal --------------------------------------------
 
     def observe_delay(self, now: float, delay: float) -> None:
-        """Feed one queueing-delay sample (slot wait or event-loop lag)."""
+        """Feed one queueing-delay sample (event-loop lag, or a replayed wait)."""
         with self._cv:
             self._observe_locked(now, delay)
 
@@ -233,9 +233,9 @@ class AdmissionController:
         """Admit, shed, or (when ``may_queue``) defer one arrival.
 
         ``QUEUED`` means the caller *may* wait for a slot; it must then
-        finish the hand-off with :meth:`admit_after_wait` (or give up
-        with :meth:`cancel_queued`).  The non-queueing form (the async
-        server: nothing may block the event loop) sheds instead.
+        finish the hand-off with :meth:`admit_after_wait`.  The
+        non-queueing form (the server: nothing may block the event loop)
+        sheds instead.
         """
         if now is None:
             now = self.clock()
@@ -256,11 +256,10 @@ class AdmissionController:
             if self._shed_arrivals % period != 0:
                 return AdmissionOutcome.SHED_CODEL
         if self._inflight < self.config.inflight_budget:
-            # No synthetic zero-delay sample here: a free slot means
-            # "uncongested" only for the blocking (slot-wait) signal;
-            # the async server's congestion lives in the event loop's
-            # run queue, and only its lag probe may clear the CoDel
-            # state there.  admit_blocking() feeds the zero itself.
+            # No synthetic zero-delay sample here: the server's
+            # congestion lives in the event loop's run queue, not in
+            # slot occupancy, and only its lag probe may clear the
+            # CoDel state.
             self._inflight += 1
             return AdmissionOutcome.ADMITTED
         if not may_queue or self._queued >= self.config.queue_budget:
@@ -284,53 +283,6 @@ class AdmissionController:
                 return AdmissionOutcome.SHED_QUEUE
             self._inflight += 1
             return AdmissionOutcome.ADMITTED
-
-    def cancel_queued(self) -> None:
-        """Abandon a ``QUEUED`` reservation without admitting."""
-        with self._cv:
-            self._queued -= 1
-            self._cv.notify_all()
-
-    def admit_blocking(self) -> Tuple[AdmissionOutcome, float]:
-        """Threaded-server admission: wait (bounded) for a slot.
-
-        Returns ``(outcome, waited_seconds)``.  The wait is bounded by
-        ``max_queue_delay``; a request that cannot get a slot inside the
-        bound is shed, which is exactly the bounded-queue-delay
-        guarantee the overload invariants pin.
-        """
-        arrival = self.clock()
-        with self._cv:
-            outcome = self._try_admit_locked(arrival, may_queue=True)
-            if outcome is not AdmissionOutcome.QUEUED:
-                if outcome is AdmissionOutcome.ADMITTED:
-                    # A slot was free: this arrival's queueing delay
-                    # really was zero, and saying so is what lets the
-                    # blocking server leave the shedding state.
-                    self._observe_locked(arrival, 0.0)
-                return outcome, 0.0
-            deadline = arrival + self.config.max_queue_delay
-            while (
-                self._inflight >= self.config.inflight_budget
-                and not self._draining
-            ):
-                remaining = deadline - self.clock()
-                if remaining <= 0:
-                    break
-                self._cv.wait(timeout=remaining)
-            now = self.clock()
-            waited = max(0.0, now - arrival)
-            self._queued -= 1
-            self._observe_locked(now, waited)
-            if self._draining:
-                return AdmissionOutcome.SHED_DRAIN, waited
-            if (
-                self._inflight >= self.config.inflight_budget
-                or waited > self.config.max_queue_delay
-            ):
-                return AdmissionOutcome.SHED_QUEUE, waited
-            self._inflight += 1
-            return AdmissionOutcome.ADMITTED, waited
 
     def release(self, now: Optional[float] = None) -> None:
         """One admitted request finished; wake a waiter if any."""
@@ -527,11 +479,6 @@ class OverloadGovernor:
         outcome = self.admission.admit_after_wait(now, waited)
         self._after_decision(now, outcome)
         return outcome
-
-    def admit_blocking(self) -> Tuple[AdmissionOutcome, float]:
-        outcome, waited = self.admission.admit_blocking()
-        self._after_decision(self.clock(), outcome)
-        return outcome, waited
 
     def release(self, now: Optional[float] = None) -> None:
         self.admission.release(now)

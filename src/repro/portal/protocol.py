@@ -140,55 +140,19 @@ def read_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     return framed[0] if framed is not None else None
 
 
-def read_frame_ex(
-    sock: socket.socket,
-    idle_timeout: Optional[float] = None,
-    frame_timeout: Optional[float] = None,
-) -> Optional[Tuple[Dict[str, Any], int]]:
+def read_frame_ex(sock: socket.socket) -> Optional[Tuple[Dict[str, Any], int]]:
     """Like :func:`read_frame` but also returns the wire size in bytes
-    (header + payload) -- what byte-accounting instrumentation needs.
-
-    ``idle_timeout`` bounds the wait for a frame to *start* (raises
-    :class:`IdleTimeoutError`); ``frame_timeout`` bounds how long a
-    started frame -- first byte seen -- may take to arrive in full,
-    header included, so a slowloris peer trickling partial headers is
-    severed too (raises :class:`SlowReaderError`).  Both default to
-    ``None`` -- the caller's own socket timeout semantics are untouched,
-    which is what the client path relies on.
+    (header + payload).  Blocks under the caller's own socket timeout:
+    this is the client-side reader; the server's governed reader (idle
+    and slow-reader budgets) is :func:`aread_frame_ex`.
     """
-    if idle_timeout is not None:
-        sock.settimeout(idle_timeout)
-    deadline = None
-    if frame_timeout is None:
-        try:
-            header = _read_exact(sock, _HEADER.size, allow_eof=True)
-        except socket.timeout as exc:
-            if idle_timeout is None:
-                raise
-            raise IdleTimeoutError("connection idle past timeout") from exc
-    else:
-        # A frame "starts" at its first byte: the idle budget covers the
-        # wait for that byte, the frame budget everything after it.
-        try:
-            first = _read_exact(sock, 1, allow_eof=True)
-        except socket.timeout as exc:
-            if idle_timeout is None:
-                raise
-            raise IdleTimeoutError("connection idle past timeout") from exc
-        if first is None:
-            return None
-        deadline = time.monotonic() + frame_timeout
-        rest = _read_exact(
-            sock, _HEADER.size - 1, allow_eof=False, deadline=deadline
-        )
-        assert rest is not None
-        header = first + rest
+    header = _read_exact(sock, _HEADER.size, allow_eof=True)
     if header is None:
         return None
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds limit")
-    payload = _read_exact(sock, length, allow_eof=False, deadline=deadline)
+    payload = _read_exact(sock, length, allow_eof=False)
     assert payload is not None
     return _decode_payload(payload), _HEADER.size + length
 
@@ -208,14 +172,18 @@ async def aread_frame_ex(
     idle_timeout: Optional[float] = None,
     frame_timeout: Optional[float] = None,
 ) -> Optional[Tuple[Dict[str, Any], int]]:
-    """Asyncio twin of :func:`read_frame_ex` over a ``StreamReader``.
+    """The server's reader: :func:`read_frame_ex` over a ``StreamReader``,
+    plus connection governance.
 
-    Same contract: ``None`` on clean EOF before a header,
+    Same framing contract: ``None`` on clean EOF before a header,
     :class:`ProtocolError` on a torn frame, an oversized length, or a
-    malformed payload -- the async server must sever such connections
-    exactly where the threaded server does.  ``idle_timeout`` and
-    ``frame_timeout`` mirror :func:`read_frame_ex` (the timed-out read
-    is cancelled, so the connection must be severed afterwards).
+    malformed payload (the server severs such connections).
+    ``idle_timeout`` bounds the wait for a frame to *start* (raises
+    :class:`IdleTimeoutError`); ``frame_timeout`` bounds how long a
+    started frame -- first byte seen -- may take to arrive in full,
+    header included, so a slowloris peer trickling partial headers is
+    severed too (raises :class:`SlowReaderError`).  A timed-out read is
+    cancelled, so the connection must be severed afterwards.
     """
     import asyncio
 
@@ -235,8 +203,9 @@ async def aread_frame_ex(
             return None
         raise ProtocolError("connection closed mid-frame") from exc
     if frame_timeout is not None:
-        # Same contract as the sync twin: the frame budget starts at the
-        # first byte and covers the remaining header plus the payload.
+        # A frame "starts" at its first byte: the idle budget covers the
+        # wait for that byte, the frame budget the remaining header plus
+        # the payload.
         deadline = time.monotonic() + frame_timeout
         try:
             header += await asyncio.wait_for(
@@ -264,26 +233,11 @@ async def aread_frame_ex(
     return _decode_payload(payload), _HEADER.size + length
 
 
-def _read_exact(
-    sock: socket.socket,
-    n: int,
-    allow_eof: bool,
-    deadline: Optional[float] = None,
-) -> Optional[bytes]:
+def _read_exact(sock: socket.socket, n: int, allow_eof: bool) -> Optional[bytes]:
     chunks: List[bytes] = []
     remaining = n
     while remaining > 0:
-        if deadline is not None:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                raise SlowReaderError("frame read exceeded budget")
-            sock.settimeout(budget)
-        try:
-            chunk = sock.recv(remaining)
-        except socket.timeout:
-            if deadline is not None:
-                raise SlowReaderError("frame read exceeded budget") from None
-            raise
+        chunk = sock.recv(remaining)
         if not chunk:
             if allow_eof and remaining == n:
                 return None
@@ -321,7 +275,7 @@ def pdistance_from_wire(document: Dict[str, Any]) -> PDistanceMap:
 #: Wire schema of every dispatchable portal method: parameter name ->
 #: ``(required, JSON type)``.  This is the single source of truth the
 #: server validates requests against (:func:`validate_params`) and that
-#: p4plint's API001 rule checks against ``PortalServer``'s ``_do_*``
+#: p4plint's API001 rule checks against ``PortalDispatcher``'s ``_do_*``
 #: handlers -- adding a handler without a schema entry (or orphaning an
 #: entry) is a lint failure, not a latent bug.
 METHOD_SCHEMAS: Dict[str, Dict[str, Tuple[bool, str]]] = {

@@ -9,7 +9,7 @@ This module supplies the server side of that story:
   ITracker` that tails the primary's WAL over the existing portal
   protocol (the ``get_state_delta`` method), applies each price-state
   record, and serves reads through its own
-  :class:`~repro.portal.server.PortalServer` with an explicit
+  :class:`~repro.portal.aserver.AsyncPortalServer` with an explicit
   ``staleness`` field (seconds since the last successful sync) in every
   ``get_version`` answer;
 * :class:`FailoverPortalClient` -- the client half: one
@@ -36,6 +36,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.itracker import ITracker
+from repro.portal.aserver import AsyncPortalServer
 from repro.portal.client import PortalClient, PortalClientError
 from repro.portal.resilience import (
     BreakerState,
@@ -44,7 +45,6 @@ from repro.portal.resilience import (
     ResilientPortalClient,
     ViewSnapshot,
 )
-from repro.portal.server import PortalServer
 
 logger = logging.getLogger(__name__)
 
@@ -174,9 +174,9 @@ class StandbyReplica:
 
     # -- serving ------------------------------------------------------------
 
-    def serve(self, host: str = "127.0.0.1", port: int = 0, **kwargs: Any) -> PortalServer:
+    def serve(self, host: str = "127.0.0.1", port: int = 0, **kwargs: Any) -> AsyncPortalServer:
         """Front the follower with a portal server that reports staleness."""
-        return PortalServer(
+        return AsyncPortalServer(
             self.follower, host=host, port=port,
             staleness_provider=self.staleness, **kwargs,
         )

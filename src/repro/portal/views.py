@@ -1,19 +1,19 @@
-"""Versioned, sharded, copy-on-update publication of iTracker views.
+"""Versioned, row-indexed, copy-on-update publication of iTracker views.
 
-The blocking portal server recomputes the full external view on every
-``get_pdistances`` request -- correct, and exactly what caps its
-throughput.  The view is *read-mostly*: it changes only when the price
-state's ``(epoch, version)`` identity advances (once per update period),
-while "millions of users" read it in between.  This module turns that
-asymmetry into the async serving plane's hot path:
+The reference :class:`~repro.portal.dispatch.PortalDispatcher` recomputes
+the full external view on every ``get_pdistances`` request -- correct,
+and exactly what would cap a server's throughput.  The view is
+*read-mostly*: it changes only when the price state's ``(epoch,
+version)`` identity advances (once per update period), while "millions
+of users" read it in between.  This module turns that asymmetry into
+the serving plane's hot path:
 
-* :class:`ShardedView` -- one immutable raw external view, one
-  ``{dst: value}`` row per source, partitioned over PID space (stable
-  hash of the source PID -> shard).  Restricting to a swarm's k-PID
+* :class:`ShardedView` -- one immutable raw external view, split into
+  one ``{dst: value}`` row per source.  Restricting to a swarm's k-PID
   footprint is k lookups in each of the k rows it keeps instead of a
   scan of the full mesh, in exactly the order :meth:`~repro.core.
   pdistance.PDistanceMap.restricted_to` would produce -- the wire bytes
-  must not depend on which server computed them.
+  must not depend on whether the view was read off rows or recomputed.
 
 * :class:`ViewPublisher` -- versioned copy-on-update publication with
   request coalescing.  Readers grab the current published snapshot with
@@ -28,7 +28,7 @@ Degradations (privacy perturbation, rank coarsening) are applied per
 request *after* restriction via :meth:`~repro.core.itracker.ITracker.
 finish_view`, seeded by the snapshot's version -- the same order and
 seed the iTracker uses inline, which is what keeps the cached path
-bit-identical to the blocking server's.
+bit-identical to the reference dispatcher's.
 
 The snapshot also memoises the *encoded* full-mesh documents
 (:meth:`ViewPublisher.document`): an unrestricted read is the same bytes
@@ -50,7 +50,6 @@ through :meth:`ViewPublisher.finish` as before.
 from __future__ import annotations
 
 import threading
-import zlib
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -65,52 +64,35 @@ from repro.portal.protocol import EncodedDocument, encode_json
 COALESCE_TIMEOUT = 60.0
 
 
-def shard_of(pid: str, n_shards: int) -> int:
-    """Stable PID -> shard index (crc32, *not* ``hash()``: the built-in
-    is salted per process, and shard placement must be deterministic)."""
-    return zlib.crc32(pid.encode("utf-8")) % n_shards
-
-
 class ShardedView:
-    """One immutable external view, partitioned by source PID.
+    """One immutable external view, split into one row per source PID.
 
-    Each shard maps ``src -> {dst: value}``.  The view must be a full
-    mesh laid out the way :func:`~repro.core.pdistance.external_view`
-    lays it out -- per source, the intra-PID ``(src, src)`` entry first,
-    then every other PID in PID order -- which is checked here once, so
-    that a restriction to k PIDs can be read off as k lookups per kept
-    row (the diagonal, then the other kept PIDs in order) and still be
-    byte-identical to the unsharded one.
+    ``src -> {dst: value}``.  The view must be a full mesh laid out the
+    way :func:`~repro.core.pdistance.external_view` lays it out -- per
+    source, the intra-PID ``(src, src)`` entry first, then every other
+    PID in PID order -- which is checked here once, so that a
+    restriction to k PIDs can be read off as k lookups per kept row (the
+    diagonal, then the other kept PIDs in order) and still be
+    byte-identical to ``view.restricted_to``.
     """
 
-    def __init__(self, view: PDistanceMap, n_shards: int = 8) -> None:
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
+    def __init__(self, view: PDistanceMap) -> None:
         self.view = view
-        self.n_shards = n_shards
         rows: Dict[str, Dict[str, float]] = {pid: {} for pid in view.pids}
         for (src, dst), value in view.distances.items():
             rows[src][dst] = value
         pids = list(view.pids)
-        shards: List[Dict[str, Dict[str, float]]] = [{} for _ in range(n_shards)]
         for index, (src, row) in enumerate(rows.items()):
             if list(row) != [src] + pids[:index] + pids[index + 1:]:
                 raise ValueError(
                     f"row {src!r} is not a full-mesh row in external-view order"
                 )
-            shards[shard_of(src, n_shards)][src] = row
-        self._shards: Tuple[Dict[str, Dict[str, float]], ...] = tuple(shards)
+        self._rows = rows
         self._rank = {pid: index for index, pid in enumerate(pids)}
-
-    def shard_sizes(self) -> List[int]:
-        """Row count per shard (for tests and the shard-balance gauge)."""
-        return [
-            sum(len(row) for row in shard.values()) for shard in self._shards
-        ]
 
     def row(self, src: str) -> Dict[str, float]:
         """``{dst: value}`` of one source, in the view's insertion order."""
-        return self._shards[shard_of(src, self.n_shards)][src]
+        return self._rows[src]
 
     def kept(self, pids: Sequence[str]) -> List[str]:
         """The visible PIDs among ``pids``, once each, in view order."""
@@ -120,7 +102,7 @@ class ShardedView:
     def restricted(self, pids: Sequence[str]) -> PDistanceMap:
         """Sub-view over ``pids``, equal to ``view.restricted_to(pids)``
         entry for entry and in the same order, so its JSON wire encoding
-        matches the unsharded restriction exactly."""
+        matches that restriction exactly."""
         keep = self.kept(pids)
         distances: Dict[Tuple[str, str], float] = {}
         for src in keep:
@@ -153,7 +135,7 @@ def _encode_row(src: str, row: Dict[str, float]) -> Dict[str, Cell]:
 
 
 class _Snapshot:
-    """One published generation: raw shards, the finished full view, and
+    """One published generation: raw rows, the finished full view, and
     what has been encoded from them so far -- the full-mesh wire
     documents and the per-source rows of cells."""
 
@@ -178,8 +160,7 @@ class ViewPublisher:
     Thread-safe by construction: reads are a single reference grab;
     writers serialize on a mutex only to decide ownership of one
     computation per ``(epoch, version)`` key, and the computation itself
-    runs outside the lock.  Shared by every worker of the async server
-    (and safe under the blocking server's handler threads too), so the
+    runs outside the lock.  Shared by every worker of the server, so the
     full-mesh aggregation runs once per price update per process, no
     matter how many workers or connections observe the new version.
     """
@@ -187,11 +168,9 @@ class ViewPublisher:
     def __init__(
         self,
         itracker: ITracker,
-        n_shards: int = 8,
         telemetry: Optional[Any] = None,
     ) -> None:
         self.itracker = itracker
-        self.n_shards = n_shards
         self._lock = threading.Lock()
         self._current: Optional[_Snapshot] = None
         self._inflight: Dict[Tuple[int, int], "Future[_Snapshot]"] = {}
@@ -297,7 +276,7 @@ class ViewPublisher:
         else:
             traces = span = None
         raw = self.itracker.view_snapshot()
-        sharded = ShardedView(raw, n_shards=self.n_shards)
+        sharded = ShardedView(raw)
         full = self.itracker.finish_view(raw, version=key[1])
         if traces is not None and span is not None:
             span.set(pids=len(raw.pids))

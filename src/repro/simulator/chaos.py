@@ -68,11 +68,11 @@ from repro.observability import (
     assemble_traces,
     export_traces,
 )
+from repro.portal.aserver import AsyncPortalServer
 from repro.portal.client import Integrator
 from repro.portal.faults import FaultSchedule, FaultyPortal
 from repro.portal.replication import FailoverPortalClient, StandbyReplica
 from repro.portal.resilience import CircuitBreaker, RetryPolicy
-from repro.portal.server import PortalServer
 from repro.simulator.outage import _default_config, _run_one
 from repro.simulator.swarm import SwarmResult
 
@@ -305,10 +305,10 @@ class _Cluster:
         self.fault_schedule = fault_schedule
         self.tracer = tracer
         self.tracker: Optional[ITracker] = None
-        self.server: Optional[PortalServer] = None
+        self.server: Optional[AsyncPortalServer] = None
         self.proxy: Optional[FaultyPortal] = None
         self.standby: Optional[StandbyReplica] = None
-        self.standby_server: Optional[PortalServer] = None
+        self.standby_server: Optional[AsyncPortalServer] = None
         self.last_primary_prices: Optional[Dict[Tuple[str, str], float]] = None
 
     def start(self, clock) -> None:
@@ -317,7 +317,7 @@ class _Cluster:
             config=self.itracker_config,
             state_store=self.store,
         )
-        self.server = PortalServer(self.tracker, telemetry=self.telemetry)
+        self.server = AsyncPortalServer(self.tracker, telemetry=self.telemetry)
         self.proxy = FaultyPortal(self.server.address, schedule=self.fault_schedule)
         follower = ITracker(topology=self.topology, config=self.itracker_config)
         self.standby = StandbyReplica(
@@ -357,7 +357,7 @@ class _Cluster:
                 for key, value in self.last_primary_prices.items()
             )
         self.tracker = tracker
-        self.server = PortalServer(tracker, telemetry=self.telemetry)
+        self.server = AsyncPortalServer(tracker, telemetry=self.telemetry)
         assert self.proxy is not None and self.standby is not None
         self.proxy.upstream = self.server.address
         self.proxy.down = False

@@ -37,6 +37,7 @@ from repro.network.library import abilene
 from repro.observability import RegistryResilienceCounters, Telemetry
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
+from repro.portal.aserver import AsyncPortalServer
 from repro.portal.client import Integrator
 from repro.portal.faults import FaultyPortal
 from repro.portal.resilience import (
@@ -44,7 +45,6 @@ from repro.portal.resilience import (
     ResilientPortalClient,
     RetryPolicy,
 )
-from repro.portal.server import PortalServer
 from repro.simulator.swarm import SwarmConfig, SwarmResult, SwarmSimulation
 from repro.workloads.placement import place_peers
 
@@ -195,7 +195,7 @@ def run_portal_outage(
     )
     _HEALTH_LEVELS = {"ok": 0, "stale": 1, "unavailable": 2}
 
-    with PortalServer(itracker) as server, FaultyPortal(server.address) as proxy:
+    with AsyncPortalServer(itracker) as server, FaultyPortal(server.address) as proxy:
         client = ResilientPortalClient(
             *proxy.address,
             retry=RetryPolicy(

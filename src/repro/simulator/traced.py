@@ -34,6 +34,7 @@ from repro.observability.assembler import (
     export_document,
     export_traces,
 )
+from repro.portal.aserver import AsyncPortalServer
 from repro.portal.faults import Fault, FaultKind, FaultSchedule, FaultyPortal
 from repro.portal.resilience import (
     CircuitBreaker,
@@ -41,7 +42,6 @@ from repro.portal.resilience import (
     ResilientPortalClient,
     RetryPolicy,
 )
-from repro.portal.server import PortalServer
 
 
 class _StepClock:
@@ -97,7 +97,7 @@ def run_traced_scenario(seed: int = 0) -> Dict[str, Any]:
         }
     )
 
-    server = PortalServer(tracker, telemetry=server_telemetry)
+    server = AsyncPortalServer(tracker, telemetry=server_telemetry)
     proxy = FaultyPortal(server.address, schedule=schedule)
     client = ResilientPortalClient(
         *proxy.address,

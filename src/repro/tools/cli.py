@@ -295,10 +295,15 @@ def _loadtest_itracker(topology_name: str):
 
 
 def _run_loadtest(args: argparse.Namespace, out) -> int:
-    import json
-
     from repro.observability import NULL_TELEMETRY
-    from repro.workloads.loadgen import LoadSpec, build_schedule, format_summary, run
+    from repro.portal.aserver import AsyncPortalServer
+    from repro.workloads.loadgen import (
+        LoadSpec,
+        build_schedule,
+        dump_json,
+        format_summary,
+        run,
+    )
 
     probe = _loadtest_itracker(args.topology)
     spec = LoadSpec(
@@ -310,37 +315,18 @@ def _run_loadtest(args: argparse.Namespace, out) -> int:
         pid_pool=tuple(probe.get_pdistances().pids),
     )
     schedule = build_schedule(spec)
-    summaries: Dict[str, Dict] = {}
-    if args.server in ("threaded", "both"):
-        from repro.portal.server import PortalServer
-
-        with PortalServer(
-            _loadtest_itracker(args.topology), telemetry=NULL_TELEMETRY
-        ) as server:
-            summary = run(spec, server.address, schedule=schedule)
-        summaries["threaded"] = summary.to_document()
-        if args.format == "text":
-            print(format_summary("threaded", summary), file=out)
-    if args.server in ("async", "both"):
-        from repro.portal.aserver import AsyncPortalServer
-
-        with AsyncPortalServer(
-            _loadtest_itracker(args.topology),
-            workers=args.workers,
-            accept_model=args.accept_model,
-            telemetry=NULL_TELEMETRY,
-        ) as server:
-            summary = run(spec, server.address, schedule=schedule)
-        summaries["async"] = summary.to_document()
-        if args.format == "text":
-            print(format_summary("async", summary), file=out)
-    if args.format == "text" and len(summaries) == 2:
-        speedup = summaries["async"]["qps"] / max(summaries["threaded"]["qps"], 1e-9)
-        print(f"async/threaded QPS ratio: {speedup:.2f}x", file=out)
-    if args.format == "json":
-        print(json.dumps(summaries, sort_keys=True, indent=2), file=out)
-    failed = sum(doc["errors"] for doc in summaries.values())
-    return 1 if failed else 0
+    with AsyncPortalServer(
+        _loadtest_itracker(args.topology),
+        workers=args.workers,
+        accept_model=args.accept_model,
+        telemetry=NULL_TELEMETRY,
+    ) as server:
+        summary = run(spec, server.address, schedule=schedule)
+    if args.format == "text":
+        print(format_summary("portal", summary), file=out)
+    else:
+        print(dump_json(summary.to_document()), file=out)
+    return 1 if summary.errors else 0
 
 
 _EXPERIMENTS: Dict[str, Callable] = {
@@ -483,11 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest = sub.add_parser(
         "loadtest",
-        help="drive the threaded and/or asyncio portal with a seeded "
-        "open-loop workload and report QPS + latency percentiles",
-    )
-    loadtest.add_argument(
-        "--server", choices=("threaded", "async", "both"), default="both"
+        help="drive the portal with a seeded open-loop workload and report "
+        "QPS + latency percentiles",
     )
     loadtest.add_argument("--connections", type=int, default=100)
     loadtest.add_argument(
@@ -501,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probability a request is preceded by a reconnect",
     )
     loadtest.add_argument(
-        "--workers", type=int, default=2, help="asyncio server worker loops"
+        "--workers", type=int, default=2, help="server worker loops"
     )
     loadtest.add_argument(
         "--accept-model", choices=("auto", "reuseport", "dispatcher"),

@@ -1,8 +1,8 @@
 """Open-loop portal load generator.
 
-Drives any portal server (threaded or asyncio -- they speak the same
-wire protocol) with a seeded open-loop workload: request arrivals are a
-Poisson process that does *not* wait for responses, so a slow server
+Drives a portal server with a seeded open-loop workload: request
+arrivals are a Poisson process that does *not* wait for responses, so a
+slow server
 accumulates queueing delay instead of silently throttling the offered
 load -- the difference between measuring latency and measuring the
 generator (the coordinated-omission trap).
@@ -22,9 +22,9 @@ without sockets:
   connection is a FIFO server with fixed service time), so scheduling +
   summary statistics are regression-testable with no I/O and no clock.
 
-``p4p-repro loadtest`` wraps this against both servers;
-``benchmarks/test_perf_portal.py`` turns the comparison into the checked
-QPS/latency gate.
+``p4p-repro loadtest`` wraps this against an
+:class:`~repro.portal.aserver.AsyncPortalServer`; the measured record is
+``BENCHMARK.json``'s ``portal-*`` workloads.
 """
 
 from __future__ import annotations

@@ -7,11 +7,31 @@ marker; otherwise this conftest enforces it with a SIGALRM timer (main
 thread, POSIX -- a no-op on platforms without SIGALRM).  The default for
 bare ``@pytest.mark.timeout`` markers comes from ``fault_test_timeout``
 in ``pyproject.toml``.
+
+Also home of :func:`reference_frame`, the in-process conformance
+reference every byte-identity test compares the server's wire bytes to.
 """
 
 import signal
 
 import pytest
+
+from repro.observability import NULL_TELEMETRY
+from repro.portal import protocol
+from repro.portal.dispatch import PortalDispatcher
+
+
+def reference_frame(itracker, message):
+    """The frame a portal must answer ``message`` with, given ``itracker``.
+
+    A bare :class:`PortalDispatcher` has no transport, no view publisher,
+    no memo and no splice: its view handlers recompute from the iTracker
+    and the result is a plain ``dict`` put through plain ``encode_json``.
+    That is the whole of what the deleted threaded server's handler did
+    per frame, so this is the reference it used to be.
+    """
+    dispatcher = PortalDispatcher(itracker, telemetry=NULL_TELEMETRY)
+    return protocol.encode_frame(dispatcher.dispatch(message))
 
 
 def pytest_addoption(parser):

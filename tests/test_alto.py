@@ -126,15 +126,15 @@ class TestEndpointCost:
 
 class TestAltoOverTheWire:
     def test_costmap_and_networkmap_served(self):
+        from repro.portal.aserver import AsyncPortalServer
         from repro.portal.client import PortalClient
-        from repro.portal.server import PortalServer
 
         itracker = ITracker(
             topology=abilene(),
             config=ITrackerConfig(mode=PriceMode.HOP_COUNT),
             pid_map=uniform_pid_map(abilene()),
         )
-        with PortalServer(itracker) as server:
+        with AsyncPortalServer(itracker) as server:
             with PortalClient(*server.address) as client:
                 cost_doc = client.get_alto_costmap()
                 net_doc = client.get_alto_networkmap()
@@ -144,25 +144,25 @@ class TestAltoOverTheWire:
         assert cost_doc["meta"]["cost-type"]["cost-mode"] == "numerical"
 
     def test_ordinal_mode_over_the_wire(self):
+        from repro.portal.aserver import AsyncPortalServer
         from repro.portal.client import PortalClient
-        from repro.portal.server import PortalServer
 
         itracker = ITracker(
             topology=abilene(), config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
         )
-        with PortalServer(itracker) as server:
+        with AsyncPortalServer(itracker) as server:
             with PortalClient(*server.address) as client:
                 document = client.get_alto_costmap(mode="ordinal")
         assert document["meta"]["cost-type"]["cost-mode"] == "ordinal"
 
     def test_networkmap_requires_pid_map(self):
+        from repro.portal.aserver import AsyncPortalServer
         from repro.portal.client import PortalClient, PortalClientError
-        from repro.portal.server import PortalServer
 
         itracker = ITracker(
             topology=abilene(), config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
         )
-        with PortalServer(itracker) as server:
+        with AsyncPortalServer(itracker) as server:
             with PortalClient(*server.address) as client:
                 with pytest.raises(PortalClientError):
                     client.get_alto_networkmap()

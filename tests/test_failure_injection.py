@@ -13,8 +13,8 @@ from repro.apptracker.selection import P4PSelection, PeerInfo, RandomSelection
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
 from repro.network.library import abilene
 from repro.network.routing import RoutingTable
+from repro.portal.aserver import AsyncPortalServer
 from repro.portal.client import PortalClient, PortalClientError
-from repro.portal.server import PortalServer
 from repro.simulator.swarm import SwarmConfig, SwarmSimulation
 from repro.workloads.placement import place_peers
 
@@ -75,7 +75,7 @@ class TestPortalOutage:
         itracker = ITracker(
             topology=abilene(), config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
         )
-        server = PortalServer(itracker)
+        server = AsyncPortalServer(itracker)
         host, port = server.address
         client = PortalClient(host, port)
         view = client.get_pdistances()
@@ -93,7 +93,7 @@ class TestPortalOutage:
         itracker = ITracker(
             topology=topo, config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
         )
-        server = PortalServer(itracker)
+        server = AsyncPortalServer(itracker)
         with PortalClient(*server.address) as client:
             view = client.get_pdistances()
         server.close()  # portal gone before the swarm even starts

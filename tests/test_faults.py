@@ -31,7 +31,6 @@ from repro.portal.resilience import (
     RetryPolicy,
 )
 from repro.portal.aserver import AsyncPortalServer
-from repro.portal.server import PortalServer
 
 
 class FakeClock:
@@ -58,7 +57,7 @@ def itracker():
 @pytest.fixture
 def stack(itracker):
     """(itracker, proxy) with a live server behind the fault proxy."""
-    with PortalServer(itracker) as server:
+    with AsyncPortalServer(itracker) as server:
         with FaultyPortal(server.address) as proxy:
             yield itracker, proxy
 
@@ -344,19 +343,17 @@ class TestOutageScenario:
 
 class TestDualServerClients:
     """Regression: the whole client stack -- fault proxy, one-shot
-    reconnect, resilient client -- works unchanged against the asyncio
-    serving plane.  Parameterized over both servers so any divergence in
-    severing/reset behaviour shows up as a pair of failures."""
+    reconnect, resilient client -- works against the asyncio serving
+    plane's severing/reset behaviour.  (The class name and the one
+    ``async`` parameter date from when a threaded server ran beside it.)"""
 
     @staticmethod
-    def make_server(kind, itracker, **kwargs):
-        if kind == "threaded":
-            return PortalServer(itracker, **kwargs)
+    def make_server(itracker, **kwargs):
         return AsyncPortalServer(itracker, workers=2, **kwargs)
 
-    @pytest.fixture(params=["threaded", "async"])
-    def dual_stack(self, request, itracker):
-        with self.make_server(request.param, itracker) as server:
+    @pytest.fixture(params=["async"])
+    def dual_stack(self, itracker):
+        with self.make_server(itracker) as server:
             with FaultyPortal(server.address) as proxy:
                 yield itracker, proxy
 
@@ -398,17 +395,17 @@ class TestDualServerClients:
             client.close()
 
     @pytest.mark.timeout(60)
-    @pytest.mark.parametrize("kind", ["threaded", "async"])
+    @pytest.mark.parametrize("kind", ["async"])
     def test_portal_client_survives_server_restart(self, kind, itracker):
         """One-shot reconnect: a server restart on the same port is
         absorbed by exactly one transparent resend."""
-        server = self.make_server(kind, itracker)
+        server = self.make_server(itracker)
         host, port = server.address
         client = PortalClient(host, port)
         try:
             assert client.get_version() == itracker.version
             server.close()
-            server = self.make_server(kind, itracker, host=host, port=port)
+            server = self.make_server(itracker, host=host, port=port)
             # the old socket is dead; the next call reconnects and resends
             assert client.get_version() == itracker.version
             assert client.get_pdistances().distances == (

@@ -16,8 +16,8 @@ from repro.core.objectives import MinMaxUtilization
 from repro.experiments.fig6_internet import abilene_internet_topology
 from repro.network.library import PROTECTED_LINK, abilene
 from repro.network.routing import RoutingTable
+from repro.portal.aserver import AsyncPortalServer
 from repro.portal.client import PortalClient
-from repro.portal.server import PortalServer
 from repro.simulator.swarm import SwarmConfig, SwarmSimulation
 from repro.workloads.placement import place_peers
 
@@ -36,7 +36,7 @@ class TestPortalDrivenSwarm:
         itracker.warm_start()
         as_number = topo.node("SEAT").as_number
 
-        with PortalServer(itracker) as server:
+        with AsyncPortalServer(itracker) as server:
             host, port = server.address
             with PortalClient(host, port) as client:
                 view = client.get_pdistances()
@@ -59,7 +59,7 @@ class TestPortalDrivenSwarm:
             topology=abilene(), config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
         )
         local = itracker.get_pdistances()
-        with PortalServer(itracker) as server:
+        with AsyncPortalServer(itracker) as server:
             with PortalClient(*server.address) as client:
                 remote = client.get_pdistances()
         for src in local.pids:

@@ -165,22 +165,6 @@ class TestAdmissionController:
         assert ctl.backlog == 0
         assert ctl.wait_drained(timeout=0.1) is True
 
-    def test_blocking_admission_bounds_the_wait(self):
-        clock = StepClock()
-        ctl = AdmissionController(config(inflight_budget=1), clock=clock)
-        assert ctl.admit_blocking() == (AdmissionOutcome.ADMITTED, 0.0)
-        # Slot occupied and nobody will release it: the bounded wait
-        # expires (the step clock never advances inside cv.wait, so use a
-        # tiny real bound via max_queue_delay on a real clock instead).
-        real = AdmissionController(
-            config(inflight_budget=1, max_queue_delay=0.05)
-        )
-        assert real.admit_blocking()[0] is AdmissionOutcome.ADMITTED
-        outcome, waited = real.admit_blocking()
-        assert outcome is AdmissionOutcome.SHED_QUEUE
-        assert waited >= 0.05
-        assert real.queued == 0
-
 
 class TestBrownoutController:
     def test_enters_after_sustained_shedding_and_exits_after_clean(self):

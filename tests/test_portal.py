@@ -12,6 +12,7 @@ from repro.core.pdistance import PDistanceMap, uniform_pid_map
 from repro.core.policy import NetworkPolicy, TimeOfDayPolicy
 from repro.network.library import abilene
 from repro.portal import protocol
+from repro.portal.aserver import AsyncPortalServer
 from repro.portal.client import (
     DiscoveryError,
     Integrator,
@@ -21,7 +22,6 @@ from repro.portal.client import (
     discover_itracker,
     register_itracker,
 )
-from repro.portal.server import PortalServer
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def itracker():
 
 @pytest.fixture
 def portal(itracker):
-    with PortalServer(itracker) as server:
+    with AsyncPortalServer(itracker) as server:
         yield server
 
 
@@ -196,12 +196,60 @@ class TestPortalEndToEnd:
             view = client.get_pdistances(pids=["SEAT", "NYCM"])
             assert set(view.pids) == {"SEAT", "NYCM"}
 
-    def test_view_cached_by_version(self, portal):
+    def test_view_cached_by_version(self, portal, itracker):
         host, port = portal.address
         with PortalClient(host, port) as client:
             first = client.get_pdistances()
             second = client.get_pdistances()
             assert first is second  # same cached object
+            # The identity is (epoch, version): a restored price state can
+            # reuse a version number under a new epoch.
+            itracker._epoch += 1
+            assert client.get_pdistances() is not first
+
+    @pytest.mark.timeout(30)
+    def test_view_cache_does_not_outlive_the_portal_process(self):
+        """A reconnect may land on a replacement process whose counters
+        restart at the same ``(epoch, version)``: what the dead process
+        served must not come back as a cache hit."""
+
+        def dynamic_at_version_one(shift):
+            topo = abilene()
+            tracker = ITracker(
+                topology=topo, config=ITrackerConfig(mode=PriceMode.DYNAMIC)
+            )
+            tracker.observe_loads(
+                {
+                    link: 50.0 + 13.0 * ((offset + shift) % 7)
+                    for offset, link in enumerate(sorted(topo.links))
+                },
+                now=100.0,
+            )
+            assert (tracker.epoch, tracker.version) == (0, 1)
+            return tracker
+
+        from repro.observability import Telemetry
+
+        telemetry = Telemetry()
+        replacement = dynamic_at_version_one(shift=3)
+        server = AsyncPortalServer(dynamic_at_version_one(shift=0))
+        host, port = server.address
+        client = PortalClient(host, port, telemetry=telemetry)
+        try:
+            dead = client.get_pdistances()
+            server.close()
+            server = AsyncPortalServer(replacement, host=host, port=port)
+            # The old socket is dead: this call reconnects transparently.
+            served = client.get_pdistances()
+            assert served is not dead
+            assert served.distances == replacement.get_pdistances().distances
+            assert served.distances != dead.distances
+            cache = telemetry.registry.get("p4p_client_view_cache_total")
+            assert cache.labels(outcome="miss").value == 2
+            assert cache.labels(outcome="hit").value == 0
+        finally:
+            client.close()
+            server.close()
 
     def test_partial_views_bypass_version_cache(self, portal):
         """Pins the documented behaviour: ``pids=[...]`` fetches are never
@@ -442,7 +490,7 @@ class TestPortalTelemetry:
         from repro.observability import NULL_TELEMETRY
 
         itracker.telemetry = NULL_TELEMETRY
-        with PortalServer(itracker, telemetry=NULL_TELEMETRY) as server:
+        with AsyncPortalServer(itracker, telemetry=NULL_TELEMETRY) as server:
             host, port = server.address
             with PortalClient(host, port) as client:
                 client.get_version()
@@ -468,7 +516,7 @@ class TestPortalTelemetry:
         tracker = ITracker(
             topology=topo, config=ITrackerConfig(mode=PriceMode.DYNAMIC)
         )
-        with PortalServer(tracker) as server:
+        with AsyncPortalServer(tracker) as server:
             loads = {key: 100.0 for key in list(topo.links)[:4]}
             for _ in range(3):
                 tracker.observe_loads(loads)
@@ -490,7 +538,7 @@ class TestPortalTelemetry:
 
 class TestIntegrator:
     def test_collects_views_per_as(self, itracker):
-        with PortalServer(itracker) as server:
+        with AsyncPortalServer(itracker) as server:
             host, port = server.address
             integrator = Integrator()
             integrator.add(11537, PortalClient(host, port))
@@ -499,7 +547,7 @@ class TestIntegrator:
             integrator.close()
 
     def test_dead_portal_skipped(self, itracker):
-        server = PortalServer(itracker)
+        server = AsyncPortalServer(itracker)
         host, port = server.address
         client = PortalClient(host, port)
         integrator = Integrator()
@@ -526,7 +574,7 @@ class TestWireSchemaValidation:
     static API001 rule keeps it in parity with the _do_* handlers."""
 
     def test_every_dispatch_method_has_a_schema(self, itracker):
-        with PortalServer(itracker) as server:
+        with AsyncPortalServer(itracker) as server:
             handlers = {
                 name[len("_do_"):]
                 for name in dir(server)

@@ -1,11 +1,16 @@
-"""Dual-server protocol conformance: the wire behaviour is byte-identical.
+"""Protocol conformance: the server's wire behaviour is the reference's.
 
-The threaded :class:`~repro.portal.server.PortalServer` and the asyncio
 :class:`~repro.portal.aserver.AsyncPortalServer` (both accept models)
-front identically-constructed iTrackers and receive identical request
-frames over raw sockets; every response frame must match byte for byte.
-A response is a pure function of the request and the iTracker state --
-never of the transport, the worker model, or the view cache.
+receives request frames over raw sockets; every response frame must
+match, byte for byte, what the in-process reference answers for an
+identically-constructed iTracker (:func:`tests.conftest.reference_frame`:
+a bare, transport-free :class:`~repro.portal.dispatch.PortalDispatcher`
+recomputing each view from the iTracker, plain-dict result, plain
+``encode_frame``).  A response is a pure function of the request and the
+iTracker state -- never of the transport, the worker model, or the view
+cache.  (The reference used to be a second, threaded socket server; its
+per-frame work was exactly this call, and its socket bytes were checked
+equal to it on every request below before it was deleted.)
 
 Covered: every method in :data:`~repro.portal.protocol.METHOD_SCHEMAS`
 (full and restricted views, empty and unknown PID subsets), the error-
@@ -13,12 +18,12 @@ frame contract (unknown methods, schema violations, non-object params,
 unknown keys), malformed trace envelopes, ``get_state_delta``
 replication tailing across identical price-update sequences, and the
 overload envelopes (``deadline`` requests byte-invisible when they do
-not fire; ``busy`` shed frames identical across transports and inside
+not fire; ``busy`` shed frames identical to the reference's and inside
 the declared response-key catalog).
 
 Trace-envelope *propagation* (which needs real telemetry, whose metrics
-document is inherently run-dependent) is checked separately: both
-servers must parent a ``portal.dispatch`` span under the caller's
+document is inherently run-dependent) is checked separately: each
+accept model must parent a ``portal.dispatch`` span under the caller's
 envelope and record the same span topology.
 """
 
@@ -35,9 +40,10 @@ from repro.network.library import abilene
 from repro.observability import NULL_TELEMETRY, Telemetry
 from repro.portal import protocol
 from repro.portal.aserver import AsyncPortalServer
-from repro.portal.server import PortalServer
+from repro.portal.dispatch import PortalDispatcher
+from tests.conftest import reference_frame
 
-SERVER_KINDS = ("threaded", "async-reuseport", "async-dispatcher")
+SERVER_KINDS = ("async-reuseport", "async-dispatcher")
 
 
 def make_itracker(with_pid_map: bool = True) -> ITracker:
@@ -71,12 +77,17 @@ def advance(tracker: ITracker, rounds: int, start: float = 0.0) -> None:
 
 
 def make_server(kind: str, tracker: ITracker, telemetry=NULL_TELEMETRY):
-    if kind == "threaded":
-        return PortalServer(tracker, telemetry=telemetry)
     accept_model = kind.split("-", 1)[1]
     return AsyncPortalServer(
         tracker, workers=2, accept_model=accept_model, telemetry=telemetry
     )
+
+
+def reference_frames(tracker: ITracker, frames):
+    """What the in-process reference answers to each request frame."""
+    return [
+        reference_frame(tracker, json.loads(frame[4:])) for frame in frames
+    ]
 
 
 def exchange(address, frames):
@@ -161,12 +172,13 @@ def conformance_requests(pids):
 
 @pytest.mark.timeout(60)
 class TestByteIdenticalResponses:
-    @pytest.mark.parametrize("kind", [k for k in SERVER_KINDS if k != "threaded"])
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
     def test_all_methods_match_threaded_server(self, kind):
+        """Name kept from when the reference was the threaded server;
+        it is now the in-process dispatcher (module docstring)."""
         pids = tuple(make_itracker().get_pdistances().pids)
         frames = conformance_requests(pids)
-        with make_server("threaded", make_itracker()) as reference:
-            expected = exchange(reference.address, frames)
+        expected = reference_frames(make_itracker(), frames)
         with make_server(kind, make_itracker()) as candidate:
             actual = exchange(candidate.address, frames)
         assert len(expected) == len(actual)
@@ -176,7 +188,7 @@ class TestByteIdenticalResponses:
                 f"{want[4:]!r} != {got[4:]!r}"
             )
 
-    @pytest.mark.parametrize("kind", [k for k in SERVER_KINDS if k != "threaded"])
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
     def test_no_pid_map_errors_match(self, kind):
         frames = [
             protocol.encode_frame(
@@ -184,23 +196,19 @@ class TestByteIdenticalResponses:
             ),
             protocol.encode_frame({"method": "get_alto_networkmap", "params": {}}),
         ]
-        with make_server(
-            "threaded", make_itracker(with_pid_map=False)
-        ) as reference:
-            expected = exchange(reference.address, frames)
+        expected = reference_frames(make_itracker(with_pid_map=False), frames)
         with make_server(kind, make_itracker(with_pid_map=False)) as candidate:
             actual = exchange(candidate.address, frames)
         assert expected == actual
 
-    @pytest.mark.parametrize("kind", [k for k in SERVER_KINDS if k != "threaded"])
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
     def test_state_delta_tails_identically_as_state_advances(self, kind):
-        """Replication tailing: after every price update both servers
-        serve the same delta documents for every ``since`` cursor."""
+        """Replication tailing: after every price update the server and
+        the reference serve the same delta documents for every ``since``
+        cursor."""
         reference_tracker = make_itracker()
         candidate_tracker = make_itracker()
-        with make_server("threaded", reference_tracker) as reference, make_server(
-            kind, candidate_tracker
-        ) as candidate:
+        with make_server(kind, candidate_tracker) as candidate:
             for step in range(3):
                 advance(reference_tracker, rounds=1, start=1000.0 * (step + 1))
                 advance(candidate_tracker, rounds=1, start=1000.0 * (step + 1))
@@ -213,7 +221,7 @@ class TestByteIdenticalResponses:
                     protocol.encode_frame({"method": "get_pdistances", "params": {}}),
                     protocol.encode_frame({"method": "get_version", "params": {}}),
                 ]
-                expected = exchange(reference.address, frames)
+                expected = reference_frames(reference_tracker, frames)
                 actual = exchange(candidate.address, frames)
                 assert expected == actual, f"divergence after update {step}"
 
@@ -227,13 +235,13 @@ class TestOverloadEnvelopeConformance:
     response, on every server kind.  Ill-typed deadline values are
     tolerated exactly like malformed trace envelopes.  Busy frames (the
     structured shed response) are part of the conformance surface too:
-    identical across transports and confined to the declared response
+    identical to the reference's and confined to the declared response
     envelope catalog.
     """
 
     DEADLINE_VARIANTS = (60.0, "soon", -1, 0, True, None, [1.5])
 
-    @pytest.mark.parametrize("kind", [k for k in SERVER_KINDS if k != "threaded"])
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
     def test_deadline_envelope_is_byte_invisible(self, kind):
         bare = protocol.encode_frame({"method": "get_version", "params": {}})
         stamped = [
@@ -242,8 +250,7 @@ class TestOverloadEnvelopeConformance:
             )
             for value in self.DEADLINE_VARIANTS
         ]
-        with make_server("threaded", make_itracker()) as reference:
-            expected = exchange(reference.address, [bare] + stamped)
+        expected = reference_frames(make_itracker(), [bare] + stamped)
         with make_server(kind, make_itracker()) as candidate:
             actual = exchange(candidate.address, [bare] + stamped)
         assert expected == actual
@@ -272,18 +279,21 @@ class TestOverloadEnvelopeConformance:
             keys = set(json.loads(raw[4:]))
             assert keys <= protocol.RESPONSE_ENVELOPE_KEYS, keys
 
-    @pytest.mark.parametrize("kind", [k for k in SERVER_KINDS if k != "threaded"])
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
     def test_busy_frames_match_across_transports(self, kind):
         """A forced brownout sheds the expensive methods with the exact
-        same busy frame on every transport -- the shed path is part of
-        the conformance surface, not an implementation detail."""
+        busy frame the reference dispatcher produces -- the shed path is
+        part of the conformance surface, not an implementation detail."""
         frames = [
             protocol.encode_frame({"method": "get_alto_networkmap", "params": {}}),
             protocol.encode_frame({"method": "get_state_delta", "params": {}}),
         ]
-        with make_server("threaded", make_itracker()) as reference:
-            reference.force_brownout(True)
-            expected = exchange(reference.address, frames)
+        reference = PortalDispatcher(make_itracker(), telemetry=NULL_TELEMETRY)
+        reference.force_brownout(True)
+        expected = [
+            protocol.encode_frame(reference.dispatch(json.loads(frame[4:])))
+            for frame in frames
+        ]
         with make_server(kind, make_itracker()) as candidate:
             candidate.force_brownout(True)
             actual = exchange(candidate.address, frames)

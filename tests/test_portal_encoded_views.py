@@ -6,8 +6,9 @@ moves, so :class:`~repro.portal.aserver.AsyncPortalServer` answers it
 with a document memoised -- already encoded -- on the published snapshot
 and :func:`~repro.portal.protocol.encode_frame` splices those bytes into
 the frame.  Pinned here: the spliced frame is byte-for-byte the frame of
-the plain rebuilt document (the threaded server rebuilds per request and
-is the reference), each document is built once per generation, racing
+the plain rebuilt document (:func:`tests.conftest.reference_frame` -- a
+bare ``PortalDispatcher`` rebuilds per request and is the reference),
+each document is built once per generation, racing
 first builds cannot tear a frame, the frame size limit still applies, and
 the ALTO version tag names the version of the data it labels.  Restricted
 reads have their own contract in ``test_portal_restricted_reads.py``.
@@ -26,7 +27,7 @@ from repro.observability import NULL_TELEMETRY, Telemetry, flatten_snapshot
 from repro.portal import alto, protocol
 from repro.portal.aserver import AsyncPortalServer
 from repro.portal.overload import OverloadConfig
-from repro.portal.server import PortalServer
+from tests.conftest import reference_frame
 from tests.test_portal_conformance import exchange
 
 #: The three memoised documents: (memo name, request message).
@@ -103,20 +104,20 @@ class TestByteIdentity:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_spliced_frame_equals_the_plain_rebuilt_frame(self, config):
         """Fresh and in brownout, in process and over a socket."""
-        with PortalServer(
-            make_itracker(**CONFIGS[config]), telemetry=NULL_TELEMETRY
-        ) as reference, make_async(make_itracker(**CONFIGS[config])) as server:
+        twin = make_itracker(**CONFIGS[config])
+        with make_async(make_itracker(**CONFIGS[config])) as server:
             for brownout in (False, True, False):
                 server.force_brownout(brownout)
                 for name, message in DOCUMENTS:
-                    expected = reference.dispatch(message)
-                    assert type(expected["result"]) is dict
+                    reference = reference_frame(twin, message)
+                    expected = json.loads(reference[4:])
+                    assert plain_frame(expected) == reference
                     if brownout:
                         expected["degraded"] = "brownout"
                     response = server.dispatch(message)
                     # The memoised path really is the one under test ...
                     assert type(response["result"]) is protocol.EncodedDocument
-                    # ... it reads as the threaded server's plain dict ...
+                    # ... it reads as the reference's plain dict ...
                     assert response == expected
                     assert json.dumps(response) == json.dumps(expected)
                     # ... and its frame is the plain frame, byte for byte.
@@ -200,16 +201,14 @@ class TestConcurrentFirstBuild:
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with PortalServer(
-                twin, telemetry=NULL_TELEMETRY
-            ) as reference, make_async(
+            with make_async(
                 tracker, workers=2, accept_model="dispatcher"
             ) as server:
                 for _ in range(4):
                     advance(tracker)
                     advance(twin)
                     for _, message in DOCUMENTS:
-                        expected = plain_frame(reference.dispatch(message))
+                        expected = reference_frame(twin, message)
                         request = protocol.encode_frame(message)
                         barrier = threading.Barrier(k)
                         frames, errors = [], []

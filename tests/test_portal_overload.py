@@ -1,9 +1,10 @@
-"""Socket-level tests for overload control on both portal transports.
+"""Socket-level tests for overload control on the portal server.
 
 Admission shedding, deadline enforcement, brownout degradation,
 connection governance, graceful drain, and close-leak accounting, all
 against live servers over real sockets.  The pure state-machine tests
-live in ``tests/test_overload.py``.
+live in ``tests/test_overload.py``; admission shedding under real load
+is ``benchmarks/test_perf_overload.py``.
 """
 
 import socket
@@ -27,9 +28,8 @@ from repro.portal.overload import (
     OverloadConfig,
     DEFAULT_BROWNOUT_METHODS,
 )
-from repro.portal.replication import graceful_handoff
-from repro.portal.server import PortalServer
 from repro.portal.aserver import AsyncPortalServer
+from repro.portal.replication import graceful_handoff
 
 
 def make_itracker(
@@ -38,10 +38,10 @@ def make_itracker(
     topo = abilene()
 
     class SlowITracker(ITracker):
-        def get_pdistances(self, pids=None):
+        def view_snapshot(self):
             if slow_views:
                 time.sleep(slow_views)
-            return super().get_pdistances(pids=pids)
+            return super().view_snapshot()
 
     return SlowITracker(
         topology=topo,
@@ -59,85 +59,78 @@ def raw_request(address, message, sock=None):
 
 
 @pytest.mark.timeout(30)
-class TestThreadedAdmission:
-    def test_busy_frame_when_the_slot_wait_exceeds_the_bound(self):
-        config = OverloadConfig(
-            enabled=True,
-            inflight_budget=1,
-            queue_budget=4,
-            max_queue_delay=0.15,
-            retry_after=0.25,
-        )
+class TestAdmission:
+    def test_busy_frame_when_the_inflight_budget_is_spent(self):
+        """Nothing on the loop may wait for a slot: while one view read
+        holds the only slot across its off-loop publication, the next
+        arrival is shed at once with a structured busy frame."""
+        config = OverloadConfig(enabled=True, inflight_budget=1, retry_after=0.25)
         telemetry = Telemetry()
-        with PortalServer(
-            make_itracker(slow_views=0.8), telemetry=telemetry, overload=config
+        with AsyncPortalServer(
+            make_itracker(slow_views=0.6),
+            workers=1,
+            telemetry=telemetry,
+            overload=config,
         ) as server:
-            slow_done = threading.Event()
 
             def occupy_slot():
-                with PortalClient(*server.address) as slow:
-                    slow.get_pdistances()
-                slow_done.set()
+                _, sock = raw_request(
+                    server.address, {"method": "get_pdistances", "params": {}}
+                )
+                sock.close()
 
             occupier = threading.Thread(target=occupy_slot)
             occupier.start()
-            time.sleep(0.2)  # let the slow request claim the single slot
+            deadline = time.monotonic() + 5.0
+            while server.overload.admission.inflight < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
             with PortalClient(*server.address) as client:
                 with pytest.raises(PortalBusyError) as excinfo:
                     client.get_version()
             # The structured hint: shed-queue doubles the base hint.
             assert excinfo.value.retry_after == pytest.approx(0.5)
-            slow_done.wait(timeout=5.0)
             occupier.join(timeout=5.0)
-            registry = telemetry.registry
-            sheds = registry.counter(
+            assert not occupier.is_alive()
+            sheds = telemetry.registry.counter(
                 "p4p_portal_admission_total", "", ("outcome",)
             ).labels(outcome="shed_queue")
-            assert sheds.value >= 1
-
-    def test_admission_disabled_config_changes_nothing(self):
-        with PortalServer(make_itracker()) as server:
-            with PortalClient(*server.address) as client:
-                assert client.get_version() >= 0
+            assert sheds.value == 1
 
 
 @pytest.mark.timeout(30)
 class TestDeadlines:
     def test_server_abandons_work_past_its_deadline(self):
-        config = OverloadConfig(
-            enabled=True,
-            inflight_budget=1,
-            queue_budget=4,
-            max_queue_delay=1.0,
-        )
-        with PortalServer(
-            make_itracker(slow_views=0.6), overload=config
+        telemetry = Telemetry()
+        with AsyncPortalServer(
+            make_itracker(slow_views=0.4),
+            workers=1,
+            telemetry=telemetry,
+            overload=OverloadConfig(enabled=True),
         ) as server:
-
-            def occupy_slot():
-                with PortalClient(*server.address) as slow:
-                    slow.get_pdistances()
-
-            occupier = threading.Thread(target=occupy_slot)
-            occupier.start()
-            time.sleep(0.2)
-            # This request waits ~0.4s for the slot -- far past its own
-            # 50ms budget -- so dispatch must abandon it, not serve it.
+            # Nothing is published yet, so this view read first waits
+            # ~0.4s for the off-loop publication -- far past its own
+            # 50ms budget -- and dispatch must abandon it, not serve it.
             with PortalClient(*server.address, deadline=0.05) as client:
                 with pytest.raises(PortalDeadlineExceededError):
-                    client.get_version()
-            occupier.join(timeout=5.0)
+                    client.get_pdistances(pids=["NYCM", "CHIN"])
+            drops = telemetry.registry.counter(
+                "p4p_portal_deadline_exceeded_total", ""
+            ).labels()
+            assert drops.value == 1
 
     def test_deadline_met_serves_normally(self):
-        with PortalServer(
-            make_itracker(), overload=OverloadConfig(enabled=True)
+        with AsyncPortalServer(
+            make_itracker(), workers=1, overload=OverloadConfig(enabled=True)
         ) as server:
             with PortalClient(*server.address, deadline=5.0) as client:
                 assert client.get_version() >= 0
 
     def test_frames_without_deadline_never_expire(self):
         config = OverloadConfig(enabled=True, inflight_budget=1)
-        with PortalServer(make_itracker(), overload=config) as server:
+        with AsyncPortalServer(
+            make_itracker(), workers=1, overload=config
+        ) as server:
             response, sock = raw_request(
                 server.address, {"method": "get_version", "params": {}}
             )
@@ -278,13 +271,6 @@ class TestConnectionGovernance:
             assert protocol.read_frame(sock) is None
             sock.close()
 
-    def test_threaded_governance_timeouts(self):
-        config = OverloadConfig(enabled=True, idle_timeout=0.2)
-        with PortalServer(make_itracker(), overload=config) as server:
-            sock = socket.create_connection(server.address, timeout=5.0)
-            assert protocol.read_frame(sock) is None
-            sock.close()
-
 
 @pytest.mark.timeout(30)
 class TestDrain:
@@ -323,14 +309,6 @@ class TestDrain:
             established.close()
             gauge = telemetry.registry.gauge("p4p_overload_state").labels()
             assert gauge.value == STATE_DRAINING
-
-    def test_threaded_drain_returns_true_on_empty_backlog(self):
-        with PortalServer(
-            make_itracker(), overload=OverloadConfig(enabled=True)
-        ) as server:
-            assert server.drain(timeout=2.0) is True
-            with pytest.raises(OSError):
-                socket.create_connection(server.address, timeout=0.5)
 
     def test_drain_works_with_overload_disabled(self):
         # Drain must shed even on servers that never enabled admission

@@ -1,5 +1,5 @@
-"""Restricted view reads on the async serving plane: spliced from rows
-encoded once per generation, byte-identical to the threaded server.
+"""Restricted view reads on the serving plane: spliced from rows encoded
+once per generation, byte-identical to the in-process reference.
 
 A restricted ``get_pdistances`` / numerical ``get_alto_costmap`` on
 :class:`~repro.portal.aserver.AsyncPortalServer` is assembled from the
@@ -7,15 +7,17 @@ published snapshot's per-source rows of cells -- shared ``[src, dst,
 value]`` triples and their already-encoded bytes -- whenever the iTracker
 serves raw values; a view the iTracker degrades (perturbation, ranks)
 and an ordinal cost map depend on the restricted set as a whole and are
-rebuilt per request.  Pinned here: either way the frame is the threaded
-server's frame, byte for byte (it rebuilds per request and is the
-reference); the result reads as the plain rebuilt document; a source row
-is encoded by the first read of a generation that touches it and never
-again; degraded configurations and unrestricted traffic build no cell;
-racing first touches cannot tear a frame; and PID lists with non-string
-elements are the client's error on both servers.
+rebuilt per request.  Pinned here: either way the frame is the
+reference's frame, byte for byte (:func:`tests.conftest.reference_frame`:
+a bare ``PortalDispatcher`` rebuilding per request -- what the threaded
+server the test names still mention used to do); the result reads as the
+plain rebuilt document; a source row is encoded by the first read of a
+generation that touches it and never again; degraded configurations and
+unrestricted traffic build no cell; racing first touches cannot tear a
+frame; and PID lists with non-string elements are the client's error.
 """
 
+import json
 import logging
 import sys
 import threading
@@ -27,8 +29,8 @@ from repro.core.pdistance import uniform_pid_map
 from repro.network.generators import US_METROS, synthetic_isp
 from repro.observability import NULL_TELEMETRY, Telemetry, flatten_snapshot
 from repro.portal import protocol
-from repro.portal.server import PortalServer
 from repro.portal.views import ShardedView
+from tests.conftest import reference_frame
 from tests.test_portal_conformance import exchange
 from tests.test_portal_encoded_views import (
     CONFIGS,
@@ -90,14 +92,13 @@ class TestByteIdentity:
         tracker, twin = make_itracker(**CONFIGS[config]), make_itracker(
             **CONFIGS[config]
         )
-        with PortalServer(twin, telemetry=NULL_TELEMETRY) as reference, make_async(
-            tracker
-        ) as server:
+        with make_async(tracker) as server:
             for brownout in (False, True, False):
                 server.force_brownout(brownout)
                 for message in restricted_messages(tracker):
-                    expected = reference.dispatch(message)
-                    assert type(expected["result"]) is dict
+                    reference = reference_frame(twin, message)
+                    expected = json.loads(reference[4:])
+                    assert plain_frame(expected) == reference
                     if brownout:
                         expected["degraded"] = "brownout"
                     response = server.dispatch(message)
@@ -136,15 +137,14 @@ class TestByteIdentity:
         tracker = provider()
         every = list(tracker.topology.aggregation_pids)
         assert len(every) == 80
-        with PortalServer(provider(), telemetry=NULL_TELEMETRY) as reference, make_async(
-            tracker
-        ) as server:
+        twin = provider()
+        with make_async(tracker) as server:
             for pids in (every, every[7:2:-1] + every[60:62], every[:1]):
                 for method in ("get_pdistances", "get_alto_costmap"):
                     message = {"method": method, "params": {"pids": pids}}
                     response = server.dispatch(message)
                     assert type(response["result"]) is protocol.EncodedDocument
-                    frame = plain_frame(reference.dispatch(message))
+                    frame = reference_frame(twin, message)
                     assert protocol.encode_frame(response) == frame
                     assert exchange(
                         server.address, [protocol.encode_frame(message)]
@@ -153,8 +153,8 @@ class TestByteIdentity:
 
     def test_sharded_restriction_is_the_unsharded_one_in_order(self):
         raw = make_itracker().view_snapshot()
-        sharded = ShardedView(raw, n_shards=3)
-        assert sum(sharded.shard_sizes()) == len(raw.distances)
+        sharded = ShardedView(raw)
+        assert sum(len(sharded.row(src)) for src in raw.pids) == len(raw.distances)
         for pids in PID_LISTS + (list(raw.pids), list(raw.pids)[::-1]):
             mine, reference = sharded.restricted(pids), raw.restricted_to(pids)
             assert mine == reference
@@ -268,15 +268,14 @@ class TestConcurrentFirstTouch:
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with PortalServer(twin, telemetry=NULL_TELEMETRY) as reference, make_async(
+            with make_async(
                 tracker, workers=2, accept_model="dispatcher"
             ) as server:
                 for _ in range(4):
                     advance(tracker)
                     advance(twin)
                     expected = [
-                        plain_frame(reference.dispatch(message))
-                        for message in messages
+                        reference_frame(twin, message) for message in messages
                     ] * 2
                     barrier = threading.Barrier(k)
                     wrong, errors = [], []
@@ -310,14 +309,12 @@ class TestNonStringPidsAreARequestError:
 
     BAD_LISTS = ([["CHIN"]], [{"a": 1}], ["CHIN", 7], [None], [True])
 
-    @pytest.mark.parametrize("kind", ["threaded", "async"])
+    @pytest.mark.parametrize("kind", ["async"])
     def test_rejected_before_the_handler_on_both_transports(self, kind, caplog):
+        """In process and over the socket (``both`` once meant two servers)."""
         telemetry = Telemetry()
         tracker = make_itracker()
-        if kind == "threaded":
-            server = PortalServer(tracker, telemetry=telemetry)
-        else:
-            server = make_async(tracker, telemetry=telemetry)
+        server = make_async(tracker, telemetry=telemetry)
         called = []
         with server, caplog.at_level(logging.ERROR):
             for method in ("get_pdistances", "get_alto_costmap"):

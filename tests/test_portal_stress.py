@@ -1,8 +1,9 @@
-"""Stress and adversarial-transport tests for both portal servers.
+"""Stress and adversarial-transport tests for the portal server, on both
+accept models.
 
 Concurrency (many clients, pipelined frames on one connection), torn and
-oversized and garbage frames, mid-request disconnects -- and the async
-serving plane's request-coalescing contract: k identical concurrent
+oversized and garbage frames, mid-request disconnects -- and the serving
+plane's request-coalescing contract: k identical concurrent
 ``get_pdistances`` must cost exactly one view computation and produce k
 correct replies.
 """
@@ -22,9 +23,8 @@ from repro.observability import NULL_TELEMETRY
 from repro.portal import protocol
 from repro.portal.aserver import AsyncPortalServer
 from repro.portal.client import PortalClient
-from repro.portal.server import PortalServer
 
-SERVER_KINDS = ("threaded", "async-reuseport", "async-dispatcher")
+SERVER_KINDS = ("async-reuseport", "async-dispatcher")
 
 
 def make_itracker() -> ITracker:
@@ -40,8 +40,6 @@ def make_itracker() -> ITracker:
 
 
 def make_server(kind: str, tracker: ITracker, **kwargs):
-    if kind == "threaded":
-        return PortalServer(tracker, telemetry=NULL_TELEMETRY)
     accept_model = kind.split("-", 1)[1]
     kwargs.setdefault("workers", 2)
     return AsyncPortalServer(

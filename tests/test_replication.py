@@ -16,6 +16,7 @@ from repro.apptracker.selection import P4PSelection, PeerInfo
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
 from repro.network.library import abilene
 from repro.observability import Telemetry
+from repro.portal.aserver import AsyncPortalServer
 from repro.portal.client import Integrator, PortalClient, PortalClientError
 from repro.portal.faults import FaultyPortal
 from repro.portal.replication import FailoverPortalClient, StandbyReplica
@@ -25,7 +26,6 @@ from repro.portal.resilience import (
     ResilientPortalClient,
     RetryPolicy,
 )
-from repro.portal.server import PortalServer
 
 
 class FakeClock:
@@ -73,7 +73,7 @@ class TestStateDeltaWire:
     def test_get_state_delta_over_the_wire(self):
         tracker = make_tracker()
         bump(tracker, times=3)
-        with PortalServer(tracker) as server:
+        with AsyncPortalServer(tracker) as server:
             with PortalClient(*server.address) as client:
                 delta = client.get_state_delta(since=-1)
         assert delta["version"] == tracker.version
@@ -87,7 +87,7 @@ class TestStateDeltaWire:
     def test_since_filters_records(self):
         tracker = make_tracker()
         bump(tracker, times=4)
-        with PortalServer(tracker) as server:
+        with AsyncPortalServer(tracker) as server:
             with PortalClient(*server.address) as client:
                 delta = client.get_state_delta(since=tracker.version - 1)
         assert [r["version"] for r in delta["records"]] == [tracker.version]
@@ -113,7 +113,7 @@ class TestStandbyReplica:
         primary = make_tracker()
         bump(primary, times=2)
         standby = StandbyReplica(make_tracker(), ("127.0.0.1", 0), clock=clock)
-        with PortalServer(primary) as server:
+        with AsyncPortalServer(primary) as server:
             standby.primary = server.address
             assert standby.staleness() is None  # never synced yet
             assert standby.sync() is True
@@ -133,7 +133,7 @@ class TestStandbyReplica:
         clock = FakeClock()
         primary = make_tracker()
         bump(primary, times=2)
-        with PortalServer(primary) as server:
+        with AsyncPortalServer(primary) as server:
             standby = StandbyReplica(make_tracker(), server.address, clock=clock)
             assert standby.sync()
             clock.advance(3.0)
@@ -144,7 +144,7 @@ class TestStandbyReplica:
         assert info["version"] == primary.version
         assert info["staleness"] == pytest.approx(3.0)
         # The primary's own get_version has no staleness field at all.
-        with PortalServer(primary) as server:
+        with AsyncPortalServer(primary) as server:
             with PortalClient(*server.address) as client:
                 assert "staleness" not in client.get_version_info()
 
@@ -170,7 +170,7 @@ class TestFailover:
         clock = FakeClock()
         primary = make_tracker()
         bump(primary, times=3)
-        with PortalServer(primary) as server, FaultyPortal(server.address) as proxy:
+        with AsyncPortalServer(primary) as server, FaultyPortal(server.address) as proxy:
             standby = StandbyReplica(make_tracker(), server.address, clock=clock)
             assert standby.sync()
             with standby.serve() as replica_server:
@@ -217,7 +217,7 @@ class TestFailover:
         clock = FakeClock()
         primary = make_tracker()
         bump(primary, times=2)
-        with PortalServer(primary) as server, FaultyPortal(server.address) as proxy:
+        with AsyncPortalServer(primary) as server, FaultyPortal(server.address) as proxy:
             standby = StandbyReplica(make_tracker(), server.address, clock=clock)
             assert standby.sync()
             with standby.serve() as replica_server:
@@ -258,12 +258,12 @@ class TestClientReconnect:
         tracker = make_tracker()
         bump(tracker, times=1)
         telemetry = Telemetry()
-        server = PortalServer(tracker)
+        server = AsyncPortalServer(tracker)
         host, port = server.address
         client = PortalClient(host, port, telemetry=telemetry)
         assert client.get_version() == tracker.version
         server.close()  # the client now holds a dead socket
-        server = PortalServer(tracker, host=host, port=port)
+        server = AsyncPortalServer(tracker, host=host, port=port)
         try:
             assert client.get_version() == tracker.version  # resent once
         finally:
@@ -273,7 +273,7 @@ class TestClientReconnect:
 
     def test_reconnect_failure_propagates_transport_error(self):
         tracker = make_tracker()
-        server = PortalServer(tracker)
+        server = AsyncPortalServer(tracker)
         client = PortalClient(*server.address)
         server.close()
         with pytest.raises(PortalClientError):
@@ -286,7 +286,7 @@ class TestClientReconnect:
         clock = FakeClock()
         tracker = make_tracker()
         bump(tracker, times=1)
-        server = PortalServer(tracker)
+        server = AsyncPortalServer(tracker)
         resilient = ResilientPortalClient(
             *server.address,
             retry=fast_retry(),

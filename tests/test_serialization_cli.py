@@ -119,13 +119,13 @@ class TestCliTelemetry:
     @pytest.fixture
     def live_portal(self):
         from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
+        from repro.portal.aserver import AsyncPortalServer
         from repro.portal.client import PortalClient
-        from repro.portal.server import PortalServer
 
         tracker = ITracker(
             topology=abilene(), config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
         )
-        with PortalServer(tracker) as server:
+        with AsyncPortalServer(tracker) as server:
             host, port = server.address
             with PortalClient(host, port) as client:
                 client.get_version()

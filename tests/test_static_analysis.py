@@ -192,10 +192,10 @@ def test_api001_covers_get_state_delta(tree_report):
     an orphan schema rotting.
     """
     from repro.portal import protocol
-    from repro.portal.server import PortalServer
+    from repro.portal.dispatch import PortalDispatcher
 
     assert "get_state_delta" in protocol.METHOD_SCHEMAS
-    assert callable(getattr(PortalServer, "_do_get_state_delta"))
+    assert callable(getattr(PortalDispatcher, "_do_get_state_delta"))
     # The schema constrains `since` (optional integer) rather than
     # accepting arbitrary params.
     assert protocol.METHOD_SCHEMAS["get_state_delta"] == {
