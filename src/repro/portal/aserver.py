@@ -47,7 +47,7 @@ instruments: ``p4p_portal_view_publications_total``,
 from __future__ import annotations
 
 import asyncio
-import functools
+import contextlib
 import logging
 import socket
 import threading
@@ -92,6 +92,7 @@ class _Worker:
         self.sock = sock
         self.loop = asyncio.new_event_loop()
         self.connections: set = set()
+        self._handlers: set = set()  # keeps start_server handler tasks alive
         self.started = threading.Event()
         self._stop: Optional[asyncio.Event] = None
         self.listener: Optional[asyncio.AbstractServer] = None
@@ -114,6 +115,11 @@ class _Worker:
                 self.loop.run_until_complete(
                     asyncio.gather(*pending, return_exceptions=True)
                 )
+            # A handler cancelled before its first step never closed its
+            # writer, and a closed transport only lets go of its socket on
+            # the loop's next pass.
+            self._sever()
+            self.loop.run_until_complete(asyncio.sleep(0))
         finally:
             self.started.set()  # unblock start() even on a failed bring-up
             self.loop.close()
@@ -122,8 +128,7 @@ class _Worker:
         self._stop = asyncio.Event()
         if self.sock is not None:
             self.listener = await asyncio.start_server(
-                functools.partial(self.server._serve_connection, self),
-                sock=self.sock,
+                self._accepted, sock=self.sock
             )
         probe = None
         if self.server.overload.enabled:
@@ -135,18 +140,40 @@ class _Worker:
         await self._stop.wait()
         if probe is not None:
             probe.cancel()
-        if self.listener is not None:
+        if self.listener is not None and self.listener.is_serving():
+            # An accept already in flight builds its transport a pass
+            # later, and asyncio asserts if the Server is closed by then
+            # (leaving a half-built transport to the collector): stop
+            # polling, let it land, then close.  (Not serving: drained.)
+            self.loop.remove_reader(self.sock)
+            await asyncio.sleep(0)
             self.listener.close()
             await self.listener.wait_closed()
         # Sever established connections: a crashed portal process takes
         # its sockets with it, and a closed one must not answer from
         # beyond the grave (chaos harness / client reconnect logic rely
         # on it).
-        for writer in list(self.connections):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+        self._sever()
         await asyncio.sleep(0)
+
+    def _sever(self) -> None:
+        for writer in list(self.connections):
+            writer.transport.abort()
+
+    def _accepted(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """``start_server`` callback.  A plain function on purpose: it runs
+        inside ``connection_made``, so a stop severs this connection even
+        when the handler task is cancelled before its first step (and the
+        task is ours: asyncio 3.11's own done-callback logs an error for
+        every cancelled handler)."""
+        self.connections.add(writer)
+        task = self.loop.create_task(
+            self.server._serve_connection(self, reader, writer)
+        )
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
 
     async def _lag_probe(self) -> None:
         governor = self.server.overload
@@ -202,6 +229,7 @@ class _Worker:
         except OSError:
             conn.close()
             return
+        self.connections.add(writer)
         await self.server._serve_connection(self, reader, writer)
 
 
@@ -362,13 +390,13 @@ class AsyncPortalServer(PortalDispatcher):
                 await writer.drain()
             except (ConnectionError, OSError):
                 pass
+            worker.connections.discard(writer)
             try:
                 writer.close()
             except (ConnectionError, OSError):
                 pass
             return
         gauge = self._worker_connections.labels(worker=str(worker.index))
-        worker.connections.add(writer)
         gauge.inc()
         served = 0
         try:
@@ -533,11 +561,7 @@ class AsyncPortalServer(PortalDispatcher):
         what remains.  This is the hand-off point for replication
         failover: drain the primary, promote the standby, then close.
         """
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._close_listener()
         for worker in self._workers:
             worker.stop_accepting()
         self.overload.start_drain()
@@ -546,6 +570,17 @@ class AsyncPortalServer(PortalDispatcher):
         drained = self.overload.wait_drained(timeout)
         traces.finish(span.set(complete=drained))
         return drained
+
+    def _close_listener(self) -> None:
+        """Close the dispatcher-model listener and wake its acceptor: on
+        Linux ``close()`` alone leaves a thread blocked in ``accept()``
+        asleep; ``shutdown()`` first makes that ``accept()`` raise."""
+        if self._listener is None:
+            return
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(OSError):
+            self._listener.close()
 
     def close(self, join_timeout: float = 5.0) -> None:
         """Stop accepting, sever every connection, and join the workers.
@@ -557,11 +592,7 @@ class AsyncPortalServer(PortalDispatcher):
         if self._closed:
             return
         self._closed = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._close_listener()
         for worker in self._workers:
             worker.stop()
         for worker in self._workers:

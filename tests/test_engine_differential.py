@@ -11,6 +11,7 @@ schedules generate.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.simulator.differential import (
@@ -137,3 +138,76 @@ def test_full_solve_bit_identical_to_scalar():
     s_rates = {f.flow_id: f.rate for f in scalar.flows()}
     for v_flow in vector.flows():
         assert v_flow.rate == s_rates[v_flow.flow_id]  # exact, no tolerance
+
+
+def test_full_path_replay_bit_identical_to_scalar():
+    """A churning replay through the full path stays *equal* to the
+    reference, not merely close: slot reuse, tombstoned entries and entry
+    compaction all feed ``_solve_full``, and the class docstring promises
+    bit-exact rates there.  Compared with ``==`` after every event whose
+    solve was full -- rates, remaining sizes, the shared completion clock
+    and the cumulative ``link_mbit`` counters.
+
+    With ``dirty_flow_floor=1`` any component of two or more flows is
+    solved whole, and 24 flows over 14 links never leave one on its own,
+    so every solve of the replay is a full one (asserted: a locally
+    re-solved single flow may differ from the global solve in the last
+    bit, which would then show in every later counter).
+    """
+    rng = random.Random(24)
+    scalar = FlowNetwork()
+    vector = VectorizedFlowNetwork(dirty_flow_floor=1, dirty_flow_fraction=0.0)
+    n_links = 14
+    for index in range(n_links):
+        capacity = rng.uniform(2.0, 40.0)
+        scalar.add_link(("l", index), capacity)
+        vector.add_link(("l", index), capacity)
+
+    live = []
+
+    def start():
+        links = rng.sample(range(n_links), rng.randint(1, 4))
+        cap = rng.uniform(1.0, 20.0) if rng.random() < 0.5 else None
+        size = rng.uniform(0.5, 6.0)
+        flow = scalar.start_flow(links, size, rate_cap=cap)
+        assert vector.start_flow(links, size, rate_cap=cap).flow_id == flow.flow_id
+        live.append(flow.flow_id)
+
+    for _ in range(24):
+        start()
+    slots_at_peak = len(vector._slot_flow)
+    compared = 0
+    for event in range(500):
+        full_before = vector.stats.full_solves
+        when = scalar.next_completion()
+        assert vector.next_completion() == when
+        if vector.stats.full_solves > full_before:
+            compared += 1
+            scalar._flush()
+            vector._flush()
+            v_flows = {flow.flow_id: flow for flow in vector.flows()}
+            for s_flow in scalar.flows():
+                v_flow = v_flows.pop(s_flow.flow_id)
+                assert v_flow.rate == s_flow.rate  # exact, no tolerance
+                assert v_flow.remaining_mbit == s_flow.remaining_mbit
+            assert not v_flows
+            assert np.array_equal(vector.link_mbit, scalar.link_mbit)
+        scalar.advance(when)
+        vector.advance(when)
+        done = [flow.flow_id for flow in scalar.pop_finished()]
+        assert [flow.flow_id for flow in vector.pop_finished()] == done
+        for flow_id in done:
+            live.remove(flow_id)
+        if event % 7 == 3 and live:
+            victim = live.pop(rng.randrange(len(live)))
+            assert scalar.abort_flow(victim).flow_id == victim
+            assert vector.abort_flow(victim).flow_id == victim
+        while len(live) < 24:
+            start()
+    assert compared > 400
+    assert vector.stats.incremental_solves == 0
+    assert vector.stats.compactions >= 1
+    # Slots were recycled rather than appended: reuse is what scrambles the
+    # slot order the kernel sees relative to flow-id order.
+    assert len(vector._slot_flow) <= slots_at_peak + 4
+    assert scalar._next_flow_id > 10 * slots_at_peak

@@ -229,6 +229,124 @@ def test_fast_fill_bit_identical_to_reference(seed):
     assert np.array_equal(reference, fast)  # exact, including inf pattern
 
 
+def _assert_fast_equals_reference(link_of, flow_of, capacities, n_flows, caps):
+    capacities = np.asarray(capacities, dtype=float)
+    reference = _progressive_fill(link_of, flow_of, capacities, n_flows, caps)
+    fast = _progressive_fill_fast(link_of, flow_of, capacities, n_flows, caps)
+    assert np.array_equal(reference, fast)  # exact, including inf pattern
+    return fast
+
+
+def _entries(flow_links, capacities, caps):
+    link_of, flow_of = _build_entries(flow_links, len(capacities))
+    caps_arr = np.array([np.inf if c is None else float(c) for c in caps])
+    return link_of, flow_of, capacities, len(flow_links), caps_arr
+
+
+def test_fast_fill_wide_keys():
+    """More than 65,535 links *and* flows: the grouping cannot radix-sort
+    16-bit keys here, and a key truncated to 16 bits would fold the shared
+    links (all above index 65,535) and the flows crossing them onto others.
+    Few distinct capacities keep the reference at a few dozen levels."""
+    rng = np.random.default_rng(7)
+    n_flows, n_shared = 66_500, 40
+    n_links = n_flows + n_shared
+    capacities = np.empty(n_links)
+    capacities[:n_flows] = rng.choice([3.0, 5.5, 8.0, 13.0], size=n_flows)
+    capacities[n_flows:] = rng.uniform(50.0, 4000.0, size=n_shared)
+    own = np.arange(n_flows)
+    sharing = np.flatnonzero(rng.random(n_flows) < 0.3)
+    shared = n_flows + rng.integers(0, n_shared, size=sharing.size)
+    link_of = np.concatenate((own, shared))
+    flow_of = np.concatenate((own, sharing))
+    assert (sharing > 65_535).any()
+    caps = np.where(
+        rng.random(n_flows) < 0.2, rng.choice([2.0, 4.5, 6.0], size=n_flows), np.inf
+    )
+    rates = _assert_fast_equals_reference(link_of, flow_of, capacities, n_flows, caps)
+    assert np.isfinite(rates).all()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fast_fill_cap_branch_only(seed):
+    """Every flow capped below any fair share: each level is a cap event
+    (ties included), no link ever saturates."""
+    rng = random.Random(52_000 + seed)
+    flow_links, capacities, _ = _uniform_instance(rng)
+    floor = min(capacities) / (2 * len(flow_links))
+    distinct = [rng.uniform(0.1, 1.0) * floor for _ in range(4)]
+    caps = [
+        rng.choice(distinct) if rng.random() < 0.5 else rng.uniform(0.1, 1.0) * floor
+        for _ in flow_links
+    ]
+    rates = _assert_fast_equals_reference(*_entries(flow_links, capacities, caps))
+    assert np.array_equal(rates, np.asarray(caps))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fast_fill_linkless_flows_and_idle_links(seed):
+    """Flows crossing no link (capped or not) between flows that do, and
+    links nobody crosses between links that carry flows."""
+    rng = random.Random(53_000 + seed)
+    flow_links, capacities, caps = _access_instance(rng)
+    for _ in range(rng.randint(2, 6)):
+        at = rng.randrange(len(flow_links) + 1)
+        flow_links.insert(at, [])
+        caps.insert(at, rng.uniform(0.5, 9.0) if rng.random() < 0.5 else None)
+    # Idle links: widen the link space and move every used id up past them.
+    stride = rng.randint(2, 3)
+    wide = [rng.uniform(1.0, 9.0) for _ in range(stride * len(capacities) + 1)]
+    for index, capacity in enumerate(capacities):
+        wide[stride * index + 1] = capacity
+    flow_links = [[stride * link + 1 for link in links] for links in flow_links]
+    rates = _assert_fast_equals_reference(*_entries(flow_links, wide, caps))
+    for links, cap, rate in zip(flow_links, caps, rates):
+        if not links:
+            assert rate == (np.inf if cap is None else cap)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fast_fill_levels_tied_within_eps(seed):
+    """Saturation levels and caps a fraction of ``_EPS`` apart freeze in
+    one event in the reference; the kernel must cut the same groups."""
+    rng = random.Random(54_000 + seed)
+    flow_links, capacities, caps = [], [], []
+    for _ in range(rng.randint(2, 5)):
+        level = rng.uniform(1.0, 8.0)
+        for _ in range(rng.randint(2, 4)):  # links that saturate together
+            crossing = rng.randint(1, 4)
+            capacities.append(crossing * (level + rng.uniform(-4e-10, 4e-10)))
+            for _ in range(crossing):
+                flow_links.append([len(capacities) - 1])
+                caps.append(None)
+        # ... and a capped flow that ties with them, on a link of its own.
+        capacities.append(50.0)
+        flow_links.append([len(capacities) - 1])
+        caps.append(level + rng.uniform(-4e-10, 4e-10))
+    # Couple the groups so freezing one shifts the others' counts.
+    capacities.append(1e3)
+    for links in flow_links:
+        if rng.random() < 0.5:
+            links.append(len(capacities) - 1)
+    _assert_fast_equals_reference(*_entries(flow_links, capacities, caps))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fast_fill_independent_of_entry_order(seed):
+    """The entry arrays are a set: the engine hands them over in slot-reuse
+    order with flow ids scrambled, and the rates must not notice."""
+    rng = random.Random(55_000 + seed)
+    family = rng.choice(sorted(GENERATORS))
+    link_of, flow_of, capacities, n_flows, caps = _entries(*GENERATORS[family](rng))
+    in_order = _assert_fast_equals_reference(link_of, flow_of, capacities, n_flows, caps)
+    order = list(range(link_of.size))
+    rng.shuffle(order)
+    shuffled = _assert_fast_equals_reference(
+        link_of[order], flow_of[order], capacities, n_flows, caps
+    )
+    assert np.array_equal(in_order, shuffled)
+
+
 def test_rates_scale_with_capacity():
     """Doubling every capacity doubles every uncapped rate (scale-freeness)."""
     rng = random.Random(5)

@@ -7,9 +7,11 @@ live in ``tests/test_overload.py``; admission shedding under real load
 is ``benchmarks/test_perf_overload.py``.
 """
 
+import gc
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -48,6 +50,15 @@ def make_itracker(
         config=ITrackerConfig(mode=mode),
         pid_map=uniform_pid_map(topo),
     )
+
+
+def assert_severed(sock):
+    """The server end is gone: EOF or a reset, not a read that times out."""
+    try:
+        assert sock.recv(1) == b""
+    except ConnectionError:
+        pass
+    sock.close()
 
 
 def raw_request(address, message, sock=None):
@@ -330,6 +341,22 @@ class TestDrain:
             assert response["busy"] is True
             established.close()
 
+    def test_close_after_drain_still_severs_established_connections(self):
+        server = AsyncPortalServer(make_itracker(), workers=1)
+        established = socket.create_connection(server.address, timeout=5.0)
+        try:
+            warm, _ = raw_request(
+                server.address,
+                {"method": "get_version", "params": {}},
+                sock=established,
+            )
+            assert "result" in warm
+            assert server.drain(timeout=2.0) is True
+        finally:
+            server.close()
+        assert_severed(established)
+        assert not server._workers[0].thread.is_alive()
+
 
 @pytest.mark.timeout(30)
 class TestCloseLeakAccounting:
@@ -366,6 +393,64 @@ class TestCloseLeakAccounting:
         )
         assert leaks.labels(kind="worker").value == 0
         assert leaks.labels(kind="acceptor").value == 0
+
+    @pytest.mark.parametrize("drain_first", [False, True])
+    def test_dispatcher_model_close_wakes_its_acceptor(self, drain_first):
+        """Closing a listening socket does not wake an ``accept()`` blocked
+        in another thread on Linux: ``close()`` used to sit out its whole
+        join timeout and count a spurious acceptor leak."""
+        telemetry = Telemetry()
+        server = AsyncPortalServer(
+            make_itracker(), workers=2, accept_model="dispatcher",
+            telemetry=telemetry,
+        )
+        try:
+            # One served request: the acceptor has been through accept()
+            # once and is parked in it again.
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                warm, _ = raw_request(
+                    server.address, {"method": "get_version", "params": {}}, sock=sock
+                )
+                assert "result" in warm
+            began = time.perf_counter()
+            if drain_first:
+                assert server.drain(timeout=2.0) is True
+                server._acceptor.join(timeout=1.0)
+                assert not server._acceptor.is_alive()
+        finally:
+            server.close()
+        assert time.perf_counter() - began < 1.0
+        assert not server._acceptor.is_alive()
+        leaks = telemetry.registry.counter(
+            "p4p_server_close_leaks_total", "", ("kind",)
+        )
+        assert leaks.labels(kind="acceptor").value == 0
+        assert leaks.labels(kind="worker").value == 0
+
+    def test_connections_racing_close_are_severed_not_leaked(self, caplog):
+        """A connection the listener accepts while ``close()`` is under way
+        used to end as a half-built transport (asyncio asserts when its
+        Server is already closed) or as a handler cancelled before its
+        first step, either way left to the collector -- the ``-X dev``
+        "unclosed transport" warning.  Every such peer is severed by
+        ``close()`` itself, and nothing is logged or warned about."""
+        with warnings.catch_warnings(record=True) as caught, caplog.at_level(
+            "ERROR", logger="asyncio"
+        ):
+            warnings.simplefilter("always")
+            for _ in range(15):
+                server = AsyncPortalServer(make_itracker(), workers=2)
+                socks = [
+                    socket.create_connection(server.address, timeout=5.0)
+                    for _ in range(6)
+                ]
+                server.close()
+                for sock in socks:
+                    assert_severed(sock)
+                del server
+                gc.collect()
+        assert [str(w.message) for w in caught if "unclosed" in str(w.message)] == []
+        assert [record.getMessage() for record in caplog.records] == []
 
 
 class _HandoffRecorder:
