@@ -13,11 +13,9 @@ cover the failure modes the paper's discussion raises:
 * :class:`LoadAudit` -- compares the loads the iTracker believes it
   observed against an independent measurement feed, bounding how far the
   control plane's view of the network has drifted.
-* :class:`ResilienceCounters` -- degradation telemetry from the portal
-  resilience layer (:mod:`repro.portal.resilience`): retries, circuit
-  breaker trips and probes, stale-view serves, validation rejections, and
-  native-selection fallbacks, so operators can see *how* the system is
-  degrading while iTrackers stay off the critical path.
+
+Degradation telemetry from the portal resilience layer is
+:class:`repro.observability.ResilienceCounters`.
 """
 
 from __future__ import annotations
@@ -113,50 +111,6 @@ class UpdateLivenessMonitor:
         if self._last_change_time is None:
             return False
         return now - self._last_change_time > self.expected_period * self.grace_factor
-
-
-@dataclass
-class ResilienceCounters:
-    """Counters the portal resilience layer increments as it degrades.
-
-    One instance is typically shared by a
-    :class:`~repro.portal.resilience.ResilientPortalClient` (which drives
-    ``retries`` .. ``reconnects``) and the selection layer (which drives
-    ``native_fallbacks``); :meth:`snapshot` is the management-plane export.
-
-    :class:`repro.observability.RegistryResilienceCounters` is a drop-in
-    replacement backed by registry gauges: same attribute protocol, but
-    the values also surface through the telemetry exporters and the
-    portal's ``get_metrics`` interface.  Prefer it wherever a
-    :class:`~repro.observability.MetricsRegistry` is already in play.
-    """
-
-    retries: int = 0
-    breaker_trips: int = 0
-    breaker_probes: int = 0
-    stale_serves: int = 0
-    validation_rejections: int = 0
-    unavailable: int = 0
-    reconnects: int = 0
-    native_fallbacks: int = 0
-    busy_backoffs: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "retries": self.retries,
-            "breaker_trips": self.breaker_trips,
-            "breaker_probes": self.breaker_probes,
-            "stale_serves": self.stale_serves,
-            "validation_rejections": self.validation_rejections,
-            "unavailable": self.unavailable,
-            "reconnects": self.reconnects,
-            "native_fallbacks": self.native_fallbacks,
-            "busy_backoffs": self.busy_backoffs,
-        }
-
-    def reset(self) -> None:
-        for key in self.snapshot():
-            setattr(self, key, 0)
 
 
 @dataclass(frozen=True)

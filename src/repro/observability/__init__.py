@@ -51,7 +51,7 @@ from repro.observability.export import (
 from repro.observability.telemetry import (
     NULL_TELEMETRY,
     NullTelemetry,
-    RegistryResilienceCounters,
+    ResilienceCounters,
     Telemetry,
 )
 from repro.observability.dashboard import (
@@ -84,7 +84,7 @@ __all__ = [
     "NullTelemetry",
     "NullTraceBuffer",
     "PROMETHEUS_CONTENT_TYPE",
-    "RegistryResilienceCounters",
+    "ResilienceCounters",
     "Span",
     "Telemetry",
     "TraceBuffer",

@@ -1,4 +1,4 @@
-"""The Telemetry bundle and the registry-backed resilience-counter facade.
+"""The Telemetry bundle and the registry-backed resilience counters.
 
 :class:`Telemetry` is what instrumented components pass around: one
 :class:`~repro.observability.registry.MetricsRegistry` plus one
@@ -6,18 +6,18 @@
 single bundle typically spans a whole process (iTracker + portal server),
 so one ``get_metrics`` scrape sees every layer.
 
-:class:`RegistryResilienceCounters` keeps the attribute protocol of
-:class:`repro.management.monitors.ResilienceCounters` (``counters.retries
-+= 1``, ``counters.breaker_trips = n``, ``snapshot()``, ``reset()``) while
-storing each counter in a registry gauge ``p4p_resilience_<name>`` --
-existing resilience code keeps working unchanged and the values surface
-through the exporters and ``get_metrics`` like every other instrument.
+:class:`ResilienceCounters` is the degradation telemetry of the portal
+resilience layer, read and written as plain attributes
+(``counters.retries += 1``, ``counters.breaker_trips = n``,
+``snapshot()``, ``reset()``) but stored in registry gauges
+``p4p_resilience_<name>``, so the values surface through the exporters
+and ``get_metrics`` like every other instrument.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Union
 
 from repro.observability.export import json_snapshot, prometheus_text
 from repro.observability.registry import (
@@ -74,14 +74,21 @@ class NullTelemetry:
 NULL_TELEMETRY = NullTelemetry()
 
 
-class RegistryResilienceCounters:
-    """Drop-in ``ResilienceCounters`` whose storage is registry gauges.
+class ResilienceCounters:
+    """Counters the portal resilience layer increments as it degrades.
 
-    Gauges (not counters) because the resilience layer *assigns* some
-    fields (``counters.breaker_trips = breaker.trip_count``) as well as
-    incrementing others; a monotonic instrument cannot express the
-    assignment.  ``as_number`` adds an ``as`` label so several resilient
-    clients can share one registry without colliding.
+    One instance is typically shared by a
+    :class:`~repro.portal.resilience.ResilientPortalClient` (which drives
+    ``retries`` .. ``reconnects``) and the selection layer (which drives
+    ``native_fallbacks``); :meth:`snapshot` is the management-plane export.
+
+    Each field is a gauge in ``registry`` -- a private
+    :class:`MetricsRegistry` when none is given, so several clients never
+    collide; ``ResilienceCounters(NULL_REGISTRY)`` reads zeros and drops
+    writes.  Gauges (not counters) because the resilience layer *assigns*
+    some fields (``counters.breaker_trips = breaker.trip_count``) as well
+    as incrementing others; a monotonic instrument cannot express the
+    assignment.
     """
 
     FIELDS = (
@@ -97,68 +104,52 @@ class RegistryResilienceCounters:
     )
 
     def __init__(
-        self,
-        registry: MetricsRegistry,
-        as_number: Optional[int] = None,
+        self, registry: Union[MetricsRegistry, NullRegistry, None] = None
     ) -> None:
-        labelnames = ("as_number",) if as_number is not None else ()
+        if registry is None:
+            registry = MetricsRegistry()
         # One literal registration per gauge: p4plint's TEL001 audits
         # metric names statically, so no f-string name construction here.
         instruments = {
             "retries": registry.gauge(
                 "p4p_resilience_retries",
                 "Transport-failure retries issued by resilient clients.",
-                labelnames,
             ),
             "breaker_trips": registry.gauge(
                 "p4p_resilience_breaker_trips",
                 "Circuit breaker CLOSED->OPEN transitions.",
-                labelnames,
             ),
             "breaker_probes": registry.gauge(
                 "p4p_resilience_breaker_probes",
                 "HALF_OPEN probe attempts.",
-                labelnames,
             ),
             "stale_serves": registry.gauge(
                 "p4p_resilience_stale_serves",
                 "Views served stale while the portal was unreachable.",
-                labelnames,
             ),
             "validation_rejections": registry.gauge(
                 "p4p_resilience_validation_rejections",
                 "Fetched views rejected by validate_view.",
-                labelnames,
             ),
             "unavailable": registry.gauge(
                 "p4p_resilience_unavailable",
                 "Fetches that found no fresh or usable stale view.",
-                labelnames,
             ),
             "reconnects": registry.gauge(
                 "p4p_resilience_reconnects",
                 "New portal connections established.",
-                labelnames,
             ),
             "native_fallbacks": registry.gauge(
                 "p4p_resilience_native_fallbacks",
                 "Selections degraded to native for lack of guidance.",
-                labelnames,
             ),
             "busy_backoffs": registry.gauge(
                 "p4p_resilience_busy_backoffs",
                 "Backoffs honoring a server busy/retry_after hint "
                 "(overload shedding, not counted as breaker failures).",
-                labelnames,
             ),
         }
-        if as_number is not None:
-            gauges = {
-                name: gauge.labels(as_number=as_number)
-                for name, gauge in instruments.items()
-            }
-        else:
-            gauges = {name: gauge.labels() for name, gauge in instruments.items()}
+        gauges = {name: gauge.labels() for name, gauge in instruments.items()}
         object.__setattr__(self, "_gauges", gauges)
 
     def __getattr__(self, name: str) -> Any:

@@ -464,14 +464,14 @@ class AsyncPortalServer(PortalDispatcher):
         current; the only heavyweight step -- recomputing the view after
         a price update -- is offloaded to the executor, where concurrent
         identical requests coalesce onto a single computation.  Nothing
-        here may block, so admission never queues (``may_queue=False``):
-        when the loop lags, arrivals are shed with a busy frame *before*
-        any dispatch work, which is what restores capacity.
+        here may block, so admission never queues: when the loop lags,
+        arrivals are shed with a busy frame *before* any dispatch work,
+        which is what restores capacity.
         """
         governor = self.overload
         admitted = False
         if governor.enabled or governor.draining:
-            outcome = governor.admit(may_queue=False)
+            outcome = governor.admit()
             if outcome.shed:
                 return protocol.busy_error(
                     f"request shed ({outcome.value})",

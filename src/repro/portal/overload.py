@@ -7,10 +7,9 @@ because the portal is slow, so offered load past capacity turns into
 unbounded queueing delay unless the server sheds work explicitly.  This
 module is the decision layer the portal server mounts:
 
-* :class:`AdmissionController` -- a bounded inflight/queue budget with
+* :class:`AdmissionController` -- a bounded inflight budget with
   CoDel-style adaptive shedding.  The controller watches *queueing
-  delay* (the event loop's scheduling lag; in the step-clock scenario,
-  the modelled wait for a slot), not queue length: once the minimum
+  delay* (the event loop's scheduling lag), not queue length: once the
   observed delay stays above ``codel_target`` for ``codel_interval``
   seconds the controller enters a shedding state and drops a
   deterministically increasing fraction of arrivals (1/2, then 3/4,
@@ -35,7 +34,7 @@ module is the decision layer the portal server mounts:
 Everything runs on an injected clock and is deterministic given the
 sequence of (now, delay) observations -- the overload chaos scenario
 (:mod:`repro.simulator.overload`) replays the exact state machines on a
-step clock, bit-for-bit.
+step clock against a modelled event loop, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -68,14 +67,9 @@ class OverloadConfig:
     """
 
     enabled: bool = True
-    #: Concurrent dispatches allowed before arrivals queue (on the
+    #: Concurrent dispatches allowed before arrivals are shed (on the
     #: server a bookkeeping bound: the loop serializes dispatch anyway).
     inflight_budget: int = 64
-    #: Arrivals allowed to wait for a slot before hard shedding.
-    queue_budget: int = 128
-    #: An admitted request never waits longer than this for a slot; a
-    #: longer wait is shed instead (the "bounded queue delay" invariant).
-    max_queue_delay: float = 0.5
     #: CoDel target: tolerable standing queueing delay.
     codel_target: float = 0.05
     #: CoDel interval: delay must stay above target this long before
@@ -108,10 +102,6 @@ class OverloadConfig:
     def __post_init__(self) -> None:
         if self.inflight_budget < 1:
             raise ValueError("inflight_budget must be >= 1")
-        if self.queue_budget < 0:
-            raise ValueError("queue_budget must be >= 0")
-        if self.max_queue_delay <= 0:
-            raise ValueError("max_queue_delay must be positive")
         if self.codel_target <= 0 or self.codel_interval <= 0:
             raise ValueError("codel target/interval must be positive")
         if self.max_shed_level < 1:
@@ -138,19 +128,18 @@ class AdmissionOutcome(str, enum.Enum):
     """What happened to one arrival at the admission gate."""
 
     ADMITTED = "admitted"
-    QUEUED = "queued"  #: may wait for a slot (caller decides how)
-    SHED_QUEUE = "shed_queue"  #: budget exhausted or wait exceeded bound
+    SHED_QUEUE = "shed_queue"  #: inflight budget spent
     SHED_CODEL = "shed_codel"  #: adaptive shedding (delay above target)
     SHED_DRAIN = "shed_drain"  #: server is draining
     SHED_BROWNOUT = "shed_brownout"  #: method disabled during brownout
 
     @property
     def shed(self) -> bool:
-        return self not in (AdmissionOutcome.ADMITTED, AdmissionOutcome.QUEUED)
+        return self is not AdmissionOutcome.ADMITTED
 
 
 class AdmissionController:
-    """Bounded inflight/queue budgets plus CoDel-style adaptive shedding.
+    """A bounded inflight budget plus CoDel-style adaptive shedding.
 
     Thread-safe; every time-dependent decision takes ``now`` explicitly
     (or reads the injected clock), so the same controller runs live
@@ -164,7 +153,6 @@ class AdmissionController:
         self.clock = clock
         self._cv = threading.Condition()
         self._inflight = 0
-        self._queued = 0
         self._draining = False
         # CoDel state: when did the observed delay first exceed target
         # (None: currently below), and since when are we shedding.
@@ -179,19 +167,10 @@ class AdmissionController:
         return self._inflight
 
     @property
-    def queued(self) -> int:
-        return self._queued
-
-    @property
-    def backlog(self) -> int:
-        """Admitted-but-unfinished plus waiting work (drain watches this)."""
-        return self._inflight + self._queued
-
-    @property
     def draining(self) -> bool:
         return self._draining
 
-    def shedding(self, now: Optional[float] = None) -> bool:
+    def shedding(self) -> bool:
         return self._shedding_since is not None
 
     def shed_level(self, now: float) -> int:
@@ -227,22 +206,15 @@ class AdmissionController:
 
     # -- admission ----------------------------------------------------------
 
-    def try_admit(
-        self, now: Optional[float] = None, *, may_queue: bool = False
-    ) -> AdmissionOutcome:
-        """Admit, shed, or (when ``may_queue``) defer one arrival.
-
-        ``QUEUED`` means the caller *may* wait for a slot; it must then
-        finish the hand-off with :meth:`admit_after_wait`.  The
-        non-queueing form (the server: nothing may block the event loop)
-        sheds instead.
-        """
+    def try_admit(self, now: Optional[float] = None) -> AdmissionOutcome:
+        """Admit or shed one arrival; nothing ever waits for a slot (the
+        server: nothing may block the event loop)."""
         if now is None:
             now = self.clock()
         with self._cv:
-            return self._try_admit_locked(now, may_queue)
+            return self._try_admit_locked(now)
 
-    def _try_admit_locked(self, now: float, may_queue: bool) -> AdmissionOutcome:
+    def _try_admit_locked(self, now: float) -> AdmissionOutcome:
         if self._draining:
             return AdmissionOutcome.SHED_DRAIN
         if not self.config.enabled:
@@ -255,50 +227,29 @@ class AdmissionController:
             period = 1 << self.shed_level(now)
             if self._shed_arrivals % period != 0:
                 return AdmissionOutcome.SHED_CODEL
-        if self._inflight < self.config.inflight_budget:
-            # No synthetic zero-delay sample here: the server's
-            # congestion lives in the event loop's run queue, not in
-            # slot occupancy, and only its lag probe may clear the
-            # CoDel state.
-            self._inflight += 1
-            return AdmissionOutcome.ADMITTED
-        if not may_queue or self._queued >= self.config.queue_budget:
+        if self._inflight >= self.config.inflight_budget:
             return AdmissionOutcome.SHED_QUEUE
-        self._queued += 1
-        return AdmissionOutcome.QUEUED
+        # No synthetic zero-delay sample here: the server's congestion
+        # lives in the event loop's run queue, not in slot occupancy,
+        # and only its lag probe may clear the CoDel state.
+        self._inflight += 1
+        return AdmissionOutcome.ADMITTED
 
-    def admit_after_wait(self, now: float, waited: float) -> AdmissionOutcome:
-        """Finish a ``QUEUED`` hand-off after ``waited`` seconds.
-
-        Feeds the wait into the CoDel signal, enforces the hard
-        ``max_queue_delay`` bound, and claims an inflight slot.  The
-        queued reservation is consumed either way.
-        """
-        with self._cv:
-            self._queued -= 1
-            self._observe_locked(now, waited)
-            if self._draining:
-                return AdmissionOutcome.SHED_DRAIN
-            if waited > self.config.max_queue_delay:
-                return AdmissionOutcome.SHED_QUEUE
-            self._inflight += 1
-            return AdmissionOutcome.ADMITTED
-
-    def release(self, now: Optional[float] = None) -> None:
-        """One admitted request finished; wake a waiter if any."""
+    def release(self) -> None:
+        """One admitted request finished; wake a drain waiter if any."""
         with self._cv:
             self._inflight -= 1
             self._cv.notify_all()
 
     # -- drain ---------------------------------------------------------------
 
-    def start_drain(self, now: Optional[float] = None) -> None:
+    def start_drain(self) -> None:
         with self._cv:
             self._draining = True
             self._cv.notify_all()
 
     def wait_drained(self, timeout: float) -> bool:
-        """Block until the backlog reaches zero or ``timeout`` elapses.
+        """Block until no admitted work is left or ``timeout`` elapses.
 
         Uses the *wall* clock for the wait itself (condition variables
         cannot wait on a simulated clock); the simulator checks drain
@@ -306,7 +257,7 @@ class AdmissionController:
         """
         deadline = time.monotonic() + timeout
         with self._cv:
-            while self.backlog > 0:
+            while self._inflight > 0:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
@@ -459,42 +410,35 @@ class OverloadGovernor:
             self._state_gauge.set(float(self.state()))
 
     def _after_decision(self, now: float, outcome: AdmissionOutcome) -> None:
-        self.brownout.update(now, self.admission.shedding(now))
-        if self._admissions is not None and outcome is not AdmissionOutcome.QUEUED:
+        self.brownout.update(now, self.admission.shedding())
+        if self._admissions is not None:
             self._admissions.labels(outcome=outcome.value).inc()
         self._publish_state()
 
     # -- admission ----------------------------------------------------------
 
-    def admit(
-        self, now: Optional[float] = None, *, may_queue: bool = False
-    ) -> AdmissionOutcome:
+    def admit(self, now: Optional[float] = None) -> AdmissionOutcome:
         if now is None:
             now = self.clock()
-        outcome = self.admission.try_admit(now, may_queue=may_queue)
+        outcome = self.admission.try_admit(now)
         self._after_decision(now, outcome)
         return outcome
 
-    def admit_after_wait(self, now: float, waited: float) -> AdmissionOutcome:
-        outcome = self.admission.admit_after_wait(now, waited)
-        self._after_decision(now, outcome)
-        return outcome
-
-    def release(self, now: Optional[float] = None) -> None:
-        self.admission.release(now)
+    def release(self) -> None:
+        self.admission.release()
 
     def observe_delay(self, delay: float, now: Optional[float] = None) -> None:
         if now is None:
             now = self.clock()
         self.admission.observe_delay(now, delay)
-        self.brownout.update(now, self.admission.shedding(now))
+        self.brownout.update(now, self.admission.shedding())
         self._publish_state()
 
     def retry_after(self, outcome: AdmissionOutcome) -> float:
         """The ``retry_after`` hint for one shed decision.
 
-        Queue-budget sheds hint longer than adaptive sheds (the queue is
-        *full*, not merely slow); drain sheds hint the drain bound (the
+        Inflight-budget sheds hint longer than adaptive sheds (the slots
+        are *full*, not merely slow); drain sheds hint the drain bound (the
         listener is going away -- reconnect elsewhere after it).
         """
         base = self.config.retry_after
@@ -540,7 +484,7 @@ class OverloadGovernor:
     # -- drain ---------------------------------------------------------------
 
     def start_drain(self) -> None:
-        self.admission.start_drain(self.clock())
+        self.admission.start_drain()
         self._publish_state()
 
     def wait_drained(self, timeout: Optional[float] = None) -> bool:

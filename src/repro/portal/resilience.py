@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.pdistance import PDistanceMap
+from repro.observability import NULL_REGISTRY, ResilienceCounters
 from repro.portal.client import (
     PortalBusyError,
     PortalClient,
@@ -306,16 +307,6 @@ class ViewSnapshot:
     origin_staleness: Optional[float] = None
 
 
-class _NullCounters:
-    """Stands in when no ResilienceCounters instance is wired up."""
-
-    def __getattr__(self, name: str) -> Any:  # pragma: no cover - trivial
-        return 0
-
-    def __setattr__(self, name: str, value: Any) -> None:  # pragma: no cover
-        pass
-
-
 class ResilientPortalClient:
     """A :class:`PortalClient` that survives portal faults.
 
@@ -335,7 +326,7 @@ class ResilientPortalClient:
       ``stale_ttl`` seconds, after which :class:`PortalUnavailable` is
       raised so callers degrade to native selection (Sec. 5.3).
 
-    ``counters`` (a :class:`repro.management.monitors.ResilienceCounters`)
+    ``counters`` (a :class:`repro.observability.ResilienceCounters`)
     receives retry/trip/stale/rejection telemetry when provided.
     """
 
@@ -351,7 +342,7 @@ class ResilientPortalClient:
         clock: Clock = time.monotonic,
         sleep: Optional[SleepFn] = None,
         rng: Optional[random.Random] = None,
-        counters: Optional[Any] = None,
+        counters: Optional[ResilienceCounters] = None,
         client_factory: Callable[..., PortalClient] = PortalClient,
         tracer: Optional[Any] = None,
         deadline_budget: Optional[float] = None,
@@ -371,7 +362,9 @@ class ResilientPortalClient:
         # from the portal address, so each client's jitter stream is
         # reproducible yet decorrelated across different portals.
         self._rng = rng if rng is not None else random.Random(f"p4p:{host}:{port}")
-        self.counters = counters if counters is not None else _NullCounters()
+        self.counters = (
+            counters if counters is not None else ResilienceCounters(NULL_REGISTRY)
+        )
         #: Optional :class:`repro.observability.Tracer`: resilience
         #: decisions (retries, backoff, breaker rejections, stale serves)
         #: become span events on the active trace, and the underlying

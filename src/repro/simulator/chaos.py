@@ -62,7 +62,7 @@ from repro.network.library import abilene
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
 from repro.observability import (
-    RegistryResilienceCounters,
+    ResilienceCounters,
     Telemetry,
     Tracer,
     assemble_traces,
@@ -451,7 +451,7 @@ def run_chaos(
             clock=clock, trace_capacity=16384, trace_namespace="chaos"
         )
         sim.telemetry = telemetry
-        counters = RegistryResilienceCounters(telemetry.registry)
+        counters = ResilienceCounters(telemetry.registry)
         # Head sampling off: only ticks that trip an invariant (tagged
         # ``error`` below) survive the export policy, so the attached
         # failure traces stay small no matter how long the run is.
@@ -667,7 +667,7 @@ def run_chaos(
             fault_schedule_factory() if fault_schedule_factory is not None else None
         ),
     )
-    counters: RegistryResilienceCounters = extras["counters"]
+    counters: ResilienceCounters = extras["counters"]
     counters.native_fallbacks = extras["native_fallbacks"]
     chaos_telemetry: Telemetry = extras["telemetry"]
     # Transport errors during crash/partition windows are *expected* and

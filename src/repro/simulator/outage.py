@@ -34,7 +34,7 @@ from repro.apptracker.selection import (
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
 from repro.core.pdistance import PDistanceMap
 from repro.network.library import abilene
-from repro.observability import RegistryResilienceCounters, Telemetry
+from repro.observability import ResilienceCounters, Telemetry
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
 from repro.portal.aserver import AsyncPortalServer
@@ -183,7 +183,7 @@ def run_portal_outage(
     # seconds, so the stale-age distribution is deterministic across runs.
     telemetry = Telemetry(clock=lambda: engine.now)
     sim.telemetry = telemetry
-    counters = RegistryResilienceCounters(telemetry.registry)
+    counters = ResilienceCounters(telemetry.registry)
     stale_age_hist = telemetry.registry.histogram(
         "p4p_sim_stale_age_seconds",
         "Age of stale views served during the outage (simulated seconds).",

@@ -5,20 +5,25 @@ not slow down because the portal is slow (PAPER.md Sec. 5's
 ``get_pdistance``-per-join traffic), so offered load past capacity turns
 into unbounded queueing delay unless the server sheds explicitly.  This
 module replays exactly the admission/brownout/drain state machines the
-live servers mount (:mod:`repro.portal.overload` on an injected step
-clock -- the same objects, not a model of them) against a seeded Poisson
-arrival process, next to an *unprotected* twin fed the identical
-arrivals, and checks the overload invariants:
+server mounts (:mod:`repro.portal.overload` on an injected step clock --
+the same objects, not a model of them) against a model of where the
+server is congested: its event loop.  Every request waits its turn in
+one FIFO; the governor decides it when the loop reaches it, an admitted
+request then holds the loop for ``1 / capacity_qps`` seconds and a shed
+costs nothing (the busy frame is cheap).  A lag probe waits in the same
+FIFO and feeds its own wait to the CoDel signal, as the server's
+per-worker probe does.  An *unprotected* twin -- M/D/1, every request
+eventually served -- sees the identical arrivals.  Invariants:
 
-* **bounded queue delay** -- no admitted request waited longer than
-  ``max_queue_delay`` for its execution slot;
 * **bounded admitted p99** -- the p99 latency of *served* requests stays
-  within the structural bound (slot wait cap + service time), while the
-  unprotected twin's p99 collapses (queue delay grows with the horizon);
+  within :func:`p99_bound`, which depends on the spec and the control
+  law's constants but not on the horizon;
 * **goodput floor** -- served throughput before the drain stays at or
   above ``goodput_floor`` of capacity: shedding pays for itself;
 * **breaker non-flapping** -- a client classifying ``busy`` frames as
   non-failures never trips its circuit breaker, no matter the shed rate;
+* **unprotected collapse** -- the twin's p99 is well past the protected
+  one (the load really is past capacity);
 * **monotone drain** -- once :meth:`~repro.portal.overload.
   OverloadGovernor.start_drain` fires, the backlog never grows and
   reaches zero within ``drain_timeout``.
@@ -35,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -48,21 +54,20 @@ from repro.portal.overload import (
 from repro.portal.resilience import CircuitBreaker
 from repro.workloads.loadgen import percentile
 
-#: Event-kind ordering at equal timestamps: completions free slots before
-#: the drain flips state before new arrivals contend -- fixed so ties on
-#: the heap cannot reorder between runs.
-_COMPLETION, _DRAIN, _ARRIVAL = 0, 1, 2
+#: Event-kind ordering at equal timestamps: a completion frees the loop
+#: before the drain flips state before new work joins the FIFO -- fixed
+#: so ties on the heap cannot reorder between runs.
+_COMPLETION, _DRAIN, _ENQUEUE = 0, 1, 2
+#: What waits in the loop's FIFO.
+_REQUEST, _PROBE = 0, 1
 
 
 def default_overload_config() -> OverloadConfig:
-    """The scenario's protected-server configuration: budgets small
-    enough that 2x capacity visibly sheds within a few simulated
-    seconds, bounds tight enough that the invariants bite."""
+    """The scenario's protected-server configuration: a control law
+    quick enough that 2x capacity visibly sheds within a few simulated
+    seconds, and brownout/drain bounds tight enough that they bite."""
     return OverloadConfig(
         enabled=True,
-        inflight_budget=4,
-        queue_budget=16,
-        max_queue_delay=0.2,
         codel_target=0.03,
         codel_interval=0.1,
         retry_after=0.25,
@@ -77,18 +82,14 @@ class OverloadScenarioSpec:
     """One seeded overload scenario: everything the replay needs."""
 
     seed: int = 0
-    #: The protected server's nominal capacity (requests/second): the
-    #: inflight budget divided by the deterministic per-request service
-    #: time, by construction below.
+    #: The event loop's service rate (requests/second): every admitted
+    #: request holds the loop for ``1 / capacity_qps`` seconds.
     capacity_qps: float = 200.0
     #: Offered load as a multiple of capacity (the 2x of the acceptance
     #: criteria).
     multiple: float = 2.0
     #: Seconds of scheduled arrivals.
     duration: float = 8.0
-    #: Per-request deadline budget carried by every arrival (None: no
-    #: deadlines): work whose slot wait already exceeds it is abandoned.
-    deadline_budget: Optional[float] = 0.15
     #: Simulation time at which the graceful drain starts (None: never).
     drain_at: Optional[float] = 6.0
     #: Served-throughput floor, as a fraction of capacity.
@@ -104,16 +105,34 @@ class OverloadScenarioSpec:
             raise ValueError("duration must be positive")
         if not 0 < self.goodput_floor <= 1:
             raise ValueError("goodput_floor must be in (0, 1]")
-        if self.deadline_budget is not None and self.deadline_budget <= 0:
-            raise ValueError("deadline_budget must be positive when set")
         if self.drain_at is not None and not 0 < self.drain_at < self.duration:
             raise ValueError("drain_at must fall inside the duration")
 
     @property
     def service_time(self) -> float:
-        """Deterministic per-request service time: ``inflight_budget``
-        concurrent slots at this service time give ``capacity_qps``."""
-        return self.config.inflight_budget / self.capacity_qps
+        """Loop time one admitted request holds."""
+        return 1.0 / self.capacity_qps
+
+
+def p99_bound(spec: OverloadScenarioSpec) -> float:
+    """The served-p99 bound the control law must hold at ``spec``.
+
+    A served request waits behind at most the work that arrived since
+    the loop last ran below ``codel_target``: ``multiple`` seconds of
+    loop time per second.  That stretch ends within ``level + 2`` CoDel
+    intervals, where ``level`` is the first shed level whose admitted
+    share ``multiple / 2**level`` is under capacity -- one interval to
+    confirm the delay, ``level - 1`` to escalate, two for the probe
+    seeing onset and relief behind the backlog it measures.  The bound
+    does not grow with the horizon; an unprotected loop's delay does.
+
+    Over seeds 0-9 the default control law stays at or under 0.85 of
+    this bound from 1.1x to 10x capacity.  At 12x it fails: one probe
+    under target clears shedding entirely, and the admitted share then
+    exceeds capacity.
+    """
+    level = math.floor(math.log2(max(spec.multiple, 1.0))) + 1
+    return spec.multiple * spec.config.codel_interval * (level + 2)
 
 
 @dataclass(frozen=True)
@@ -141,20 +160,15 @@ def _poisson_arrivals(rng: random.Random, rate: float, horizon: float) -> List[f
         arrivals.append(t)
 
 
-def _unprotected_latencies(
-    arrivals: List[float], servers: int, service_time: float
-) -> List[float]:
-    """FIFO M/D/c with an unbounded queue: what the same arrival process
-    does to a server with no admission control (every request eventually
+def _unprotected_latencies(arrivals: List[float], service_time: float) -> List[float]:
+    """FIFO M/D/1 with an unbounded queue: what the same arrival process
+    does to a loop with no admission control (every request eventually
     served, queueing delay growing with the horizon)."""
-    free = [0.0] * servers
-    heapq.heapify(free)
+    free = 0.0
     latencies: List[float] = []
     for at in arrivals:
-        start = max(at, heapq.heappop(free))
-        done = start + service_time
-        heapq.heappush(free, done)
-        latencies.append(done - at)
+        free = max(at, free) + service_time
+        latencies.append(free - at)
     return latencies
 
 
@@ -174,102 +188,90 @@ def run_overload(spec: OverloadScenarioSpec) -> OverloadReport:
     # trip_count staying zero is the non-flapping invariant.
     breaker = CircuitBreaker(failure_threshold=5, clock=lambda: now[0])
 
-    events: List[Tuple[float, int, int, float]] = []
-    seq = 0
-    for at in arrivals:
-        events.append((at, _ARRIVAL, seq, at))
-        seq += 1
-    if spec.drain_at is not None:
-        events.append((spec.drain_at, _DRAIN, seq, spec.drain_at))
-        seq += 1
-    heapq.heapify(events)
+    # Arrivals are already in time order, so the list is a valid heap.
+    events: List[Tuple[float, int, int, Any]] = [
+        (at, _ENQUEUE, seq, _REQUEST) for seq, at in enumerate(arrivals)
+    ]
+    seq = len(events)
 
-    waiters: Deque[float] = deque()
+    def push(at: float, kind: int, item: Any) -> None:
+        nonlocal seq
+        heapq.heappush(events, (at, kind, seq, item))
+        seq += 1
+
+    if spec.drain_at is not None:
+        push(spec.drain_at, _DRAIN, None)
+    # The probe task starts with the loop: its first timer fires one
+    # probe interval in.
+    push(config.probe_interval, _ENQUEUE, _PROBE)
+
+    fifo: Deque[Tuple[int, float]] = deque()
+    busy = False
+    # Requests neither shed nor served yet; the probe re-arms only
+    # while some remain, so the event heap runs dry.
+    pending = len(arrivals)
     outcome_counts: Dict[str, int] = {}
     served_latencies: List[float] = []
     served_completions: List[float] = []
-    admitted_waits: List[float] = []
-    deadline_drops = 0
     state_peaks = {governor.state()}
     drain_started: Optional[float] = None
     drain_completed: Optional[float] = None
     drain_backlog_grew = False
     backlog_at_drain = 0
 
-    def count(outcome: AdmissionOutcome) -> None:
-        outcome_counts[outcome.value] = outcome_counts.get(outcome.value, 0) + 1
-
-    def promote() -> None:
-        """Hand freed slots to FIFO waiters (shedding stale/drained ones)."""
-        nonlocal deadline_drops, seq
-        while waiters and (
-            governor.draining
-            or governor.admission.inflight < config.inflight_budget
-        ):
-            arrival = waiters.popleft()
-            waited = now[0] - arrival
-            outcome = governor.admit_after_wait(now[0], waited)
-            count(outcome)
-            if outcome is not AdmissionOutcome.ADMITTED:
+    def run_loop() -> None:
+        """Work through the FIFO until an admitted request holds the loop."""
+        nonlocal busy, pending
+        while not busy and fifo:
+            item, enqueued = fifo.popleft()
+            if item == _PROBE:
+                governor.observe_delay(now[0] - enqueued, now=now[0])
+                if pending:
+                    push(now[0] + config.probe_interval, _ENQUEUE, _PROBE)
                 continue
-            if spec.deadline_budget is not None and waited >= spec.deadline_budget:
-                # Admitted, but the caller already gave up: the server
-                # abandons the work instead of computing-then-discarding.
-                governor.release()
-                deadline_drops += 1
-                continue
-            admitted_waits.append(waited)
-            heapq.heappush(
-                events, (now[0] + service, _COMPLETION, seq, arrival)
-            )
-            seq += 1
-
-    while events:
-        at, kind, _, payload = heapq.heappop(events)
-        now[0] = at
-        if kind == _ARRIVAL:
-            outcome = governor.admit(at, may_queue=True)
+            outcome = governor.admit(now[0])
+            outcome_counts[outcome.value] = outcome_counts.get(outcome.value, 0) + 1
             if outcome is AdmissionOutcome.ADMITTED:
-                count(outcome)
-                admitted_waits.append(0.0)
-                heapq.heappush(events, (at + service, _COMPLETION, seq, payload))
-                seq += 1
-            elif outcome is AdmissionOutcome.QUEUED:
-                waiters.append(payload)
+                busy = True
+                push(now[0] + service, _COMPLETION, enqueued)
             else:
-                count(outcome)
                 # A busy frame: the well-behaved client backs off without
                 # recording a breaker failure.
+                pending -= 1
+
+    while events:
+        at, kind, _, item = heapq.heappop(events)
+        now[0] = at
+        if kind == _ENQUEUE:
+            fifo.append((item, at))
         elif kind == _COMPLETION:
             governor.release()
-            served_latencies.append(at - payload)
+            busy = False
+            pending -= 1
+            served_latencies.append(at - item)
             served_completions.append(at)
             breaker.record_success()
-            promote()
         else:  # _DRAIN
             governor.start_drain()
             drain_started = at
-            backlog_at_drain = governor.admission.backlog
-            promote()
+            backlog_at_drain = governor.admission.inflight
+        run_loop()
         state_peaks.add(governor.state())
         if drain_started is not None:
-            backlog = governor.admission.backlog
+            backlog = governor.admission.inflight
             if backlog > backlog_at_drain:
                 drain_backlog_grew = True
             backlog_at_drain = min(backlog_at_drain, backlog)
             if backlog == 0 and drain_completed is None:
                 drain_completed = at
 
-    unprotected = _unprotected_latencies(
-        arrivals, config.inflight_budget, service
-    )
+    unprotected = _unprotected_latencies(arrivals, service)
     goodput_window = drain_started if drain_started is not None else spec.duration
     served_in_window = sum(1 for done in served_completions if done <= goodput_window)
     goodput = served_in_window / goodput_window
     admitted_p99 = percentile(sorted(served_latencies), 0.99)
     unprotected_p99 = percentile(sorted(unprotected), 0.99)
-    max_wait = max(admitted_waits) if admitted_waits else 0.0
-    latency_bound = config.max_queue_delay + service + 1e-9
+    latency_bound = p99_bound(spec)
 
     violations: List[Violation] = []
 
@@ -277,12 +279,6 @@ def run_overload(spec: OverloadScenarioSpec) -> OverloadReport:
         if not ok:
             violations.append(Violation(invariant=invariant, detail=detail))
 
-    check(
-        "bounded-queue-delay",
-        max_wait <= config.max_queue_delay + 1e-9,
-        f"admitted slot wait {max_wait:.6f}s exceeds "
-        f"max_queue_delay {config.max_queue_delay}s",
-    )
     check(
         "bounded-admitted-p99",
         admitted_p99 <= latency_bound,
@@ -326,21 +322,19 @@ def run_overload(spec: OverloadScenarioSpec) -> OverloadReport:
             "capacity_qps": spec.capacity_qps,
             "multiple": spec.multiple,
             "duration": spec.duration,
-            "deadline_budget": spec.deadline_budget,
             "drain_at": spec.drain_at,
             "goodput_floor": spec.goodput_floor,
-            "inflight_budget": config.inflight_budget,
-            "queue_budget": config.queue_budget,
-            "max_queue_delay": config.max_queue_delay,
+            "codel_target": config.codel_target,
+            "codel_interval": config.codel_interval,
+            "probe_interval": config.probe_interval,
             "service_time": round(service, 9),
+            "p99_bound": round(latency_bound, 9),
         },
         "arrivals": len(arrivals),
         "protected": {
             "outcomes": dict(sorted(outcome_counts.items())),
             "served": len(served_latencies),
-            "deadline_drops": deadline_drops,
             "goodput_qps": round(goodput, 6),
-            "admitted_wait_max": round(max_wait, 9),
             "latency_p50": round(
                 percentile(sorted(served_latencies), 0.50), 9
             ),
@@ -388,7 +382,8 @@ def format_overload(report: OverloadReport) -> str:
         f"({doc['spec']['multiple']:g}x capacity, {doc['arrivals']} arrivals)",
         f"  protected:   served {protected['served']:>6}  "
         f"goodput {protected['goodput_qps']:8.1f} qps  "
-        f"p99 {protected['latency_p99'] * 1000.0:8.3f}ms  "
+        f"p99 {protected['latency_p99'] * 1000.0:8.3f}ms "
+        f"(bound {doc['spec']['p99_bound'] * 1000.0:.0f}ms)  "
         f"breaker trips {protected['breaker_trips']}",
         f"  unprotected: served {unprotected['served']:>6}  "
         f"p99 {unprotected['latency_p99'] * 1000.0:8.3f}ms",

@@ -12,7 +12,7 @@ import pytest
 
 from repro.apptracker.selection import P4PSelection, PeerInfo, RandomSelection
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
-from repro.management.monitors import ResilienceCounters
+from repro.observability import ResilienceCounters
 from repro.network.library import abilene
 from repro.portal.client import PortalClient, PortalClientError, PortalTransportError
 from repro.portal.faults import (

@@ -9,8 +9,9 @@ import pytest
 from repro.observability import (
     MetricError,
     MetricsRegistry,
+    NULL_REGISTRY,
     NULL_TELEMETRY,
-    RegistryResilienceCounters,
+    ResilienceCounters,
     Telemetry,
     TraceBuffer,
     flatten_snapshot,
@@ -272,7 +273,7 @@ class TestTracing:
 class TestResilienceFacade:
     def test_attribute_protocol_matches_dataclass(self):
         registry = MetricsRegistry()
-        counters = RegistryResilienceCounters(registry)
+        counters = ResilienceCounters(registry)
         counters.retries += 1
         counters.retries += 1
         counters.breaker_trips = 7
@@ -284,35 +285,35 @@ class TestResilienceFacade:
 
     def test_values_surface_in_exporters(self):
         registry = MetricsRegistry()
-        counters = RegistryResilienceCounters(registry)
+        counters = ResilienceCounters(registry)
         counters.stale_serves += 3
         text = prometheus_text(registry)
         assert "p4p_resilience_stale_serves 3" in text
 
     def test_per_as_label(self):
-        registry = MetricsRegistry()
-        a = RegistryResilienceCounters(registry, as_number=100)
-        b = RegistryResilienceCounters(registry, as_number=200)
+        """Each AS's resilient client keeps its own counters: without a
+        shared registry every instance stores into a private one."""
+        a = ResilienceCounters()
+        b = ResilienceCounters()
         a.retries += 5
         b.retries += 1
         assert a.retries == 5
         assert b.retries == 1
-        text = prometheus_text(registry)
-        assert 'p4p_resilience_retries{as_number="100"} 5' in text
 
     def test_drop_in_for_resilient_client(self):
-        """The facade satisfies the exact usage pattern of the resilience
-        layer: attribute increments and assignments, no method calls."""
-        from repro.management.monitors import ResilienceCounters
-
-        registry = MetricsRegistry()
-        facade = RegistryResilienceCounters(registry)
-        reference = ResilienceCounters()
-        for counters in (facade, reference):
+        """Shared, private and null registries all satisfy the exact usage
+        pattern of the resilience layer: attribute increments and
+        assignments, no method calls."""
+        shared = ResilienceCounters(MetricsRegistry())
+        private = ResilienceCounters()
+        null = ResilienceCounters(NULL_REGISTRY)
+        for counters in (shared, private, null):
             counters.retries += 1
             counters.breaker_trips = 2
             counters.stale_serves += 1
-        assert facade.snapshot() == reference.snapshot()
+        assert shared.snapshot() == private.snapshot()
+        assert private.snapshot()["breaker_trips"] == 2
+        assert set(null.snapshot().values()) == {0}
 
 
 class TestNullTelemetry:
@@ -340,7 +341,7 @@ class TestDashboard:
             ("method",),
             buckets=(0.001, 0.01),
         ).labels(method="get_version").observe(0.005)
-        RegistryResilienceCounters(registry).retries += 4
+        ResilienceCounters(registry).retries += 4
         for i in range(3):
             span = telemetry.traces.start("itracker.price_update")
             span.set(supergradient_norm=10.0 / (i + 1), version=i + 1)

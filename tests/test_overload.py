@@ -7,11 +7,12 @@ socket-level integration of the same machinery lives in
 ``tests/test_portal_overload.py``.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.management.monitors import ResilienceCounters
+from repro.observability import ResilienceCounters
 from repro.portal.client import PortalBusyError
 from repro.portal.overload import (
     STATE_BROWNOUT,
@@ -32,7 +33,9 @@ from repro.portal.resilience import (
 )
 from repro.simulator.overload import (
     OverloadScenarioSpec,
+    default_overload_config,
     format_overload,
+    p99_bound,
     run_overload,
 )
 
@@ -52,8 +55,6 @@ def config(**overrides):
     defaults = dict(
         enabled=True,
         inflight_budget=2,
-        queue_budget=2,
-        max_queue_delay=0.5,
         codel_target=0.05,
         codel_interval=0.1,
         retry_after=0.25,
@@ -69,8 +70,6 @@ class TestOverloadConfig:
     def test_validation_rejects_nonsense(self):
         for bad in (
             dict(inflight_budget=0),
-            dict(queue_budget=-1),
-            dict(max_queue_delay=0.0),
             dict(codel_target=-1.0),
             dict(max_shed_level=0),
             dict(retry_after=0.0),
@@ -90,33 +89,16 @@ class TestOverloadConfig:
 
 
 class TestAdmissionController:
-    def test_admits_within_budget_then_queues_then_sheds(self):
+    def test_admits_within_budget_then_sheds(self):
         clock = StepClock()
         ctl = AdmissionController(config(), clock=clock)
         assert ctl.try_admit(0.0) is AdmissionOutcome.ADMITTED
         assert ctl.try_admit(0.0) is AdmissionOutcome.ADMITTED
-        # Budget full: non-queueing callers are shed outright ...
+        # Budget full: the next arrival is shed outright, nothing waits.
         assert ctl.try_admit(0.0) is AdmissionOutcome.SHED_QUEUE
-        # ... queueing callers park, up to the queue budget.
-        assert ctl.try_admit(0.0, may_queue=True) is AdmissionOutcome.QUEUED
-        assert ctl.try_admit(0.0, may_queue=True) is AdmissionOutcome.QUEUED
-        assert ctl.try_admit(0.0, may_queue=True) is AdmissionOutcome.SHED_QUEUE
-        assert ctl.inflight == 2 and ctl.queued == 2 and ctl.backlog == 4
-
-    def test_admit_after_wait_enforces_the_delay_bound(self):
-        clock = StepClock()
-        ctl = AdmissionController(config(), clock=clock)
-        ctl.try_admit(0.0)
-        ctl.try_admit(0.0)
-        assert ctl.try_admit(0.0, may_queue=True) is AdmissionOutcome.QUEUED
+        assert ctl.inflight == 2
         ctl.release()
-        # Within the bound: the waiter gets the slot.
-        assert ctl.admit_after_wait(0.1, waited=0.1) is AdmissionOutcome.ADMITTED
-        assert ctl.try_admit(0.2, may_queue=True) is AdmissionOutcome.QUEUED
-        ctl.release()
-        # Past the bound: shed even though a slot is free.
-        assert ctl.admit_after_wait(0.9, waited=0.9) is AdmissionOutcome.SHED_QUEUE
-        assert ctl.inflight == 1 and ctl.queued == 0
+        assert ctl.try_admit(0.1) is AdmissionOutcome.ADMITTED
 
     def test_codel_shedding_enters_after_sustained_delay(self):
         clock = StepClock()
@@ -156,13 +138,12 @@ class TestAdmissionController:
         clock = StepClock()
         ctl = AdmissionController(config(), clock=clock)
         ctl.try_admit(0.0)
-        ctl.start_drain(0.0)
+        ctl.start_drain()
         assert ctl.draining
         assert ctl.try_admit(0.1) is AdmissionOutcome.SHED_DRAIN
-        assert ctl.try_admit(0.1, may_queue=True) is AdmissionOutcome.SHED_DRAIN
-        assert ctl.backlog == 1
+        assert ctl.inflight == 1
         ctl.release()
-        assert ctl.backlog == 0
+        assert ctl.inflight == 0
         assert ctl.wait_drained(timeout=0.1) is True
 
 
@@ -267,6 +248,44 @@ class TestOverloadScenario:
         goodput = doc["protected"]["goodput_qps"]
         assert goodput >= 0.7 * doc["spec"]["capacity_qps"]
 
+    @pytest.mark.parametrize("multiple", [2.0, 4.0])
+    def test_seeds_hold_every_invariant(self, multiple):
+        for seed in range(10):
+            report = run_overload(
+                OverloadScenarioSpec(seed=seed, multiple=multiple)
+            )
+            assert report.violations == (), (seed, report.violations)
+
+    @pytest.mark.parametrize("multiple", [2.0, 4.0])
+    def test_disabled_protection_violates_the_invariants(self, multiple):
+        """The planted regression: a governor that never sheds lets the
+        loop's queue grow with the horizon, and the scenario says so."""
+        spec = OverloadScenarioSpec(
+            multiple=multiple,
+            config=dataclasses.replace(default_overload_config(), enabled=False),
+        )
+        report = run_overload(spec)
+        assert "bounded-admitted-p99" in {v.invariant for v in report.violations}
+        assert report.document["protected"]["latency_p99"] > p99_bound(spec)
+
+    @pytest.mark.parametrize("multiple", [2.0, 4.0])
+    def test_protected_p99_is_flat_in_the_horizon(self, multiple):
+        def p99s(duration):
+            doc = run_overload(
+                OverloadScenarioSpec(
+                    multiple=multiple, duration=duration, drain_at=None
+                )
+            ).document
+            return (
+                doc["protected"]["latency_p99"],
+                doc["unprotected"]["latency_p99"],
+            )
+
+        short_protected, short_unprotected = p99s(8.0)
+        long_protected, long_unprotected = p99s(32.0)
+        assert long_protected <= 2.0 * short_protected
+        assert long_unprotected >= 3.0 * short_unprotected
+
     def test_drain_completes_within_bound(self):
         report = run_overload(OverloadScenarioSpec(seed=1))
         drain = report.document["protected"]["drain"]
@@ -296,7 +315,6 @@ class TestOverloadScenario:
             dict(multiple=-1.0),
             dict(duration=0.0),
             dict(goodput_floor=0.0),
-            dict(deadline_budget=0.0),
             dict(drain_at=99.0),
         ):
             with pytest.raises(ValueError):

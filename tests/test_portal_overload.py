@@ -1,10 +1,10 @@
 """Socket-level tests for overload control on the portal server.
 
-Admission shedding, deadline enforcement, brownout degradation,
-connection governance, graceful drain, and close-leak accounting, all
-against live servers over real sockets.  The pure state-machine tests
-live in ``tests/test_overload.py``; admission shedding under real load
-is ``benchmarks/test_perf_overload.py``.
+Admission shedding (inflight budget and loop-lag CoDel), deadline
+enforcement, brownout degradation, connection governance, graceful
+drain, and close-leak accounting, all against live servers over real
+sockets.  The pure state-machine tests and the seeded overload scenario
+live in ``tests/test_overload.py``.
 """
 
 import gc
@@ -107,6 +107,55 @@ class TestAdmission:
                 "p4p_portal_admission_total", "", ("outcome",)
             ).labels(outcome="shed_queue")
             assert sheds.value == 1
+
+    def test_loop_lag_engages_codel_shedding(self):
+        """Handlers that hold the event loop make it lag; the lag probe
+        feeds that to CoDel, and arrivals are shed with busy frames."""
+        topo = abilene()
+
+        class SlowLookupITracker(ITracker):
+            def lookup_pid(self, ip):
+                time.sleep(0.005)  # runs on the loop: holds it
+                return super().lookup_pid(ip)
+
+        config = OverloadConfig(
+            enabled=True, codel_target=0.01, codel_interval=0.05, retry_after=0.01
+        )
+        telemetry = Telemetry()
+        sheds = telemetry.registry.counter(
+            "p4p_portal_admission_total", "", ("outcome",)
+        ).labels(outcome="shed_codel")
+        busy = []
+        stop = threading.Event()
+        with AsyncPortalServer(
+            SlowLookupITracker(topology=topo, pid_map=uniform_pid_map(topo)),
+            workers=1,
+            telemetry=telemetry,
+            overload=config,
+        ) as server:
+
+            def hammer():
+                # Closed loop without think time: eight of these keep
+                # the loop's queue eight handlers (~40 ms) deep.
+                with PortalClient(*server.address) as client:
+                    while not stop.is_set():
+                        try:
+                            client.lookup_pid("10.0.0.9")
+                        except PortalBusyError as exc:
+                            busy.append(exc)
+
+            clients = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            deadline = time.monotonic() + 10.0
+            while sheds.value == 0 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            stop.set()
+            for thread in clients:
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+        assert sheds.value > 0
+        assert busy and all(exc.retry_after is not None for exc in busy)
 
 
 @pytest.mark.timeout(30)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.apptracker.selection import P4PSelection, PeerInfo, RandomSelection
 from repro.core.pdistance import PDistanceMap
-from repro.management.monitors import ResilienceCounters
+from repro.observability import ResilienceCounters
 from repro.portal.client import (
     DiscoveryError,
     Integrator,
@@ -562,7 +562,9 @@ class TestSelectionFallback:
 
 class TestCounters:
     def test_snapshot_and_reset(self):
-        counters = ResilienceCounters(retries=2, stale_serves=1)
+        counters = ResilienceCounters()
+        counters.retries = 2
+        counters.stale_serves = 1
         snap = counters.snapshot()
         assert snap["retries"] == 2 and snap["stale_serves"] == 1
         counters.reset()
