@@ -23,9 +23,10 @@ The executor is the fuzzer's judgement layer.  Given a spec it runs:
   failure.
 
 Each run also emits a **coverage** set -- which invariant checks, chaos
-event kinds, engine code paths (full-solve / incremental / compaction),
-health-ladder states, failover endpoints, and rejection categories the
-run reached -- which is what drives corpus retention in the fuzzer.
+event kinds, engine code paths (full-solve / incremental / incremental
+over several closures / compaction), health-ladder states, failover
+endpoints, and rejection categories the run reached -- which is what
+drives corpus retention in the fuzzer.
 
 **Planted regressions** (:data:`PLANTS`) let the tests and the CI smoke
 job prove the whole pipeline end to end: each plant wraps one layer with
@@ -254,6 +255,8 @@ class Executor:
                 coverage.append("diff:path:full")
             if engine_stats.incremental_solves:
                 coverage.append("diff:path:incremental")
+            if engine_stats.multi_closure_solves:
+                coverage.append("diff:path:multi-closure")
             if engine_stats.compactions:
                 coverage.append("diff:path:compaction")
             if report.capped_flows:

@@ -14,8 +14,8 @@ One engine runs every simulation, and one reference checks it:
   (a COO sparse flow x link matrix with lazy deletion and periodic
   compaction), flow state lives in reusable array slots, and each
   arrival/completion only re-solves the links transitively affected (the
-  dirty component), falling back to a single whole-network vector solve
-  when the dirty set grows past a threshold.
+  dirty closures), falling back to a single whole-network vector solve
+  when one closure grows past a threshold.
 * :class:`FlowNetwork` -- the reference oracle (and the base class holding
   the link registry).  Between rate recomputations the per-flow remaining
   sizes live in a numpy array so advancing the clock is vectorized, but
@@ -293,6 +293,9 @@ class EngineStats:
 
     full_solves: int = 0
     incremental_solves: int = 0
+    #: Incremental solves whose dirty links spanned two or more closures
+    #: that carry flows.
+    multi_closure_solves: int = 0
     dirty_flows_last: int = 0
     dirty_flows_peak: int = 0
     compactions: int = 0
@@ -323,14 +326,16 @@ class VectorizedFlowNetwork(FlowNetwork):
       needed to expand a dirty link set into its closed component.
 
     Invalidation rule: an arrival or departure marks exactly the flow's
-    links dirty.  At the next query the dirty links are expanded to
-    transitive closure (links of flows on dirty links, and so on); because
-    the closure shares no link with the rest of the network, re-solving it
-    in isolation with full link capacities reproduces the global max-min
-    allocation.  When the closure exceeds ``dirty_flow_floor`` +
-    ``dirty_flow_fraction`` x active flows, expansion is abandoned and one
-    whole-network vector solve (no Python per-flow work) runs instead --
-    that path is bit-identical to the scalar engine's allocation.
+    links dirty.  At the next query each dirty link is expanded to its
+    transitive closure (links of flows on dirty links, and so on), one
+    closure at a time; because no closure shares a link with the rest of
+    the network, re-solving the union of the closures in isolation with
+    full link capacities -- one kernel call -- reproduces the global
+    max-min allocation.  When any single closure exceeds
+    ``dirty_flow_floor`` + ``dirty_flow_fraction`` x active flows,
+    expansion is abandoned and one whole-network vector solve (no Python
+    per-flow work) runs instead -- that path is bit-identical to the
+    scalar engine's allocation.
     """
 
     def __init__(
@@ -592,7 +597,7 @@ class VectorizedFlowNetwork(FlowNetwork):
             dirty = self.n_flows
         else:
             self._full_streak = 0
-            links, slots = component
+            links, slots, spanned = component
             self._solve_component(links, slots)
             mode = "incremental"
             dirty = len(slots)
@@ -602,6 +607,8 @@ class VectorizedFlowNetwork(FlowNetwork):
             stats.full_solves += 1
         else:
             stats.incremental_solves += 1
+            if spanned > 1:
+                stats.multi_closure_solves += 1
         stats.dirty_flows_last = dirty
         stats.dirty_flows_peak = max(stats.dirty_flows_peak, dirty)
         if self._m_solves is not None:
@@ -609,61 +616,72 @@ class VectorizedFlowNetwork(FlowNetwork):
             self._m_dirty.observe(dirty)
             self._m_latency.observe(self._perf_clock() - started)
 
-    def _collect_component(self) -> Optional[Tuple[Set[int], Set[int]]]:
-        """Expand dirty links to their closed component, or None if too big."""
+    def _collect_component(self) -> Optional[Tuple[Set[int], Set[int], int]]:
+        """Expand the dirty links closure by closure.
+
+        Returns the union of the closures' links and slots and how many of
+        the closures carry flows, or None as soon as any *one* closure
+        holds more flows than the dirty limit.
+        """
         limit = self._dirty_floor + int(self._dirty_fraction * self.n_flows)
-        seen_links = set(self._dirty_links)
-        stack = list(seen_links)
+        seen_links: Set[int] = set()
         seen_slots: Set[int] = set()
         link_flows = self._link_flows
         slot_flow = self._slot_flow
-        while stack:
-            link = stack.pop()
-            for slot in link_flows[link]:
-                if slot in seen_slots:
-                    continue
-                seen_slots.add(slot)
-                if len(seen_slots) > limit:
-                    return None
-                for other in slot_flow[slot].link_indices:
-                    if other not in seen_links:
-                        seen_links.add(other)
-                        stack.append(other)
-        return seen_links, seen_slots
+        closures = 0
+        for root in self._dirty_links:
+            if root in seen_links:
+                continue  # inside a closure already expanded
+            seen_links.add(root)
+            stack = [root]
+            size = 0
+            while stack:
+                link = stack.pop()
+                for slot in link_flows[link]:
+                    if slot in seen_slots:
+                        continue
+                    seen_slots.add(slot)
+                    size += 1
+                    if size > limit:
+                        return None
+                    for other in slot_flow[slot].link_indices:
+                        if other not in seen_links:
+                            seen_links.add(other)
+                            stack.append(other)
+            if size:
+                closures += 1
+        return seen_links, seen_slots, closures
 
     def _solve_component(self, links: Set[int], slots: Set[int]) -> None:
-        link_list = sorted(links)
+        link_arr = np.fromiter(links, dtype=np.intp, count=len(links))
         if not slots:
             # The dirty links went idle (last crossing flow left).
-            self._link_rates[link_list] = 0.0
+            self._link_rates[link_arr] = 0.0
             return
-        slot_list = sorted(slots)
-        link_pos = {link: local for local, link in enumerate(link_list)}
-        slot_flow = self._slot_flow
-        lengths = []
-        flat: List[int] = []
-        for slot in slot_list:
-            indices = slot_flow[slot].link_indices
-            lengths.append(len(indices))
-            for link in indices:
-                flat.append(link_pos[link])
-        n = len(slot_list)
-        link_of = np.asarray(flat, dtype=np.intp)
-        flow_of = np.repeat(np.arange(n, dtype=np.intp), lengths)
-        caps = self._s_cap[slot_list]
-        # Components are small (bounded by the dirty limit).  Measured on
-        # access-shaped components: the plain bincount fill is 5-8 us
-        # ahead of the grouped fill's fixed set-up below ~16 flows, level
-        # at 16-32, and behind above (1.2x at 128 flows, 1.5x at 512).
-        # The two are bit-identical, so routing by size is a pure speed
-        # choice -- left for its own change (ROADMAP).
-        rates = _progressive_fill(
-            link_of, flow_of, self._caps()[link_list], n, caps
+        slot_arr = np.fromiter(slots, dtype=np.intp, count=len(slots))
+        n = slot_arr.size
+        # Closure-local ids by gather over the entry store: the extra
+        # trailing -1 maps a tombstone (slot -1) to "not in a closure".
+        # Local ids follow set order and entries store order; the fill's
+        # bits depend on neither.
+        slot_pos = np.full(len(self._slot_flow) + 1, -1, dtype=np.intp)
+        slot_pos[slot_arr] = np.arange(n, dtype=np.intp)
+        link_pos = np.zeros(self.n_links, dtype=np.intp)
+        link_pos[link_arr] = np.arange(link_arr.size, dtype=np.intp)
+        mark = self._e_count
+        flow_of = slot_pos[self._e_slot[:mark]]
+        inside = flow_of >= 0
+        flow_of = flow_of[inside]
+        link_of = link_pos[self._e_link[:mark][inside]]
+        # The closures share no link, so one fill over their union is the
+        # global max-min on every one of them.
+        rates = _progressive_fill_fast(
+            link_of, flow_of, self._caps()[link_arr], n, self._s_cap[slot_arr]
         )
-        self._s_rate[slot_list] = rates
+        self._s_rate[slot_arr] = rates
         finite = np.where(np.isfinite(rates), rates, 0.0)
-        self._link_rates[link_list] = np.bincount(
-            link_of, weights=finite[flow_of], minlength=len(link_list)
+        self._link_rates[link_arr] = np.bincount(
+            link_of, weights=finite[flow_of], minlength=link_arr.size
         )
 
     def _solve_full(self) -> None:

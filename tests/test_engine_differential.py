@@ -211,3 +211,82 @@ def test_full_path_replay_bit_identical_to_scalar():
     # slot order the kernel sees relative to flow-id order.
     assert len(vector._slot_flow) <= slots_at_peak + 4
     assert scalar._next_flow_id > 10 * slots_at_peak
+
+
+def test_disjoint_closures_over_the_limit_together_stay_incremental():
+    """Two dirty PoP closures, each under the dirty limit, their union over
+    it: the solve re-rates both in one incremental pass (the limit applies
+    per closure) and still matches the reference after every event."""
+    rng = random.Random(28)
+    limit = 8
+    scalar = FlowNetwork()
+    vector = VectorizedFlowNetwork(dirty_flow_floor=limit, dirty_flow_fraction=0.0)
+    pops = []
+    for pop in range(4):
+        # Every flow of a PoP crosses its metro link: one closure per PoP.
+        metro = scalar.add_link(("metro", pop), rng.uniform(20.0, 40.0))
+        vector.add_link(("metro", pop), scalar.capacity(metro))
+        ups, downs = [], []
+        for peer in range(4):
+            for side, group, capacity in (("up", ups, 10.0), ("down", downs, 20.0)):
+                group.append(scalar.add_link((side, pop, peer), capacity))
+                vector.add_link((side, pop, peer), capacity)
+        pops.append((metro, ups, downs))
+    live = {pop: [] for pop in range(len(pops))}
+
+    def start(pop):
+        metro, ups, downs = pops[pop]
+        src, dst = rng.sample(range(len(ups)), 2)
+        links = [ups[src], metro, downs[dst]]
+        size = rng.uniform(1.0, 6.0)
+        cap = rng.uniform(2.0, 12.0) if rng.random() < 0.5 else None
+        flow = scalar.start_flow(links, size, meta=pop, rate_cap=cap)
+        assert vector.start_flow(links, size, meta=pop, rate_cap=cap).flow_id == flow.flow_id
+        live[pop].append(flow.flow_id)
+
+    def check():
+        when = scalar.next_completion()
+        assert vector.next_completion() == pytest.approx(when, rel=1e-9, abs=1e-9)
+        scalar._flush()
+        vector._flush()
+        v_rates = {flow.flow_id: flow.rate for flow in vector.flows()}
+        s_rates = {flow.flow_id: flow.rate for flow in scalar.flows()}
+        assert v_rates.keys() == s_rates.keys()
+        for flow_id, rate in s_rates.items():
+            assert v_rates[flow_id] == pytest.approx(rate, rel=1e-9, abs=1e-12)
+        for index in range(scalar.n_links):
+            assert vector.utilization(index) == pytest.approx(
+                scalar.utilization(index), rel=1e-9, abs=1e-12
+            )
+        return when
+
+    for pop in live:
+        for _ in range(6):
+            start(pop)
+    check()
+    now = 0.0
+    for _ in range(80):
+        # Churn two PoPs at once: one departure and one arrival in each.
+        for pop in rng.sample(sorted(live), 2):
+            victim = live[pop].pop(rng.randrange(len(live[pop])))
+            assert scalar.abort_flow(victim).flow_id == victim
+            assert vector.abort_flow(victim).flow_id == victim
+            start(pop)
+        before = (vector.stats.incremental_solves, vector.stats.multi_closure_solves)
+        when = check()
+        assert vector.stats.incremental_solves == before[0] + 1
+        assert vector.stats.multi_closure_solves == before[1] + 1
+        assert vector.stats.dirty_flows_last > limit  # the union alone is too big
+        now = min(when, now + 0.25)
+        scalar.advance(now)
+        vector.advance(now)
+        done = [flow.flow_id for flow in scalar.pop_finished()]
+        assert [flow.flow_id for flow in vector.pop_finished()] == done
+        for flow in done:
+            for pop, flows in live.items():
+                if flow in flows:
+                    flows.remove(flow)
+                    start(pop)
+        check()
+    assert vector.stats.full_solves == 0
+    assert vector.stats.multi_closure_solves >= 80

@@ -347,6 +347,106 @@ def test_fast_fill_independent_of_entry_order(seed):
     assert np.array_equal(in_order, shuffled)
 
 
+def _closure_union(rng, n_flows):
+    """Kernel input shaped like the engine's incremental solve: the union of
+    disjoint PoP closures (up/down access links, sometimes a shared metro
+    link), renumbered to closure-local ids in an arbitrary (set) order,
+    entries in store order -- each flow's links together, flows in arrival
+    order rather than by id.  Some flows are capped, a few cross no link."""
+    capacities, flow_links, caps = [], [], []
+    while len(flow_links) < n_flows:
+        n_peers = rng.randint(2, 12)
+        up = [len(capacities) + i for i in range(n_peers)]
+        capacities.extend(rng.uniform(5.0, 15.0) for _ in range(n_peers))
+        down = [len(capacities) + i for i in range(n_peers)]
+        capacities.extend(rng.uniform(10.0, 30.0) for _ in range(n_peers))
+        metro = None
+        if rng.random() < 0.5:
+            metro = len(capacities)
+            capacities.append(rng.uniform(20.0, 200.0))
+        for _ in range(min(n_flows - len(flow_links), rng.randint(1, 3 * n_peers))):
+            src, dst = rng.sample(range(n_peers), 2)
+            links = [up[src], down[dst]]
+            if metro is not None and rng.random() < 0.5:
+                links.append(metro)
+            flow_links.append([] if rng.random() < 0.05 else links)
+            caps.append(rng.uniform(1.0, 25.0) if rng.random() < 0.4 else None)
+    link_ids = list(range(len(capacities)))
+    flow_ids = list(range(n_flows))
+    rng.shuffle(link_ids)
+    rng.shuffle(flow_ids)
+    local_caps = np.empty(len(capacities))
+    local_caps[link_ids] = capacities
+    flow_caps = np.empty(n_flows)
+    flow_caps[flow_ids] = [np.inf if cap is None else cap for cap in caps]
+    link_of = [link_ids[link] for links in flow_links for link in links]
+    flow_of = [flow_ids[flow] for flow, links in enumerate(flow_links) for _ in links]
+    return (
+        np.asarray(link_of, dtype=np.intp),
+        np.asarray(flow_of, dtype=np.intp),
+        local_caps,
+        n_flows,
+        flow_caps,
+    )
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize(
+    "n_flows", [1, 2, 3, 5, 8, 12, 16, 24, 32, 48, 64, 96, 128, 256, 512]
+)
+def test_fast_fill_closure_shaped_inputs(n_flows, seed):
+    """Every incremental solve hands the kernel its closures in this shape,
+    at every size: the kernel must return the reference fill's bits across
+    what used to be the 16-32-flow crossover between the two fills."""
+    rng = random.Random(56_000 + 1_000 * seed + n_flows)
+    link_of, flow_of, capacities, n, caps = _closure_union(rng, n_flows)
+    rates = _assert_fast_equals_reference(link_of, flow_of, capacities, n, caps)
+    assert rates.shape == (n_flows,)
+
+
+def test_engine_closure_solves_get_the_reference_bits(monkeypatch):
+    """The kernel's inputs as the engine really builds them -- gathered
+    from the entry store after slot reuse and tombstones, one call per
+    solve over several closures -- give the reference fill's bits."""
+    import repro.simulator.tcp as tcp
+
+    calls = []
+
+    def checked(link_of, flow_of, capacities, n_flows, caps):
+        calls.append(n_flows)
+        return _assert_fast_equals_reference(link_of, flow_of, capacities, n_flows, caps)
+
+    monkeypatch.setattr(tcp, "_progressive_fill_fast", checked)
+    rng = random.Random(57)
+    net = tcp.VectorizedFlowNetwork(dirty_flow_floor=40, dirty_flow_fraction=0.0)
+    pops = []
+    for pop in range(5):
+        ups = [net.add_link(("up", pop, i), rng.uniform(5.0, 15.0)) for i in range(6)]
+        downs = [net.add_link(("down", pop, i), rng.uniform(10.0, 30.0)) for i in range(6)]
+        pops.append((ups, downs))
+
+    def start():
+        ups, downs = rng.choice(pops)
+        src, dst = rng.sample(range(6), 2)
+        cap = rng.uniform(1.0, 12.0) if rng.random() < 0.4 else None
+        net.start_flow([ups[src], downs[dst]], rng.uniform(0.5, 4.0), rate_cap=cap)
+
+    for _ in range(60):
+        start()
+    for _ in range(300):
+        net.advance(net.next_completion())
+        for _ in net.pop_finished():
+            start()
+        if rng.random() < 0.3:
+            net.abort_flow(rng.choice(list(net.flows())).flow_id)
+            start()
+    assert net.stats.full_solves == 0
+    assert net.stats.multi_closure_solves > 0
+    assert net.stats.compactions > 0
+    assert len(calls) == net.stats.incremental_solves
+    assert max(calls) > 16 and min(calls) < 16
+
+
 def test_rates_scale_with_capacity():
     """Doubling every capacity doubles every uncapped rate (scale-freeness)."""
     rng = random.Random(5)
