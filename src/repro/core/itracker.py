@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -58,11 +59,12 @@ class ITrackerConfig:
         mode: Price assignment mode.
         update_period: Seconds between dynamic price updates (``T``).
         step_size: ``mu`` of the super-gradient update in dynamic mode.
-        perturbation: Relative privacy noise applied to the external view
-            (0 disables).
+        perturbation: Relative privacy noise applied to the external view,
+            in ``[0, 1)`` (0 disables).
         serve_ranks: Serve the coarse rank degradation instead of raw
             p-distances (the 'coarsest level' use case).
-        intra_pid_distance: ``p_ii`` reported for intra-PID transfers.
+        intra_pid_distance: ``p_ii`` reported for intra-PID transfers
+            (finite, >= 0).
         charging_quantile: q of the percentile charging model.
     """
 
@@ -79,8 +81,10 @@ class ITrackerConfig:
             raise ValueError("update_period must be positive")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        if self.perturbation < 0:
-            raise ValueError("perturbation must be >= 0")
+        if not 0 <= self.perturbation < 1:
+            raise ValueError("perturbation must be in [0, 1)")
+        if not (math.isfinite(self.intra_pid_distance) and self.intra_pid_distance >= 0):
+            raise ValueError("intra_pid_distance must be finite and >= 0")
         if not 0 < self.charging_quantile <= 1:
             raise ValueError("charging_quantile must be in (0, 1]")
 

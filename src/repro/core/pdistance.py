@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
 
@@ -124,20 +126,27 @@ def external_view(
         cost_offsets: Optional additive per-link costs (e.g. ``d_e`` for the
             BDP objective, yielding ``p_e + d_e`` per eq. 15).
         intra_pid_distance: ``p_ii`` reported for every visible PID.
+
+    Routes are summed as arrays over the routing table's
+    :meth:`~repro.network.routing.RoutingTable.hop_index`; every value
+    is bit-identical to adding up its route link by link.
     """
     offsets = cost_offsets or {}
-    pids = tuple(topology.aggregation_pids)
-    distances: Dict[Tuple[str, str], float] = {}
-    for src in pids:
-        distances[(src, src)] = intra_pid_distance
-        for dst in pids:
-            if src == dst:
-                continue
-            total = 0.0
-            for key in routing.route(src, dst):
-                total += link_prices.get(key, 0.0) + offsets.get(key, 0.0)
-            distances[(src, dst)] = total
-    return PDistanceMap(pids=pids, distances=distances)
+    index = routing.hop_index(topology.aggregation_pids)
+    links = index.links
+    prices = np.fromiter((link_prices.get(key, 0.0) for key in links), float, len(links))
+    extra = np.fromiter((offsets.get(key, 0.0) for key in links), float, len(links))
+    # ``p_e + offset_e`` per link, then the zero-cost slot that pads routes.
+    cost = np.append(prices + extra, 0.0)
+    # Summed hop by hop from a zero start, in route order: the same float
+    # additions, in the same order, as summing each route in a loop.
+    total = np.zeros(len(index.pairs))
+    for hop in index.hops:
+        total += cost[hop]
+    values = total.tolist()
+    for position in index.diagonal:
+        values[position] = intra_pid_distance
+    return PDistanceMap(pids=index.pids, distances=dict(zip(index.pairs, values)))
 
 
 @dataclass

@@ -9,13 +9,20 @@ The optimization framework needs, for every ordered PID pair ``(i, j)``:
 Routes are computed with Dijkstra over OSPF weights.  Ties are broken
 deterministically (lexicographically smallest predecessor PID) so that
 repeated runs -- and therefore simulations and benchmarks -- are reproducible.
+
+:meth:`RoutingTable.hop_index` lays the routes of a full PID mesh out as
+arrays (:class:`RouteHopIndex`), so that summing a per-link quantity over
+every route is a handful of array gathers instead of a loop over pairs.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.network.topology import Link, Topology
 
@@ -31,6 +38,30 @@ class NoRouteError(Exception):
         self.dst = dst
 
 
+@dataclass(frozen=True, eq=False)
+class RouteHopIndex:
+    """The routes of a full PID mesh as arrays.
+
+    ``pairs`` runs per source: the diagonal ``(src, src)`` first, then
+    every other PID in ``pids`` order -- the layout of the external
+    view.  ``hops[h, k]`` is the position in ``links`` of the ``h``-th
+    link on the route of ``pairs[k]``; routes shorter than the longest
+    (and the diagonal, which has none) are padded with ``len(links)``,
+    a slot the caller prices at zero.
+    """
+
+    pids: Tuple[str, ...]
+    pairs: Tuple[Tuple[str, str], ...]
+    links: Tuple[LinkKey, ...]
+    hops: np.ndarray
+
+    @property
+    def diagonal(self) -> range:
+        """Positions of the ``(src, src)`` pairs in ``pairs``."""
+        n = len(self.pids)
+        return range(0, n * n, n)
+
+
 @dataclass
 class RoutingTable:
     """All-pairs shortest-path routes for one topology.
@@ -42,6 +73,9 @@ class RoutingTable:
     topology: Topology
     _routes: Dict[Tuple[str, str], Tuple[LinkKey, ...]] = field(default_factory=dict)
     _distance: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    _hop_index: Optional[RouteHopIndex] = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, topology: Topology) -> "RoutingTable":
@@ -128,6 +162,47 @@ class RoutingTable:
         for _, hop_dst in self.route(src, dst):
             pids.append(hop_dst)
         return pids
+
+    def hop_index(self, pids: Sequence[str]) -> RouteHopIndex:
+        """The :class:`RouteHopIndex` of the full mesh over ``pids``.
+
+        Built on first use and kept for the most recent ``pids`` (the
+        table never changes, so neither does the index).  Raises
+        :class:`NoRouteError` when any pair is disconnected.
+        """
+        pids = tuple(pids)
+        index = self._hop_index
+        if index is not None and index.pids == pids:
+            return index
+        pairs: List[Tuple[str, str]] = []
+        routes: List[Tuple[LinkKey, ...]] = []
+        for src in pids:
+            pairs.append((src, src))
+            routes.append(())
+            for dst in pids:
+                if dst != src:
+                    pair = (src, dst)
+                    route = self._routes.get(pair)
+                    if route is None:
+                        raise NoRouteError(src, dst)
+                    pairs.append(pair)
+                    routes.append(route)
+        hop_keys = list(chain.from_iterable(routes))
+        links = tuple(dict.fromkeys(hop_keys))
+        position = {key: slot for slot, key in enumerate(links)}
+        lengths = np.fromiter(map(len, routes), np.intp, len(routes))
+        hops = np.full(
+            (int(lengths.max(initial=0)), len(routes)), len(links), dtype=np.intp
+        )
+        # The h-th hop of route k: row h, column k.
+        rows = np.arange(len(hop_keys)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        columns = np.repeat(np.arange(len(routes)), lengths)
+        hops[rows, columns] = np.fromiter(
+            map(position.__getitem__, hop_keys), np.intp, len(hop_keys)
+        )
+        index = RouteHopIndex(pids=pids, pairs=tuple(pairs), links=links, hops=hops)
+        self._hop_index = index
+        return index
 
     def indicator_matrix(
         self, pids: Optional[Sequence[str]] = None

@@ -55,7 +55,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.itracker import ITracker
-from repro.core.pdistance import PDistanceMap
 from repro.observability import SLO, Telemetry
 from repro.portal import alto, protocol
 from repro.portal.dispatch import PortalDispatcher
@@ -523,9 +522,7 @@ class AsyncPortalServer(PortalDispatcher):
         publisher = self.publisher
         snapshot = publisher.snapshot(stale_ok=self.overload.brownout_active)
         if pids is None:
-            return publisher.document(
-                snapshot, "pdistances", protocol.pdistance_to_wire
-            )
+            return publisher.pdistances_document(snapshot)
         if self.itracker.serves_raw_views:
             return publisher.spliced_pdistances(snapshot, pids)
         return protocol.pdistance_to_wire(publisher.finish(snapshot, pids))
@@ -535,17 +532,15 @@ class AsyncPortalServer(PortalDispatcher):
         pids = params.get("pids")
         publisher = self.publisher
         snapshot = publisher.snapshot(stale_ok=self.overload.brownout_active)
-
-        def build(view: PDistanceMap) -> Dict[str, Any]:
-            return alto.cost_map_document(
-                view, mode=mode, map_vtag=f"p4p-{snapshot.key[1]}"
-            )
-
         if pids is None:
-            return publisher.document(snapshot, f"costmap-{mode}", build)
+            return publisher.costmap_document(snapshot, mode)
         if mode == alto.NUMERICAL and self.itracker.serves_raw_views:
             return publisher.spliced_costmap(snapshot, pids)
-        return build(publisher.finish(snapshot, pids))
+        return alto.cost_map_document(
+            publisher.finish(snapshot, pids),
+            mode=mode,
+            map_vtag=f"p4p-{snapshot.key[1]}",
+        )
 
     # -- lifecycle ---------------------------------------------------------
 

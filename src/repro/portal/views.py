@@ -24,6 +24,11 @@ the serving plane's hot path:
   view computation, k replies).  Publication swaps a single reference,
   so a reader never observes a half-built snapshot.
 
+* :class:`MeshLayout` -- what depends on the PID list alone: the
+  external-view pair order, and the encoded text between the numbers of
+  the two full-mesh documents.  Built once and handed from each
+  published snapshot to the next.
+
 Degradations (privacy perturbation, rank coarsening) are applied per
 request *after* restriction via :meth:`~repro.core.itracker.ITracker.
 finish_view`, seeded by the snapshot's version -- the same order and
@@ -31,15 +36,21 @@ seed the iTracker uses inline, which is what keeps the cached path
 bit-identical to the reference dispatcher's.
 
 The snapshot also memoises the *encoded* full-mesh documents
-(:meth:`ViewPublisher.document`): an unrestricted read is the same bytes
-for every caller until the next publication, so the rows are walked and
-serialised once per generation, by the first request that asks, and the
-memo is dropped with the snapshot.  Restricted responses are not kept --
-their footprints differ per swarm and nobody has measured a hit rate --
-but what they are made of is: the first read to touch a source row in a
-generation encodes that row's cells (:meth:`ViewPublisher.cells`), and a
-restricted read whose view needs no degradation is those cells' shared
-``[src, dst, value]`` triples and bytes, looked up and joined
+(:meth:`ViewPublisher.pdistances_document`, :meth:`~ViewPublisher.
+costmap_document`): an unrestricted read is the same bytes for every
+caller until the next publication, so they are built once per
+generation, by the first request that asks, and the memo is dropped
+with the snapshot.  A full view in the layout's order -- raw or
+perturbed -- gets ``get_pdistances`` and the numerical cost map in one
+pass (:meth:`MeshLayout.encode`): every value is encoded once and
+spliced between the layout's text for both documents.  Ranked views
+and the ordinal cost map are built by the reference ``pdistance_to_wire``
+/ ``alto.cost_map_document`` and encoded.  Restricted responses are not
+kept -- their footprints differ per swarm and nobody has measured a hit
+rate -- but what they are made of is: the first read to touch a source
+row in a generation encodes that row's cells (:meth:`ViewPublisher.
+cells`), and a restricted read whose view needs no degradation is those
+cells' shared ``[src, dst, value]`` triples and bytes, looked up and joined
 (:meth:`ViewPublisher.spliced_pdistances`, :meth:`~ViewPublisher.
 spliced_costmap`).  Perturbation and ranks are functions of the
 restricted *set* (noise is drawn in restricted iteration order, ranks
@@ -55,7 +66,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.itracker import ITracker
 from repro.core.pdistance import PDistanceMap
-from repro.portal import alto
+from repro.portal import alto, protocol
 from repro.portal.protocol import EncodedDocument, encode_json
 
 #: How long a coalesced reader waits on the in-flight computation before
@@ -64,31 +75,132 @@ from repro.portal.protocol import EncodedDocument, encode_json
 COALESCE_TIMEOUT = 60.0
 
 
+#: The memo names of the two documents :meth:`MeshLayout.encode` builds.
+MESH_DOCUMENTS = ("pdistances", f"costmap-{alto.NUMERICAL}")
+
+
+class MeshLayout:
+    """The full mesh over ``pids`` in external-view order, and the
+    encoded text around every number of its two full-mesh documents.
+
+    :attr:`pairs` runs per source: the intra-PID ``(src, src)`` entry
+    first, then every other PID in PID order -- the way
+    :func:`~repro.core.pdistance.external_view` lays a view out.
+    Nothing here depends on the values, so one layout serves every
+    generation of a portal's views.
+    """
+
+    def __init__(self, pids: Sequence[str]) -> None:
+        self.pids = tuple(pids)
+        n = len(self.pids)
+        names = [encode_json(pid) for pid in self.pids]
+        # Each source row's destinations as PID positions: diagonal first.
+        order = [[i] + [j for j in range(n) if j != i] for i in range(n)]
+        #: Destinations of each source row, in view order.
+        self.rows = [tuple(self.pids[j] for j in row) for row in order]
+        self.pairs = [(self.pids[i], self.pids[j]) for i in range(n) for j in order[i]]
+        # A document is its parts joined, with the numbers in the odd
+        # slots: head, (text, number) per value, tail.
+        self._pdistances = [b""] * (2 * n * n + 2)
+        self._pdistances[0] = b'{"pids":%b,"distances":[' % encode_json(
+            list(self.pids)
+        )
+        heads = [b"],[" + name + b"," for name in names]
+        dsts = [name + b"," for name in names]
+        self._pdistances[1:-1:2] = [heads[i] + dsts[j] for i in range(n) for j in order[i]]
+        if n:
+            self._pdistances[1] = self._pdistances[1][2:]  # no "]," before the first
+        self._pdistances[-1] = b"]]}" if n else b"]}"
+        # The cost map runs rows and members in PID order, so its k-th
+        # value is the view's ``_costmap_order[k]``-th.
+        self._costmap_order = [
+            i * n + (0 if j == i else j + 1 if j < i else j)
+            for i in range(n)
+            for j in range(n)
+        ]
+        members = [b"," + name + b":" for name in names]
+        self._costmap = [b""] * (2 * n * n + 2)  # the head carries the version
+        self._costmap[1:-1:2] = members * n
+        for i, name in enumerate(names):  # each row opens on its first member
+            self._costmap[1 + 2 * n * i] = (
+                (b"}," if i else b"") + name + b":{" + members[0][1:]
+            )
+        self._costmap[-1] = b"}}}" if n else b"}}"
+
+    def ordered(self, view: PDistanceMap) -> bool:
+        """True when ``view``'s entries run exactly in :attr:`pairs` order."""
+        return tuple(view.pids) == self.pids and list(view.distances) == self.pairs
+
+    def encode(
+        self, view: PDistanceMap, version: int
+    ) -> Tuple[EncodedDocument, EncodedDocument]:
+        """``pdistance_to_wire(view)`` and ``alto.cost_map_document(view)``
+        in numerical mode tagged with ``version`` -- the
+        :data:`MESH_DOCUMENTS` -- for a view in this layout.
+
+        Every value is encoded once, for both documents, and spliced
+        between the layout's text: byte for byte what encoding the
+        reference builders' documents gives.
+        """
+        values = list(view.distances.values())
+        numbers = encode_json(values)[1:-1].split(b",") if values else []
+        pids = list(self.pids)
+        parts = self._pdistances[:]
+        parts[2:-1:2] = numbers
+        pdistances = EncodedDocument(
+            {
+                "pids": pids,
+                "distances": [
+                    [src, dst, value] for (src, dst), value in zip(self.pairs, values)
+                ],
+            },
+            b"".join(parts),
+        )
+        order = self._costmap_order
+        meta = alto.cost_map_meta(alto.NUMERICAL, f"p4p-{version}")
+        parts = self._costmap[:]
+        parts[0] = b'{"meta":%b,"cost-map":{' % encode_json(meta)
+        parts[2:-1:2] = map(numbers.__getitem__, order)
+        in_pid_order = list(map(values.__getitem__, order))
+        n = len(pids)
+        costmap = EncodedDocument(
+            {
+                "meta": meta,
+                "cost-map": {
+                    src: dict(zip(pids, in_pid_order[i * n : (i + 1) * n]))
+                    for i, src in enumerate(pids)
+                },
+            },
+            b"".join(parts),
+        )
+        return pdistances, costmap
+
+
 class ShardedView:
     """One immutable external view, split into one row per source PID.
 
     ``src -> {dst: value}``.  The view must be a full mesh laid out the
-    way :func:`~repro.core.pdistance.external_view` lays it out -- per
-    source, the intra-PID ``(src, src)`` entry first, then every other
-    PID in PID order -- which is checked here once, so that a
+    way :func:`~repro.core.pdistance.external_view` lays it out (its
+    :class:`MeshLayout`), which is checked here once, so that a
     restriction to k PIDs can be read off as k lookups per kept row (the
     diagonal, then the other kept PIDs in order) and still be
     byte-identical to ``view.restricted_to``.
     """
 
-    def __init__(self, view: PDistanceMap) -> None:
+    def __init__(self, view: PDistanceMap, layout: Optional[MeshLayout] = None) -> None:
+        if layout is None or layout.pids != tuple(view.pids):
+            layout = MeshLayout(view.pids)
+        if not layout.ordered(view):
+            raise ValueError("view is not a full mesh in external-view order")
         self.view = view
-        rows: Dict[str, Dict[str, float]] = {pid: {} for pid in view.pids}
-        for (src, dst), value in view.distances.items():
-            rows[src][dst] = value
-        pids = list(view.pids)
-        for index, (src, row) in enumerate(rows.items()):
-            if list(row) != [src] + pids[:index] + pids[index + 1:]:
-                raise ValueError(
-                    f"row {src!r} is not a full-mesh row in external-view order"
-                )
-        self._rows = rows
-        self._rank = {pid: index for index, pid in enumerate(pids)}
+        self.layout = layout
+        values = list(view.distances.values())
+        n = len(view.pids)
+        self._rows = {
+            src: dict(zip(dsts, values[i * n : (i + 1) * n]))
+            for i, (src, dsts) in enumerate(zip(view.pids, layout.rows))
+        }
+        self._rank = {pid: index for index, pid in enumerate(view.pids)}
 
     def row(self, src: str) -> Dict[str, float]:
         """``{dst: value}`` of one source, in the view's insertion order."""
@@ -238,6 +350,8 @@ class ViewPublisher:
                 if self._served_published is not None:
                     self._served_published.inc()
                 return snapshot
+            # The PID layout outlives generations (rebuilt if the PIDs change).
+            layout = None if snapshot is None else snapshot.sharded.layout
             existing = self._inflight.get(key)
             if existing is None:
                 future = Future()
@@ -251,7 +365,7 @@ class ViewPublisher:
                 self._served_coalesced.inc()
             return future.result(timeout=COALESCE_TIMEOUT)
         try:
-            snapshot = self._compute(key)
+            snapshot = self._compute(key, layout)
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(key, None)
@@ -268,7 +382,9 @@ class ViewPublisher:
         future.set_result(snapshot)
         return snapshot
 
-    def _compute(self, key: Tuple[int, int]) -> _Snapshot:
+    def _compute(
+        self, key: Tuple[int, int], layout: Optional[MeshLayout]
+    ) -> _Snapshot:
         telemetry = self._telemetry
         if telemetry is not None:
             traces = telemetry.traces
@@ -276,7 +392,7 @@ class ViewPublisher:
         else:
             traces = span = None
         raw = self.itracker.view_snapshot()
-        sharded = ShardedView(raw)
+        sharded = ShardedView(raw, layout)
         full = self.itracker.finish_view(raw, version=key[1])
         if traces is not None and span is not None:
             span.set(pids=len(raw.pids))
@@ -327,26 +443,56 @@ class ViewPublisher:
         restricted = snapshot.sharded.restricted(pids)
         return self.itracker.finish_view(restricted, version=snapshot.key[1])
 
-    def document(
+    def pdistances_document(self, snapshot: _Snapshot) -> EncodedDocument:
+        """``pdistance_to_wire`` of ``snapshot``'s full view."""
+        return self._document(
+            snapshot, "pdistances", lambda: protocol.pdistance_to_wire(snapshot.full)
+        )
+
+    def costmap_document(self, snapshot: _Snapshot, mode: str) -> EncodedDocument:
+        """``alto.cost_map_document`` of ``snapshot``'s full view in
+        ``mode``, tagged with the snapshot's version."""
+        return self._document(
+            snapshot,
+            f"costmap-{mode}",
+            lambda: alto.cost_map_document(
+                snapshot.full, mode=mode, map_vtag=f"p4p-{snapshot.key[1]}"
+            ),
+        )
+
+    def _document(
         self,
         snapshot: _Snapshot,
         name: str,
-        build: Callable[[PDistanceMap], Dict[str, Any]],
+        reference: Callable[[], Dict[str, Any]],
     ) -> EncodedDocument:
         """The wire document ``name`` of ``snapshot``'s full view, built
         and encoded by the first caller and shared by every later one.
 
-        No lock: two workers missing at once both build the same bytes
-        and one assignment wins, which costs a duplicate build once per
+        A full view in the snapshot's layout gets both documents of
+        :meth:`MeshLayout.encode` at once; any other view (ranks) or
+        document (ordinal cost map) is ``reference()``, encoded.  No
+        lock: two workers missing at once both build the same bytes and
+        one assignment wins, which costs a duplicate build once per
         generation instead of a lock acquisition per read.
         """
         document = snapshot.documents.get(name)
-        if document is None:
-            document = EncodedDocument(build(snapshot.full))
-            snapshot.documents[name] = document
+        if document is not None:
+            return document
+        sharded, full = snapshot.sharded, snapshot.full
+        if name in MESH_DOCUMENTS and (
+            full is sharded.view or sharded.layout.ordered(full)
+        ):
+            built = dict(
+                zip(MESH_DOCUMENTS, sharded.layout.encode(full, snapshot.key[1]))
+            )
+        else:
+            built = {name: EncodedDocument(reference())}
+        for built_name, document in built.items():
+            snapshot.documents[built_name] = document
             if self._encodes is not None:
-                self._encodes.labels(document=name).inc()
-        return document
+                self._encodes.labels(document=built_name).inc()
+        return built[name]
 
     def cells(self, snapshot: _Snapshot, src: str) -> Dict[str, Cell]:
         """``snapshot``'s encoded row of ``src``: one :data:`Cell` per

@@ -125,6 +125,38 @@ class TestViews:
         assert view.distance("SEAT", "NYCM") >= routing.distance("SEAT", "NYCM")
 
 
+class TestConfigRejectsUnservableViews:
+    """Values that would construct and then break every later view read."""
+
+    @pytest.mark.parametrize(
+        "value", [-0.5, -1e-300, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_intra_pid_distance_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="intra_pid_distance"):
+            ITrackerConfig(intra_pid_distance=value)
+
+    @pytest.mark.parametrize("value", [1.0, 1, 1.5, float("nan"), float("inf")])
+    def test_perturbation_must_be_below_one(self, value):
+        with pytest.raises(ValueError, match="perturbation"):
+            ITrackerConfig(perturbation=value)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"intra_pid_distance": 0.0},
+            {"intra_pid_distance": 1},
+            {"intra_pid_distance": 2.5},
+            {"perturbation": 0.0},
+            {"perturbation": 0.999},
+        ],
+    )
+    def test_boundary_values_serve_views(self, config):
+        view = make_itracker(**config).get_pdistances()
+        assert len(view.distances) == len(view.pids) ** 2
+        if "intra_pid_distance" in config:
+            assert view.distance("SEAT", "SEAT") == config["intra_pid_distance"]
+
+
 class TestPortalServices:
     def test_pid_lookup(self):
         topo = abilene()

@@ -1,16 +1,22 @@
 """Tests for the p4p-distance interface (views, PID mapping, coarsening)."""
 
+import random
+
 import pytest
 
+from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
+from repro.core.objectives import BandwidthDistanceProduct, MinMaxUtilization
 from repro.core.pdistance import (
     PDistanceMap,
     PidMap,
     external_view,
     uniform_pid_map,
 )
+from repro.network.generators import US_METROS, synthetic_isp
 from repro.network.library import abilene
-from repro.network.routing import RoutingTable
+from repro.network.routing import NoRouteError, RoutingTable
 from repro.network.topology import NodeKind, Topology
+from repro.portal.protocol import encode_json
 
 
 def square_topology():
@@ -136,6 +142,125 @@ class TestExternalView:
         assert len(view.distances) == n * n  # includes p_ii entries
         # p-distance equals hop count when every link is priced 1.
         assert view.distance("SEAT", "NYCM") == routing.hop_count("SEAT", "NYCM")
+
+
+def loop_external_view(
+    topology, routing, link_prices, cost_offsets=None, intra_pid_distance=0.0
+):
+    """The per-pair loop ``external_view`` replaced, kept as the reference:
+    every route summed hop by hop from 0.0."""
+    offsets = cost_offsets or {}
+    pids = tuple(topology.aggregation_pids)
+    distances = {}
+    for src in pids:
+        distances[(src, src)] = intra_pid_distance
+        for dst in pids:
+            if src == dst:
+                continue
+            total = 0.0
+            for key in routing.route(src, dst):
+                total += link_prices.get(key, 0.0) + offsets.get(key, 0.0)
+            distances[(src, dst)] = total
+    return distances
+
+
+TOPOLOGIES = {
+    "abilene": abilene,
+    "isp30": lambda: synthetic_isp(
+        name="ISP30", n_pops=30, metros=US_METROS, n_hubs=6, as_number=1, seed=3
+    ),
+    # The portal benchmark's provider.
+    "bench80": lambda: synthetic_isp(
+        name="BENCH", n_pops=80, metros=US_METROS, n_hubs=12, as_number=65000, seed=9
+    ),
+}
+
+
+def tracker_prices(topology):
+    """An iTracker's prices after one load update (numpy float values)."""
+    tracker = ITracker(topology=topology, config=ITrackerConfig(step_size=0.001))
+    links = sorted(topology.links)
+    tracker.observe_loads({key: 37.0 * (n % 11) for n, key in enumerate(links)})
+    return tracker.link_prices
+
+
+def holed_prices(topology):
+    """Varied prices with about a quarter of the links missing."""
+    rng = random.Random(7)
+    return {
+        key: rng.uniform(0.0, 1e-3) for key in topology.links if rng.random() < 0.75
+    }
+
+
+@pytest.fixture(scope="module", params=sorted(TOPOLOGIES))
+def topology(request):
+    return TOPOLOGIES[request.param]()
+
+
+class TestExternalViewBitIdentity:
+    """The gather-and-add view is the per-pair loop, bit for bit."""
+
+    @pytest.mark.parametrize("objective", [MinMaxUtilization, BandwidthDistanceProduct])
+    @pytest.mark.parametrize("prices", [tracker_prices, holed_prices])
+    @pytest.mark.parametrize("intra", [0.0, 0.5, 1])
+    def test_same_keys_same_bits(self, topology, objective, prices, intra):
+        routing = RoutingTable.build(topology)
+        link_prices = prices(topology)
+        offsets = objective().cost_offsets(topology)
+        view = external_view(topology, routing, link_prices, offsets, intra)
+        reference = loop_external_view(topology, routing, link_prices, offsets, intra)
+        assert list(view.distances) == list(reference)
+        assert [float(value).hex() for value in view.distances.values()] == [
+            float(value).hex() for value in reference.values()
+        ]
+        # The wire form too: an int diagonal stays an int.
+        assert encode_json(list(view.distances.values())) == encode_json(
+            list(reference.values())
+        )
+        if objective is BandwidthDistanceProduct:
+            assert len(set(reference.values())) > len(topology.aggregation_pids)
+
+    def test_the_index_is_built_once_per_routing_table(self):
+        topology = abilene()
+        routing = RoutingTable.build(topology)
+        pids = topology.aggregation_pids
+        index = routing.hop_index(pids)
+        external_view(topology, routing, {})
+        assert routing.hop_index(pids) is index
+        assert len(index.pairs) == len(pids) ** 2
+        assert index.hops.shape[1] == len(index.pairs)
+        assert index.hops.shape[0] == max(
+            routing.hop_count(src, dst) for src in pids for dst in pids
+        )
+
+    def test_refresh_after_a_link_removal_rebuilds_the_index(self):
+        topology = abilene()
+        tracker = ITracker(
+            topology=topology, config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
+        )
+        pids = topology.aggregation_pids
+        before = tracker.routing.hop_index(pids)
+        assert ("WASH", "NYCM") in before.links
+        topology.remove_edge("WASH", "NYCM")
+        tracker.refresh_topology()
+        after = tracker.routing.hop_index(pids)
+        assert after is not before
+        assert ("WASH", "NYCM") not in after.links
+        view = tracker.view_snapshot()
+        reference = loop_external_view(topology, tracker.routing, tracker.link_prices)
+        assert [float(value).hex() for value in view.distances.values()] == [
+            float(value).hex() for value in reference.values()
+        ]
+        assert view.distance("WASH", "NYCM") > 1.0
+
+    def test_a_disconnected_pair_raises_no_route_every_time(self):
+        topology = square_topology()
+        topology.remove_edge("C", "D")
+        topology.remove_edge("D", "A")
+        routing = RoutingTable.build(topology)
+        for _ in range(2):
+            with pytest.raises(NoRouteError):
+                external_view(topology, routing, {})
 
 
 class TestPidMap:

@@ -21,10 +21,12 @@ import threading
 import pytest
 
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
+from repro.core.objectives import BandwidthDistanceProduct, MinMaxUtilization
 from repro.core.pdistance import uniform_pid_map
+from repro.network.generators import US_METROS, synthetic_isp
 from repro.network.library import abilene
 from repro.observability import NULL_TELEMETRY, Telemetry, flatten_snapshot
-from repro.portal import alto, protocol
+from repro.portal import alto, protocol, views
 from repro.portal.aserver import AsyncPortalServer
 from repro.portal.overload import OverloadConfig
 from tests.conftest import reference_frame
@@ -46,11 +48,22 @@ CONFIGS = {
 }
 
 
-def make_itracker(**config) -> ITracker:
-    topo = abilene()
+def make_itracker(provider: str = "abilene", **config) -> ITracker:
+    """Abilene, or ``"bdp80"``: an 80-PoP provider under the BDP objective,
+    whose link-distance offsets give nearly every pair its own non-zero
+    p-distance (Abilene's views are mostly ``0.0``)."""
+    if provider == "abilene":
+        topo, objective = abilene(), MinMaxUtilization()
+    else:
+        topo = synthetic_isp(
+            name="BDP80", n_pops=80, metros=US_METROS, n_hubs=12,
+            as_number=65000, seed=9,
+        )
+        objective = BandwidthDistanceProduct()
     tracker = ITracker(
         topology=topo,
         config=ITrackerConfig(mode=PriceMode.DYNAMIC, **config),
+        objective=objective,
         pid_map=uniform_pid_map(topo),
         telemetry=NULL_TELEMETRY,
     )
@@ -101,11 +114,30 @@ def count_calls(monkeypatch, module, name):
 
 @pytest.mark.timeout(60)
 class TestByteIdentity:
+    def test_the_bdp80_views_are_varied(self):
+        view = make_itracker("bdp80").view_snapshot()
+        off_diagonal = [
+            value for (src, dst), value in view.distances.items() if src != dst
+        ]
+        assert len(off_diagonal) == 80 * 79
+        assert min(off_diagonal) > 0.0
+        # Each unordered pair its own value, give or take a few ties.
+        assert len(set(off_diagonal)) > 0.45 * len(off_diagonal)
+
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_spliced_frame_equals_the_plain_rebuilt_frame(self, config):
         """Fresh and in brownout, in process and over a socket."""
-        twin = make_itracker(**CONFIGS[config])
-        with make_async(make_itracker(**CONFIGS[config])) as server:
+        self.check_byte_identity("abilene", config)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_spliced_frame_at_scale_with_varied_values(self, config):
+        """The same, where a misplaced number cannot hide among zeros."""
+        self.check_byte_identity("bdp80", config)
+
+    @staticmethod
+    def check_byte_identity(provider, config):
+        twin = make_itracker(provider, **CONFIGS[config])
+        with make_async(make_itracker(provider, **CONFIGS[config])) as server:
             for brownout in (False, True, False):
                 server.force_brownout(brownout)
                 for name, message in DOCUMENTS:
@@ -155,8 +187,16 @@ class TestBuiltOncePerGeneration:
     def test_k_reads_build_each_document_once_and_a_bump_once_more(
         self, monkeypatch
     ):
+        # The full-mesh pdistances and numerical cost map are built
+        # together by ``MeshLayout.encode``; the ordinal cost map (ranks)
+        # by the reference ``cost_map_document``.
+        mesh = count_calls(monkeypatch, views.MeshLayout, "encode")
         to_wire = count_calls(monkeypatch, protocol, "pdistance_to_wire")
         costmap = count_calls(monkeypatch, alto, "cost_map_document")
+
+        def builds():
+            return len(mesh), len(to_wire), len(costmap)
+
         telemetry = Telemetry()
         tracker = make_itracker()
 
@@ -176,13 +216,13 @@ class TestBuiltOncePerGeneration:
 
         with make_async(tracker, telemetry=telemetry) as server:
             read_all(5)
-            assert (len(to_wire), len(costmap)) == (1, 2)
+            assert builds() == (1, 0, 1)
             advance(tracker)  # version bump
             read_all(5)
-            assert (len(to_wire), len(costmap)) == (2, 4)
+            assert builds() == (2, 0, 2)
             tracker._epoch += 1  # the epoch alone (restore() moves both)
             read_all(5)
-            assert (len(to_wire), len(costmap)) == (3, 6)
+            assert builds() == (3, 0, 3)
             assert encodes() == {name: 3 for name, _ in DOCUMENTS}
             # One generation is held: the memo lives on the snapshot.
             assert set(server.publisher.current().documents) == {
