@@ -27,9 +27,10 @@ transport, built for "millions of users":
   (:class:`~repro.portal.views.ViewPublisher`); the view handlers serve
   from the published snapshot instead of re-aggregating the full mesh
   per request, an unrestricted read is answered with the snapshot's
-  already-encoded document (built by the first such read of a version),
-  and a restricted read of undegraded values is spliced from source rows
-  encoded by the first read of a version that touches them.
+  document as compact-JSON bytes (encoded by the first such read of a
+  version), and a restricted read of undegraded values is bytes spliced
+  from source rows encoded by the first read of a version that touches
+  them.
 
 * **Request coalescing.**  Identical concurrent ``get_pdistances``
   requests that find the snapshot stale park on one in-flight
@@ -52,7 +53,7 @@ import logging
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.itracker import ITracker
 from repro.observability import SLO, Telemetry
@@ -427,7 +428,12 @@ class AsyncPortalServer(PortalDispatcher):
                 )
                 self._bytes_in.inc(frame_bytes)
                 response = await self._adispatch(message, received_at)
-                payload = protocol.encode_frame(response)
+                try:
+                    payload = protocol.encode_frame(response)
+                except protocol.ProtocolError as exc:
+                    # The answer cannot be framed: say so on a connection
+                    # that stays usable instead of dropping it unannounced.
+                    payload = self._oversized(message, exc)
                 self._bytes_out.inc(len(payload))
                 writer.write(payload)
                 try:
@@ -451,6 +457,17 @@ class AsyncPortalServer(PortalDispatcher):
                 writer.close()
             except (ConnectionError, OSError):
                 pass
+
+    def _oversized(
+        self, message: Dict[str, Any], exc: protocol.ProtocolError
+    ) -> bytes:
+        """The error frame answering ``message`` when its response is over
+        the frame limit, counted under the request's method."""
+        method = message.get("method")
+        if not isinstance(method, str) or not hasattr(self, f"_do_{method}"):
+            method = "<unknown>"
+        self._errors.labels(method=method, kind="too_large").inc()
+        return protocol.encode_frame(protocol.error(f"response too large: {exc}"))
 
     async def _adispatch(
         self,
@@ -511,13 +528,15 @@ class AsyncPortalServer(PortalDispatcher):
     # *published* one, whatever its age (availability over freshness,
     # responses explicitly marked ``degraded``) -- so the data and what is
     # derived from its version (the ALTO vtag) cannot disagree.  An
-    # unrestricted read is answered with that snapshot's memoised,
-    # already-encoded document.  A restricted read of raw values is
-    # spliced from the snapshot's encoded rows; one the iTracker degrades
-    # (noise, ranks -- ordinal cost maps are ranks too) depends on the
-    # restricted set as a whole and is rebuilt from the rows.
+    # unrestricted read is answered with that snapshot's memoised document
+    # bytes.  A restricted read of raw values is bytes spliced from the
+    # snapshot's encoded rows; one the iTracker degrades (noise, ranks --
+    # ordinal cost maps are ranks too) depends on the restricted set as a
+    # whole and is rebuilt from the rows as a plain document.
 
-    def _do_get_pdistances(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _do_get_pdistances(
+        self, params: Dict[str, Any]
+    ) -> Union[bytes, Dict[str, Any]]:
         pids = params.get("pids")
         publisher = self.publisher
         snapshot = publisher.snapshot(stale_ok=self.overload.brownout_active)
@@ -527,7 +546,9 @@ class AsyncPortalServer(PortalDispatcher):
             return publisher.spliced_pdistances(snapshot, pids)
         return protocol.pdistance_to_wire(publisher.finish(snapshot, pids))
 
-    def _do_get_alto_costmap(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _do_get_alto_costmap(
+        self, params: Dict[str, Any]
+    ) -> Union[bytes, Dict[str, Any]]:
         mode = params.get("mode", alto.NUMERICAL)
         pids = params.get("pids")
         publisher = self.publisher

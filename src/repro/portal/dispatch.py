@@ -22,7 +22,7 @@ transport or the view cache that produced it.
 from __future__ import annotations
 
 import logging
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.capability import AccessDeniedError, CapabilityKind
 from repro.core.itracker import ITracker
@@ -274,7 +274,11 @@ class PortalDispatcher:
                 f"internal error: {type(exc).__name__}: {exc}"
             )
 
-    def _do_get_pdistances(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _do_get_pdistances(
+        self, params: Dict[str, Any]
+    ) -> Union[bytes, Dict[str, Any]]:
+        """The plain document; the server's override may answer with its
+        compact-JSON bytes instead (:func:`protocol.encode_frame`)."""
         pids = params.get("pids")
         view = self.itracker.get_pdistances(pids=pids)
         return protocol.pdistance_to_wire(view)

@@ -32,8 +32,9 @@ are what the conformance suite checks every frame against -- a new
 top-level key that is not declared here is a wire-contract bug.
 
 Frame format: 4-byte big-endian payload length, then UTF-8 JSON.  A
-``result`` that is an :class:`EncodedDocument` already carries its JSON
-bytes and :func:`encode_frame` copies them into the frame as they are.
+``result`` that is ``bytes`` is a document already encoded as compact
+JSON (JSON has no bytes type, so nothing else can be), and
+:func:`encode_frame` copies it into the frame as it is.
 """
 
 from __future__ import annotations
@@ -89,49 +90,33 @@ def encode_json(value: Any) -> bytes:
     return _COMPACT(value).encode("utf-8")
 
 
-class EncodedDocument(dict):
-    """A result document that carries its own wire encoding.
-
-    To every in-process reader it *is* the plain document (``==``,
-    indexing, ``json.dumps``); :func:`encode_frame` splices ``encoded``
-    into the frame instead of serialising the rows again.  One instance
-    answers many requests, so nobody may mutate it.  A caller that
-    assembled ``document`` from parts it had already encoded passes the
-    joined bytes as ``encoded``; they must equal ``encode_json(document)``.
-    """
-
-    __slots__ = ("encoded",)
-
-    def __init__(
-        self, document: Dict[str, Any], encoded: Optional[bytes] = None
-    ) -> None:
-        super().__init__(document)
-        self.encoded = encode_json(document) if encoded is None else encoded
-
-
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Header plus compact JSON; :class:`ProtocolError` over the limit."""
-    if type(message.get("result")) is not EncodedDocument:
+    if type(message.get("result")) is not bytes:
         payload = encode_json(message)
         if len(payload) > MAX_FRAME_BYTES:
-            raise ProtocolError("frame too large")
+            raise _too_large(len(payload))
         return _HEADER.pack(len(payload)) + payload
-    # Byte-for-byte what ``encode_json(message)`` would produce, with the
-    # pre-encoded result copied once, straight into the frame.
+    # Byte-for-byte the frame of the document the result encodes, with
+    # those bytes copied once, straight into the frame.
     parts = [b""]  # header slot
     opener = b"{"
     for key, value in message.items():
-        if type(value) is EncodedDocument:
-            parts += (opener, encode_json(key), b":", value.encoded)
-        else:
-            parts += (opener, encode_json(key), b":", encode_json(value))
+        encoded = value if type(value) is bytes else encode_json(value)
+        parts += (opener, encode_json(key), b":", encoded)
         opener = b","
     parts.append(b"}")
     length = sum(map(len, parts))
     if length > MAX_FRAME_BYTES:
-        raise ProtocolError("frame too large")
+        raise _too_large(length)
     parts[0] = _HEADER.pack(length)
     return b"".join(parts)
+
+
+def _too_large(length: int) -> ProtocolError:
+    return ProtocolError(
+        f"frame of {length} bytes exceeds limit of {MAX_FRAME_BYTES}"
+    )
 
 
 def read_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
@@ -151,7 +136,7 @@ def read_frame_ex(sock: socket.socket) -> Optional[Tuple[Dict[str, Any], int]]:
         return None
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds limit")
+        raise _too_large(length)
     payload = _read_exact(sock, length, allow_eof=False)
     assert payload is not None
     return _decode_payload(payload), _HEADER.size + length
@@ -217,7 +202,7 @@ async def aread_frame_ex(
             raise ProtocolError("connection closed mid-frame") from exc
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds limit")
+        raise _too_large(length)
     try:
         if deadline is None:
             payload = await reader.readexactly(length)

@@ -50,12 +50,14 @@ kept -- their footprints differ per swarm and nobody has measured a hit
 rate -- but what they are made of is: the first read to touch a source
 row in a generation encodes that row's cells (:meth:`ViewPublisher.
 cells`), and a restricted read whose view needs no degradation is those
-cells' shared ``[src, dst, value]`` triples and bytes, looked up and joined
-(:meth:`ViewPublisher.spliced_pdistances`, :meth:`~ViewPublisher.
-spliced_costmap`).  Perturbation and ranks are functions of the
-restricted *set* (noise is drawn in restricted iteration order, ranks
-are taken within the restricted row), so those configurations rebuild
-through :meth:`ViewPublisher.finish` as before.
+cells' bytes, looked up and joined (:meth:`ViewPublisher.
+spliced_pdistances`, :meth:`~ViewPublisher.spliced_costmap`).  Every
+memoised or spliced result is the document's compact-JSON ``bytes``,
+which :func:`~repro.portal.protocol.encode_frame` copies into the frame
+as they are; no plain-dict copy of it is ever built.  Perturbation and
+ranks are functions of the restricted *set* (noise is drawn in
+restricted iteration order, ranks are taken within the restricted row),
+so those configurations rebuild through :meth:`ViewPublisher.finish`.
 """
 
 from __future__ import annotations
@@ -66,8 +68,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.itracker import ITracker
 from repro.core.pdistance import PDistanceMap
+from repro.observability import Telemetry
 from repro.portal import alto, protocol
-from repro.portal.protocol import EncodedDocument, encode_json
+from repro.portal.protocol import encode_json
 
 #: How long a coalesced reader waits on the in-flight computation before
 #: giving up and computing its own view (a safety valve, not a code path
@@ -131,49 +134,26 @@ class MeshLayout:
         """True when ``view``'s entries run exactly in :attr:`pairs` order."""
         return tuple(view.pids) == self.pids and list(view.distances) == self.pairs
 
-    def encode(
-        self, view: PDistanceMap, version: int
-    ) -> Tuple[EncodedDocument, EncodedDocument]:
-        """``pdistance_to_wire(view)`` and ``alto.cost_map_document(view)``
-        in numerical mode tagged with ``version`` -- the
-        :data:`MESH_DOCUMENTS` -- for a view in this layout.
+    def encode(self, view: PDistanceMap, version: int) -> Tuple[bytes, bytes]:
+        """The encoded ``pdistance_to_wire(view)`` and
+        ``alto.cost_map_document(view)`` in numerical mode tagged with
+        ``version`` -- the :data:`MESH_DOCUMENTS` -- for a view in this
+        layout.
 
         Every value is encoded once, for both documents, and spliced
         between the layout's text: byte for byte what encoding the
         reference builders' documents gives.
         """
-        values = list(view.distances.values())
-        numbers = encode_json(values)[1:-1].split(b",") if values else []
-        pids = list(self.pids)
+        array = encode_json(list(view.distances.values()))
+        numbers = array[1:-1].split(b",") if view.distances else []
         parts = self._pdistances[:]
         parts[2:-1:2] = numbers
-        pdistances = EncodedDocument(
-            {
-                "pids": pids,
-                "distances": [
-                    [src, dst, value] for (src, dst), value in zip(self.pairs, values)
-                ],
-            },
-            b"".join(parts),
-        )
-        order = self._costmap_order
+        pdistances = b"".join(parts)
         meta = alto.cost_map_meta(alto.NUMERICAL, f"p4p-{version}")
         parts = self._costmap[:]
         parts[0] = b'{"meta":%b,"cost-map":{' % encode_json(meta)
-        parts[2:-1:2] = map(numbers.__getitem__, order)
-        in_pid_order = list(map(values.__getitem__, order))
-        n = len(pids)
-        costmap = EncodedDocument(
-            {
-                "meta": meta,
-                "cost-map": {
-                    src: dict(zip(pids, in_pid_order[i * n : (i + 1) * n]))
-                    for i, src in enumerate(pids)
-                },
-            },
-            b"".join(parts),
-        )
-        return pdistances, costmap
+        parts[2:-1:2] = map(numbers.__getitem__, self._costmap_order)
+        return pdistances, b"".join(parts)
 
 
 class ShardedView:
@@ -226,10 +206,10 @@ class ShardedView:
         return PDistanceMap(pids=tuple(keep), distances=distances)
 
 
-#: One destination of an encoded source row: the ``[src, dst, value]``
-#: triple every ``get_pdistances`` result over that pair shares, its
-#: compact JSON, and the ``"dst":value`` member of an ALTO cost-map row.
-Cell = Tuple[List[Any], bytes, bytes]
+#: One destination of an encoded source row: the compact JSON of its
+#: ``[src, dst, value]`` entry of a ``get_pdistances`` result, and the
+#: ``"dst":value`` member of an ALTO cost-map row.
+Cell = Tuple[bytes, bytes]
 
 
 def _encode_row(src: str, row: Dict[str, float]) -> Dict[str, Cell]:
@@ -238,11 +218,7 @@ def _encode_row(src: str, row: Dict[str, float]) -> Dict[str, Cell]:
     for dst, value in row.items():
         name = encode_json(dst)
         number = encode_json(value)
-        cells[dst] = (
-            [src, dst, value],
-            head + name + b"," + number + b"]",
-            name + b":" + number,
-        )
+        cells[dst] = (head + name + b"," + number + b"]", name + b":" + number)
     return cells
 
 
@@ -262,7 +238,7 @@ class _Snapshot:
         self.key = key  # (epoch, version) identity of the price state
         self.sharded = sharded
         self.full = full
-        self.documents: Dict[str, EncodedDocument] = {}
+        self.documents: Dict[str, bytes] = {}
         self.cells: Dict[str, Dict[str, Cell]] = {}
 
 
@@ -277,45 +253,33 @@ class ViewPublisher:
     matter how many workers or connections observe the new version.
     """
 
-    def __init__(
-        self,
-        itracker: ITracker,
-        telemetry: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, itracker: ITracker, telemetry: Telemetry) -> None:
         self.itracker = itracker
         self._lock = threading.Lock()
         self._current: Optional[_Snapshot] = None
         self._inflight: Dict[Tuple[int, int], "Future[_Snapshot]"] = {}
-        self._telemetry = telemetry
-        if telemetry is not None:
-            registry = telemetry.registry
-            self._publications = registry.counter(
-                "p4p_portal_view_publications_total",
-                "View snapshots computed and published (once per version).",
-            ).labels()
-            self._serves = registry.counter(
-                "p4p_portal_view_serves_total",
-                "View reads, by how the snapshot was obtained.",
-                ("outcome",),
-            )
-            self._served_published = self._serves.labels(outcome="published")
-            self._served_computed = self._serves.labels(outcome="computed")
-            self._served_coalesced = self._serves.labels(outcome="coalesced")
-            self._served_stale = self._serves.labels(outcome="stale")
-            self._encodes = registry.counter(
-                "p4p_portal_view_encodes_total",
-                "Wire encodings built from a published snapshot: each "
-                "full-mesh document, and each source row of cells "
-                "(document=\"row\"), once per snapshot.",
-                ("document",),
-            )
-        else:
-            self._encodes = None
-            self._publications = None
-            self._served_published = None
-            self._served_computed = None
-            self._served_coalesced = None
-            self._served_stale = None
+        self._traces = telemetry.traces
+        registry = telemetry.registry
+        self._publications = registry.counter(
+            "p4p_portal_view_publications_total",
+            "View snapshots computed and published (once per version).",
+        ).labels()
+        serves = registry.counter(
+            "p4p_portal_view_serves_total",
+            "View reads, by how the snapshot was obtained.",
+            ("outcome",),
+        )
+        self._served_published = serves.labels(outcome="published")
+        self._served_computed = serves.labels(outcome="computed")
+        self._served_coalesced = serves.labels(outcome="coalesced")
+        self._served_stale = serves.labels(outcome="stale")
+        self._encodes = registry.counter(
+            "p4p_portal_view_encodes_total",
+            "Wire encodings built from a published snapshot: each "
+            "full-mesh document, and each source row of cells "
+            "(document=\"row\"), once per snapshot.",
+            ("document",),
+        )
 
     # -- identity ----------------------------------------------------------
 
@@ -340,15 +304,13 @@ class ViewPublisher:
         key = self._identity()
         snapshot = self._current
         if snapshot is not None and snapshot.key == key:
-            if self._served_published is not None:
-                self._served_published.inc()
+            self._served_published.inc()
             return snapshot
         future: "Future[_Snapshot]"
         with self._lock:
             snapshot = self._current
             if snapshot is not None and snapshot.key == key:
-                if self._served_published is not None:
-                    self._served_published.inc()
+                self._served_published.inc()
                 return snapshot
             # The PID layout outlives generations (rebuilt if the PIDs change).
             layout = None if snapshot is None else snapshot.sharded.layout
@@ -361,8 +323,7 @@ class ViewPublisher:
                 future = existing
                 owner = False
         if not owner:
-            if self._served_coalesced is not None:
-                self._served_coalesced.inc()
+            self._served_coalesced.inc()
             return future.result(timeout=COALESCE_TIMEOUT)
         try:
             snapshot = self._compute(key, layout)
@@ -377,28 +338,20 @@ class ViewPublisher:
             if self._current is None or self._current.key <= key:
                 self._current = snapshot
             self._inflight.pop(key, None)
-        if self._served_computed is not None:
-            self._served_computed.inc()
+        self._served_computed.inc()
         future.set_result(snapshot)
         return snapshot
 
     def _compute(
         self, key: Tuple[int, int], layout: Optional[MeshLayout]
     ) -> _Snapshot:
-        telemetry = self._telemetry
-        if telemetry is not None:
-            traces = telemetry.traces
-            span = traces.start("portal.view_publish", version=key[1], epoch=key[0])
-        else:
-            traces = span = None
+        traces = self._traces
+        span = traces.start("portal.view_publish", version=key[1], epoch=key[0])
         raw = self.itracker.view_snapshot()
         sharded = ShardedView(raw, layout)
         full = self.itracker.finish_view(raw, version=key[1])
-        if traces is not None and span is not None:
-            span.set(pids=len(raw.pids))
-            traces.finish(span)
-        if self._publications is not None:
-            self._publications.inc()
+        traces.finish(span.set(pids=len(raw.pids)))
+        self._publications.inc()
         return _Snapshot(key, sharded, full)
 
     # -- reads -------------------------------------------------------------
@@ -429,8 +382,7 @@ class ViewPublisher:
             with self._lock:
                 snapshot = self._current
             if snapshot is not None:
-                if self._served_stale is not None:
-                    self._served_stale.inc()
+                self._served_stale.inc()
                 return snapshot
         return self.current()
 
@@ -443,15 +395,15 @@ class ViewPublisher:
         restricted = snapshot.sharded.restricted(pids)
         return self.itracker.finish_view(restricted, version=snapshot.key[1])
 
-    def pdistances_document(self, snapshot: _Snapshot) -> EncodedDocument:
-        """``pdistance_to_wire`` of ``snapshot``'s full view."""
+    def pdistances_document(self, snapshot: _Snapshot) -> bytes:
+        """The encoded ``pdistance_to_wire`` of ``snapshot``'s full view."""
         return self._document(
             snapshot, "pdistances", lambda: protocol.pdistance_to_wire(snapshot.full)
         )
 
-    def costmap_document(self, snapshot: _Snapshot, mode: str) -> EncodedDocument:
-        """``alto.cost_map_document`` of ``snapshot``'s full view in
-        ``mode``, tagged with the snapshot's version."""
+    def costmap_document(self, snapshot: _Snapshot, mode: str) -> bytes:
+        """The encoded ``alto.cost_map_document`` of ``snapshot``'s full
+        view in ``mode``, tagged with the snapshot's version."""
         return self._document(
             snapshot,
             f"costmap-{mode}",
@@ -465,9 +417,9 @@ class ViewPublisher:
         snapshot: _Snapshot,
         name: str,
         reference: Callable[[], Dict[str, Any]],
-    ) -> EncodedDocument:
-        """The wire document ``name`` of ``snapshot``'s full view, built
-        and encoded by the first caller and shared by every later one.
+    ) -> bytes:
+        """The encoded wire document ``name`` of ``snapshot``'s full view,
+        built by the first caller and shared by every later one.
 
         A full view in the snapshot's layout gets both documents of
         :meth:`MeshLayout.encode` at once; any other view (ranks) or
@@ -487,73 +439,49 @@ class ViewPublisher:
                 zip(MESH_DOCUMENTS, sharded.layout.encode(full, snapshot.key[1]))
             )
         else:
-            built = {name: EncodedDocument(reference())}
+            built = {name: encode_json(reference())}
         for built_name, document in built.items():
             snapshot.documents[built_name] = document
-            if self._encodes is not None:
-                self._encodes.labels(document=built_name).inc()
+            self._encodes.labels(document=built_name).inc()
         return built[name]
 
     def cells(self, snapshot: _Snapshot, src: str) -> Dict[str, Cell]:
         """``snapshot``'s encoded row of ``src``: one :data:`Cell` per
         destination, built by the first read that touches the row and
         shared -- never mutated -- by every later one.  Lock-free like
-        :meth:`document`, and dropped with the snapshot."""
+        :meth:`_document`, and dropped with the snapshot."""
         cells = snapshot.cells.get(src)
         if cells is None:
             cells = _encode_row(src, snapshot.sharded.row(src))
             snapshot.cells[src] = cells
-            if self._encodes is not None:
-                self._encodes.labels(document="row").inc()
+            self._encodes.labels(document="row").inc()
         return cells
 
-    def spliced_pdistances(
-        self, snapshot: _Snapshot, pids: Sequence[str]
-    ) -> EncodedDocument:
-        """``pdistance_to_wire`` of ``snapshot``'s raw view over ``pids``,
-        assembled from its rows' cells instead of rebuilt.  Only for an
-        iTracker that :attr:`~ITracker.serves_raw_views`."""
+    def spliced_pdistances(self, snapshot: _Snapshot, pids: Sequence[str]) -> bytes:
+        """The encoded ``pdistance_to_wire`` of ``snapshot``'s raw view
+        over ``pids``, joined from its rows' cells instead of rebuilt.
+        Only for an iTracker that :attr:`~ITracker.serves_raw_views`."""
         keep = snapshot.sharded.kept(pids)
-        triples: List[List[Any]] = []
         parts: List[bytes] = []
         for src in keep:
             cells = self.cells(snapshot, src)
-            triple, part, _ = cells[src]  # rows start at the diagonal
-            triples.append(triple)
-            parts.append(part)
-            for dst in keep:
-                if dst != src:
-                    triple, part, _ = cells[dst]
-                    triples.append(triple)
-                    parts.append(part)
-        return EncodedDocument(
-            {"pids": keep, "distances": triples},
-            b'{"pids":%b,"distances":[%b]}'
-            % (encode_json(keep), b",".join(parts)),
+            parts.append(cells[src][0])  # rows start at the diagonal
+            parts += [cells[dst][0] for dst in keep if dst != src]
+        return b'{"pids":%b,"distances":[%b]}' % (
+            encode_json(keep),
+            b",".join(parts),
         )
 
-    def spliced_costmap(
-        self, snapshot: _Snapshot, pids: Sequence[str]
-    ) -> EncodedDocument:
-        """The numerical ``alto.cost_map_document`` of ``snapshot``'s raw
-        view over ``pids``, tagged with the snapshot's version, assembled
-        from its rows' cells.  Same precondition as
+    def spliced_costmap(self, snapshot: _Snapshot, pids: Sequence[str]) -> bytes:
+        """The encoded numerical ``alto.cost_map_document`` of
+        ``snapshot``'s raw view over ``pids``, tagged with the snapshot's
+        version, joined from its rows' cells.  Same precondition as
         :meth:`spliced_pdistances`."""
         keep = snapshot.sharded.kept(pids)
         meta = alto.cost_map_meta(alto.NUMERICAL, f"p4p-{snapshot.key[1]}")
-        cost_map: Dict[str, Dict[str, float]] = {}
         rows: List[bytes] = []
         for src in keep:  # cost-map rows run in PID order, diagonal in place
             cells = self.cells(snapshot, src)
-            row: Dict[str, float] = {}
-            members: List[bytes] = []
-            for dst in keep:
-                triple, _, member = cells[dst]
-                row[dst] = triple[2]
-                members.append(member)
-            cost_map[src] = row
-            rows.append(b"%b:{%b}" % (encode_json(src), b",".join(members)))
-        return EncodedDocument(
-            {"meta": meta, "cost-map": cost_map},
-            b'{"meta":%b,"cost-map":{%b}}' % (encode_json(meta), b",".join(rows)),
-        )
+            members = b",".join([cells[dst][1] for dst in keep])
+            rows.append(b"%b:{%b}" % (encode_json(src), members))
+        return b'{"meta":%b,"cost-map":{%b}}' % (encode_json(meta), b",".join(rows))

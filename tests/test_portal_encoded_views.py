@@ -14,7 +14,10 @@ the ALTO version tag names the version of the data it labels.  Restricted
 reads have their own contract in ``test_portal_restricted_reads.py``.
 """
 
+import gc
 import json
+import logging
+import socket
 import sys
 import threading
 
@@ -71,6 +74,21 @@ def make_itracker(provider: str = "abilene", **config) -> ITracker:
     return tracker
 
 
+def bench_provider() -> ITracker:
+    """The benchmark's provider shape: 80 PoPs, default iTracker config."""
+    topology = synthetic_isp(
+        name="BENCH", n_pops=80, metros=US_METROS, n_hubs=12,
+        as_number=65000, seed=9,
+    )
+    tracker = ITracker(
+        topology=topology,
+        pid_map=uniform_pid_map(topology),
+        telemetry=NULL_TELEMETRY,
+    )
+    advance(tracker)
+    return tracker
+
+
 def advance(tracker: ITracker) -> None:
     """One deterministic price update (a function of the version only,
     so identically-built trackers stay twins)."""
@@ -98,6 +116,12 @@ def plain_frame(response) -> bytes:
     """The frame as plain ``json.dumps`` of plain dicts would build it."""
     payload = json.dumps(json.loads(json.dumps(response)), separators=(",", ":"))
     return protocol._HEADER.pack(len(payload)) + payload.encode("utf-8")
+
+
+def read(server, message):
+    """``server``'s response to ``message`` as a client decodes it."""
+    frame = protocol.encode_frame(server.dispatch(message))
+    return json.loads(frame[protocol._HEADER.size :])
 
 
 def count_calls(monkeypatch, module, name):
@@ -148,10 +172,7 @@ class TestByteIdentity:
                         expected["degraded"] = "brownout"
                     response = server.dispatch(message)
                     # The memoised path really is the one under test ...
-                    assert type(response["result"]) is protocol.EncodedDocument
-                    # ... it reads as the reference's plain dict ...
-                    assert response == expected
-                    assert json.dumps(response) == json.dumps(expected)
+                    assert type(response["result"]) is bytes
                     # ... and its frame is the plain frame, byte for byte.
                     frame = protocol.encode_frame(response)
                     assert frame == plain_frame(expected), name
@@ -160,13 +181,17 @@ class TestByteIdentity:
                     assert exchange(server.address, [request]) == [frame], name
 
     def test_envelope_keys_keep_their_order_around_the_splice(self):
-        document = protocol.EncodedDocument({"pids": ["a"], "distances": []})
+        document = {"pids": ["a"], "distances": []}
         for message in (
             {"result": document},
             {"result": document, "degraded": "brownout"},
             {"degraded": "brownout", "result": document, "retry_after": 0.5},
         ):
-            assert protocol.encode_frame(message) == plain_frame(message)
+            spliced = dict(message, result=protocol.encode_json(document))
+            assert protocol.encode_frame(spliced) == plain_frame(message)
+        # Why a ``bytes`` result can only be an encoded document.
+        with pytest.raises(TypeError):
+            protocol.encode_json(b"{}")
 
     def test_oversized_spliced_frame_is_refused(self, monkeypatch):
         with make_async(make_itracker()) as server:
@@ -179,7 +204,74 @@ class TestByteIdentity:
         with pytest.raises(protocol.ProtocolError):
             protocol.encode_frame(response)
         with pytest.raises(protocol.ProtocolError):
-            protocol.encode_frame(json.loads(json.dumps(response)))
+            protocol.encode_frame(json.loads(frame[protocol._HEADER.size :]))
+
+    def test_an_unframeable_response_is_an_error_on_a_live_connection(
+        self, monkeypatch, caplog
+    ):
+        """An answer over the frame limit used to kill the connection's
+        task ("Task exception was never retrieved") and reach the client
+        as a clean EOF, counted nowhere."""
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1000)
+        telemetry = Telemetry()
+        with caplog.at_level(logging.WARNING), make_async(
+            make_itracker(), telemetry=telemetry
+        ) as server:
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                sock.sendall(protocol.encode_frame(DOCUMENTS[0][1]))
+                response = protocol.read_frame(sock)
+                assert response is not None and set(response) == {"error"}
+                assert "exceeds limit of 1000" in response["error"]
+                sock.sendall(
+                    protocol.encode_frame({"method": "get_version", "params": {}})
+                )
+                answered = protocol.read_frame(sock)
+                assert answered is not None and "result" in answered
+        gc.collect()  # an unretrieved task exception is logged when collected
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        flat = flatten_snapshot(telemetry.snapshot())
+        assert flat[
+            'p4p_portal_errors_total{method="get_pdistances",kind="too_large"}'
+        ] == 1
+
+
+def kept_alive(build):
+    """``build()`` and how many GC-tracked objects its result keeps
+    alive, counted with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = build()
+        return result, len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+
+
+@pytest.mark.timeout(60)
+class TestNoPerPairAllocation:
+    """A memoised or spliced document is its bytes: building one leaves
+    no ``[src, dst, value]`` list or cost-map dict behind."""
+
+    def test_the_full_mesh_documents_keep_fewer_objects_than_pids(self):
+        view = bench_provider().view_snapshot()
+        layout = views.MeshLayout(view.pids)
+        assert len(layout.pids) == 80 and layout.ordered(view)
+        layout.encode(view, 1)  # warm
+        documents, kept = kept_alive(lambda: layout.encode(view, 1))
+        assert [type(document) for document in documents] == [bytes, bytes]
+        assert kept < len(layout.pids)
+
+    def test_a_spliced_restricted_read_is_bytes(self):
+        tracker = bench_provider()
+        publisher = views.ViewPublisher(tracker, NULL_TELEMETRY)
+        snapshot = publisher.current()
+        every = list(snapshot.full.pids)
+        for splice in (publisher.spliced_pdistances, publisher.spliced_costmap):
+            splice(snapshot, every)  # encodes every row once
+            document, kept = kept_alive(lambda: splice(snapshot, every))
+            assert type(document) is bytes
+            assert kept < len(every)
 
 
 @pytest.mark.timeout(60)
@@ -285,11 +377,11 @@ class TestAltoVtagNamesTheServedVersion:
         message = {"method": "get_alto_costmap", "params": {"pids": pids}}
         with make_async(tracker) as server:
             published = tracker.version
-            fresh = server.dispatch(message)["result"]
+            fresh = read(server, message)["result"]
             server.force_brownout(True)
             advance(tracker)
             assert tracker.version == published + 1
-            stale = server.dispatch(message)
+            stale = read(server, message)
             assert stale["degraded"] == "brownout"
             # The costs are the published (old) version's, and so is the tag.
             assert stale["result"]["cost-map"] == fresh["cost-map"]
@@ -300,7 +392,7 @@ class TestAltoVtagNamesTheServedVersion:
             assert tags == [f"p4p-{published}"]
             # Out of brownout the new version is served under its own tag.
             server.force_brownout(False)
-            current = server.dispatch(message)["result"]
+            current = read(server, message)["result"]
             assert current["meta"]["dependent-vtags"][0]["tag"] == (
                 f"p4p-{published + 1}"
             )

@@ -3,15 +3,14 @@ once per generation, byte-identical to the in-process reference.
 
 A restricted ``get_pdistances`` / numerical ``get_alto_costmap`` on
 :class:`~repro.portal.aserver.AsyncPortalServer` is assembled from the
-published snapshot's per-source rows of cells -- shared ``[src, dst,
-value]`` triples and their already-encoded bytes -- whenever the iTracker
-serves raw values; a view the iTracker degrades (perturbation, ranks)
-and an ordinal cost map depend on the restricted set as a whole and are
-rebuilt per request.  Pinned here: either way the frame is the
-reference's frame, byte for byte (:func:`tests.conftest.reference_frame`:
-a bare ``PortalDispatcher`` rebuilding per request -- what the threaded
-server the test names still mention used to do); the result reads as the
-plain rebuilt document; a source row is encoded by the first read of a
+published snapshot's per-source rows of cells -- the already-encoded
+bytes of each entry -- whenever the iTracker serves raw values; a view
+the iTracker degrades (perturbation, ranks) and an ordinal cost map
+depend on the restricted set as a whole and are rebuilt per request.
+Pinned here: either way the frame is the reference's frame, byte for
+byte (:func:`tests.conftest.reference_frame`: a bare ``PortalDispatcher``
+rebuilding per request -- what the threaded server the test names still
+mention used to do); a source row is encoded by the first read of a
 generation that touches it and never again; degraded configurations and
 unrestricted traffic build no cell; racing first touches cannot tear a
 frame; and PID lists with non-string elements are the client's error.
@@ -24,10 +23,7 @@ import threading
 
 import pytest
 
-from repro.core.itracker import ITracker
-from repro.core.pdistance import uniform_pid_map
-from repro.network.generators import US_METROS, synthetic_isp
-from repro.observability import NULL_TELEMETRY, Telemetry, flatten_snapshot
+from repro.observability import Telemetry, flatten_snapshot
 from repro.portal import protocol
 from repro.portal.views import ShardedView
 from tests.conftest import reference_frame
@@ -35,6 +31,7 @@ from tests.test_portal_conformance import exchange
 from tests.test_portal_encoded_views import (
     CONFIGS,
     advance,
+    bench_provider,
     make_async,
     make_itracker,
     plain_frame,
@@ -102,12 +99,9 @@ class TestByteIdentity:
                     if brownout:
                         expected["degraded"] = "brownout"
                     response = server.dispatch(message)
-                    spliced = type(response["result"]) is protocol.EncodedDocument
+                    spliced = type(response["result"]) is bytes
                     assert spliced == is_spliced(config, message), message
-                    # It reads as the plain rebuilt document ...
-                    assert response == expected, message
-                    assert response["result"] == expected["result"]
-                    # ... and its frame is the plain frame, byte for byte.
+                    # Its frame is the plain frame, byte for byte.
                     frame = protocol.encode_frame(response)
                     assert frame == plain_frame(expected), message
                     assert frame == protocol.encode_frame(expected), message
@@ -120,30 +114,16 @@ class TestByteIdentity:
     def test_an_80_pid_provider_restricted_to_all_of_it(self):
         """The benchmark's provider shape: 80 PoPs, the whole mesh asked
         for by name (6,400 cells) and a few-PID swarm footprint."""
-
-        def provider():
-            topology = synthetic_isp(
-                name="BENCH", n_pops=80, metros=US_METROS, n_hubs=12,
-                as_number=65000, seed=9,
-            )
-            tracker = ITracker(
-                topology=topology,
-                pid_map=uniform_pid_map(topology),
-                telemetry=NULL_TELEMETRY,
-            )
-            advance(tracker)
-            return tracker
-
-        tracker = provider()
+        tracker = bench_provider()
         every = list(tracker.topology.aggregation_pids)
         assert len(every) == 80
-        twin = provider()
+        twin = bench_provider()
         with make_async(tracker) as server:
             for pids in (every, every[7:2:-1] + every[60:62], every[:1]):
                 for method in ("get_pdistances", "get_alto_costmap"):
                     message = {"method": method, "params": {"pids": pids}}
                     response = server.dispatch(message)
-                    assert type(response["result"]) is protocol.EncodedDocument
+                    assert type(response["result"]) is bytes
                     frame = reference_frame(twin, message)
                     assert protocol.encode_frame(response) == frame
                     assert exchange(
@@ -207,11 +187,6 @@ class TestRowsEncodedOncePerGeneration:
             tracker._epoch += 1  # the epoch alone (restore() moves both)
             read_all(5)
             assert row_encodes(telemetry) == 4 + 3 + 3
-            # The triples are shared between responses, not copied.
-            first, second = (
-                server.dispatch(messages[0])["result"]["distances"] for _ in "ab"
-            )
-            assert all(a is b for a, b in zip(first, second))
 
     @pytest.mark.parametrize("config", ["perturbed", "ranks"])
     def test_degraded_configs_never_create_a_cell(self, config):
