@@ -9,17 +9,10 @@ method handlers and instrumentation are the transport-free
 byte-for-byte against it); what this module adds is the asyncio
 transport, built for "millions of users":
 
-* **Multi-worker accept model.**  ``workers`` event loops, each on its
-  own thread with its own connection set (shared-nothing: a connection
-  lives and dies on one worker).  Two accept models:
-
-  - ``reuseport`` -- every worker binds its own listening socket to the
-    same port with ``SO_REUSEPORT``; the kernel load-balances accepts.
-  - ``dispatcher`` -- one listening socket, one acceptor thread handing
-    accepted connections to worker loops round-robin (the portable
-    fallback when ``SO_REUSEPORT`` is unavailable).
-
-  ``auto`` (the default) picks ``reuseport`` when the platform has it.
+* **Shared-nothing workers.**  ``workers`` event loops, each on its
+  own thread with its own connection set (a connection lives and dies
+  on one worker) and its own listening socket, bound to the shared port
+  with ``SO_REUSEPORT`` so the kernel load-balances accepts.
 
 * **Versioned copy-on-update publication.**  The read-mostly external
   view is computed once per ``(epoch, version)``, indexed by source
@@ -48,7 +41,6 @@ instruments: ``p4p_portal_view_publications_total``,
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import logging
 import socket
 import threading
@@ -71,12 +63,6 @@ logger = logging.getLogger(__name__)
 #: loop so one price update never stalls every in-flight connection.
 _VIEW_METHODS = frozenset({"get_pdistances", "get_alto_costmap"})
 
-_ACCEPT_MODELS = ("auto", "reuseport", "dispatcher")
-
-
-def _reuseport_available() -> bool:
-    return hasattr(socket, "SO_REUSEPORT")
-
 
 class _Worker:
     """One event loop on one thread, owning its accepted connections."""
@@ -85,7 +71,7 @@ class _Worker:
         self,
         server: "AsyncPortalServer",
         index: int,
-        sock: Optional[socket.socket],
+        sock: socket.socket,
     ) -> None:
         self.server = server
         self.index = index
@@ -126,10 +112,7 @@ class _Worker:
 
     async def _main(self) -> None:
         self._stop = asyncio.Event()
-        if self.sock is not None:
-            self.listener = await asyncio.start_server(
-                self._accepted, sock=self.sock
-            )
+        self.listener = await asyncio.start_server(self._accepted, sock=self.sock)
         probe = None
         if self.server.overload.enabled:
             # The event loop's scheduling lag *is* this worker's queueing
@@ -140,7 +123,7 @@ class _Worker:
         await self._stop.wait()
         if probe is not None:
             probe.cancel()
-        if self.listener is not None and self.listener.is_serving():
+        if self.listener.is_serving():
             # An accept already in flight builds its transport a pass
             # later, and asyncio asserts if the Server is closed by then
             # (leaving a half-built transport to the collector): stop
@@ -216,22 +199,6 @@ class _Worker:
             return
         done.wait(timeout=1.0)
 
-    def adopt(self, conn: socket.socket) -> None:
-        """Dispatcher-fed accept: take ownership of an accepted socket."""
-        try:
-            asyncio.run_coroutine_threadsafe(self._adopt(conn), self.loop)
-        except RuntimeError:
-            conn.close()
-
-    async def _adopt(self, conn: socket.socket) -> None:
-        try:
-            reader, writer = await asyncio.open_connection(sock=conn)
-        except OSError:
-            conn.close()
-            return
-        self.connections.add(writer)
-        await self.server._serve_connection(self, reader, writer)
-
 
 class AsyncPortalServer(PortalDispatcher):
     """Serve one iTracker over asyncio worker loops until :meth:`close`."""
@@ -245,16 +212,13 @@ class AsyncPortalServer(PortalDispatcher):
         telemetry: Optional[Telemetry] = None,
         staleness_provider: Optional[Callable[[], Optional[float]]] = None,
         slos: Optional[Sequence[SLO]] = None,
-        accept_model: str = "auto",
         backlog: int = 128,
         overload: Optional[OverloadConfig] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if accept_model not in _ACCEPT_MODELS:
-            raise ValueError(
-                f"accept_model must be one of {_ACCEPT_MODELS}, got {accept_model!r}"
-            )
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise ValueError("SO_REUSEPORT is not available on this platform")
         super().__init__(
             itracker,
             telemetry=telemetry,
@@ -262,11 +226,6 @@ class AsyncPortalServer(PortalDispatcher):
             slos=slos,
             overload=overload,
         )
-        if accept_model == "auto":
-            accept_model = "reuseport" if _reuseport_available() else "dispatcher"
-        elif accept_model == "reuseport" and not _reuseport_available():
-            raise ValueError("SO_REUSEPORT is not available on this platform")
-        self.accept_model = accept_model
         self.publisher = ViewPublisher(itracker, telemetry=self.telemetry)
         registry = self.telemetry.registry
         self._worker_connections = registry.gauge(
@@ -287,60 +246,35 @@ class AsyncPortalServer(PortalDispatcher):
             max_workers=workers + 2, thread_name_prefix="p4p-aportal-view"
         )
         self._closed = False
-        self._listener: Optional[socket.socket] = None
-        self._acceptor: Optional[threading.Thread] = None
-        sockets: List[Optional[socket.socket]]
-        if accept_model == "reuseport":
-            bound = self._bind_reuseport(host, port, workers, backlog)
-            self._address = bound[0].getsockname()
-            sockets = list(bound)
-        else:
-            self._listener = self._bind(host, port, backlog, reuseport=False)
-            self._address = self._listener.getsockname()
-            sockets = [None] * workers
+        sockets = self._bind(host, port, workers, backlog)
+        self._address = sockets[0].getsockname()
         self._workers = [
             _Worker(self, index, sock) for index, sock in enumerate(sockets)
         ]
         for worker in self._workers:
             worker.start()
-        if accept_model == "dispatcher":
-            self._acceptor = threading.Thread(
-                target=self._accept_loop, name="p4p-aportal-accept", daemon=True
-            )
-            self._acceptor.start()
 
     # -- sockets -----------------------------------------------------------
 
     @staticmethod
     def _bind(
-        host: str, port: int, backlog: int, reuseport: bool
-    ) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if reuseport:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((host, port))
-            sock.listen(backlog)
-        except OSError:
-            sock.close()
-            raise
-        return sock
-
-    @classmethod
-    def _bind_reuseport(
-        cls, host: str, port: int, workers: int, backlog: int
+        host: str, port: int, workers: int, backlog: int
     ) -> List[socket.socket]:
-        """One listening socket per worker on a shared port.
+        """One ``SO_REUSEPORT`` listening socket per worker on a shared port.
 
         With ``port=0`` the first bind picks the ephemeral port and the
         remaining workers join it.
         """
-        sockets = [cls._bind(host, port, backlog, reuseport=True)]
-        actual = sockets[0].getsockname()[1]
+        sockets: List[socket.socket] = []
         try:
-            for _ in range(1, workers):
-                sockets.append(cls._bind(host, actual, backlog, reuseport=True))
+            for _ in range(workers):
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                sockets.append(sock)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+                sock.bind((host, port))
+                sock.listen(backlog)
+                port = sock.getsockname()[1]
         except OSError:
             for sock in sockets:
                 sock.close()
@@ -350,20 +284,6 @@ class AsyncPortalServer(PortalDispatcher):
     @property
     def address(self) -> Tuple[str, int]:
         return self._address  # type: ignore[return-value]
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        index = 0
-        while not self._closed:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            if self._closed:
-                conn.close()
-                return
-            self._workers[index % len(self._workers)].adopt(conn)
-            index += 1
 
     # -- serving -----------------------------------------------------------
 
@@ -577,7 +497,6 @@ class AsyncPortalServer(PortalDispatcher):
         what remains.  This is the hand-off point for replication
         failover: drain the primary, promote the standby, then close.
         """
-        self._close_listener()
         for worker in self._workers:
             worker.stop_accepting()
         self.overload.start_drain()
@@ -586,17 +505,6 @@ class AsyncPortalServer(PortalDispatcher):
         drained = self.overload.wait_drained(timeout)
         traces.finish(span.set(complete=drained))
         return drained
-
-    def _close_listener(self) -> None:
-        """Close the dispatcher-model listener and wake its acceptor: on
-        Linux ``close()`` alone leaves a thread blocked in ``accept()``
-        asleep; ``shutdown()`` first makes that ``accept()`` raise."""
-        if self._listener is None:
-            return
-        with contextlib.suppress(OSError):
-            self._listener.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(OSError):
-            self._listener.close()
 
     def close(self, join_timeout: float = 5.0) -> None:
         """Stop accepting, sever every connection, and join the workers.
@@ -608,7 +516,6 @@ class AsyncPortalServer(PortalDispatcher):
         if self._closed:
             return
         self._closed = True
-        self._close_listener()
         for worker in self._workers:
             worker.stop()
         for worker in self._workers:
@@ -621,15 +528,6 @@ class AsyncPortalServer(PortalDispatcher):
                     join_timeout,
                 )
                 self._close_leaks.labels(kind="worker").inc()
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=join_timeout)
-            if self._acceptor.is_alive():
-                logger.warning(
-                    "acceptor thread %r still alive %.1fs after close()",
-                    self._acceptor.name,
-                    join_timeout,
-                )
-                self._close_leaks.labels(kind="acceptor").inc()
         self._executor.shutdown(wait=False)
 
     def __enter__(self) -> "AsyncPortalServer":

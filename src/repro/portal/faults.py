@@ -147,7 +147,7 @@ class FaultyPortal:
         self._listener.listen(16)
         self._closing = False
         self._thread = threading.Thread(
-            target=self._accept_loop, name="faulty-portal", daemon=True
+            target=self._accept_clients, name="faulty-portal", daemon=True
         )
         self._thread.start()
 
@@ -170,7 +170,7 @@ class FaultyPortal:
 
     # -- internals ----------------------------------------------------------
 
-    def _accept_loop(self) -> None:
+    def _accept_clients(self) -> None:
         while not self._closing:
             try:
                 conn, _ = self._listener.accept()

@@ -46,8 +46,10 @@ from repro.metrics.localization import TrafficLedger
 from repro.network.generators import access_classes, isp_b, isp_c
 from repro.network.routing import RoutingTable
 from repro.network.topology import Link, Node, NodeKind, Topology
+from repro.simulator.engine import EventEngine
 from repro.simulator.multiswarm import MultiSwarmSimulation, shared_substrate
 from repro.simulator.swarm import SwarmConfig, SwarmResult, SwarmSimulation
+from repro.simulator.tcp import FlowNetwork
 from repro.workloads.placement import place_peers
 
 
@@ -90,7 +92,6 @@ class FieldTestConfig:
     beta: float = 0.9
     include_isp_c: bool = False
     isp_c_fraction: float = 0.15
-    shared_network: bool = True
     rng_seed: int = 11
 
     def __post_init__(self) -> None:
@@ -391,7 +392,7 @@ class FieldTest:
         seed_pid: str,
         rng_seed: int,
         swarm_id: str,
-        shared=None,
+        shared: Tuple[FlowNetwork, EventEngine],
     ) -> Tuple[SwarmSimulation, "_LedgerState"]:
         config = self.config
         ledger = TrafficLedger(
@@ -434,11 +435,6 @@ class FieldTest:
             pid=seed_pid,
             as_number=self.topology.node(seed_pid).as_number,
         )
-        extra = {}
-        if shared is not None:
-            extra = dict(
-                shared_net=shared[0], shared_engine=shared[1], swarm_id=swarm_id
-            )
         sim = SwarmSimulation(
             self.topology,
             self.routing,
@@ -450,7 +446,9 @@ class FieldTest:
             linger_time=config.linger_seconds,
             access_overrides=dict(access),
             transfer_listener=listener,
-            **extra,
+            shared_net=shared[0],
+            shared_engine=shared[1],
+            swarm_id=swarm_id,
         )
         return sim, _LedgerState(ledger=ledger, bdp=bdp_state, peers=list(peers))
 
@@ -490,7 +488,7 @@ class FieldTest:
         p4p_peers = shuffled[half:]
 
         seed_pid = self.topology.aggregation_pids[0]
-        shared = shared_substrate() if config.shared_network else None
+        shared = shared_substrate()
         native_sim, native_state = self._build_swarm(
             native_peers,
             access,
@@ -511,17 +509,12 @@ class FieldTest:
             swarm_id="p4p",
             shared=shared,
         )
-        horizon = config.horizon * 2.0
-        if shared is not None:
-            results = MultiSwarmSimulation([native_sim, p4p_sim]).run(until=horizon)
-            native_result = results["native"]
-            p4p_result = results["p4p"]
-        else:
-            native_result = native_sim.run(until=horizon)
-            p4p_result = p4p_sim.run(until=horizon)
+        results = MultiSwarmSimulation([native_sim, p4p_sim]).run(
+            until=config.horizon * 2.0
+        )
         return FieldTestReport(
-            native=self._outcome(native_result, native_state),
-            p4p=self._outcome(p4p_result, p4p_state),
+            native=self._outcome(results["native"], native_state),
+            p4p=self._outcome(results["p4p"], p4p_state),
             topology=self.topology,
             classes=self.classes,
         )

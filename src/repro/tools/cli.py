@@ -318,7 +318,6 @@ def _run_loadtest(args: argparse.Namespace, out) -> int:
     with AsyncPortalServer(
         _loadtest_itracker(args.topology),
         workers=args.workers,
-        accept_model=args.accept_model,
         telemetry=NULL_TELEMETRY,
     ) as server:
         summary = run(spec, server.address, schedule=schedule)
@@ -485,10 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest.add_argument(
         "--workers", type=int, default=2, help="server worker loops"
-    )
-    loadtest.add_argument(
-        "--accept-model", choices=("auto", "reuseport", "dispatcher"),
-        default="auto",
     )
     loadtest.add_argument(
         "--topology", choices=("abilene", "isp-a", "isp-b", "isp-c"),

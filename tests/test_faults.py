@@ -148,7 +148,8 @@ class TestProxyFaults:
         _, proxy = stack
         proxy.down = True
         with pytest.raises((PortalTransportError, OSError)):
-            PortalClient(*proxy.address).get_version()
+            with PortalClient(*proxy.address) as client:
+                client.get_version()
 
 
 @pytest.mark.timeout(30)
@@ -158,16 +159,15 @@ class TestByzantineViews:
 
     def _fetch_then_mutate(self, stack, mutator):
         itracker, proxy = stack
-        clock = FakeClock()
-        client = resilient(proxy, clock)
-        good = client.get_view()
-        assert not good.stale
-        # A new version forces a real re-fetch (the version cache would
-        # otherwise shield the client from the mutated payload).
-        itracker.refresh_topology()
-        proxy.schedule.default = Fault(FaultKind.BYZANTINE, mutate=mutator)
-        snapshot = client.get_view()
-        proxy.schedule.default = Fault(FaultKind.PASS)
+        with resilient(proxy, FakeClock()) as client:
+            good = client.get_view()
+            assert not good.stale
+            # A new version forces a real re-fetch (the version cache would
+            # otherwise shield the client from the mutated payload).
+            itracker.refresh_topology()
+            proxy.schedule.default = Fault(FaultKind.BYZANTINE, mutate=mutator)
+            snapshot = client.get_view()
+            proxy.schedule.default = Fault(FaultKind.PASS)
         return client, good, snapshot
 
     def test_negative_distances_rejected(self, stack):
@@ -188,9 +188,9 @@ class TestByzantineViews:
     def test_byzantine_with_no_baseline_is_unavailable(self, stack):
         _, proxy = stack
         proxy.schedule.default = Fault(FaultKind.BYZANTINE, mutate=negate_distances)
-        client = resilient(proxy, FakeClock())
-        with pytest.raises(PortalUnavailable):
-            client.get_view()
+        with resilient(proxy, FakeClock()) as client:
+            with pytest.raises(PortalUnavailable):
+                client.get_view()
         assert client.counters.validation_rejections >= 1
 
 
@@ -202,79 +202,79 @@ class TestDegradationLadder:
         itracker, proxy = stack
         clock = FakeClock()
         counters = ResilienceCounters()
-        client = resilient(proxy, clock, counters=counters)
-        as_number = 11537
+        with resilient(proxy, clock, counters=counters) as client:
+            as_number = 11537
 
-        # Stage 1: healthy fetch.
-        fresh = client.get_view()
-        assert not fresh.stale and fresh.version == itracker.version
-        assert counters.retries == 0
+            # Stage 1: healthy fetch.
+            fresh = client.get_view()
+            assert not fresh.stale and fresh.version == itracker.version
+            assert counters.retries == 0
 
-        # Stage 2: transient mid-frame resets.  A single reset is absorbed
-        # by the transport's reconnect-and-resend before the resilience
-        # layer even notices; two consecutive resets exhaust the resend
-        # and surface as one transport failure, consumed by one retry.
-        seen = proxy.schedule.requests_seen
-        proxy.schedule.script[seen] = Fault(FaultKind.RESET_MID_FRAME)
-        proxy.schedule.script[seen + 1] = Fault(FaultKind.RESET_MID_FRAME)
-        snapshot = client.get_view()
-        assert not snapshot.stale
-        assert counters.retries == 1
-        assert client.breaker_state == "closed"
+            # Stage 2: transient mid-frame resets.  A single reset is absorbed
+            # by the transport's reconnect-and-resend before the resilience
+            # layer even notices; two consecutive resets exhaust the resend
+            # and surface as one transport failure, consumed by one retry.
+            seen = proxy.schedule.requests_seen
+            proxy.schedule.script[seen] = Fault(FaultKind.RESET_MID_FRAME)
+            proxy.schedule.script[seen + 1] = Fault(FaultKind.RESET_MID_FRAME)
+            snapshot = client.get_view()
+            assert not snapshot.stale
+            assert counters.retries == 1
+            assert client.breaker_state == "closed"
 
-        # Stage 3: portal goes dark -> stale views (flagged, aged), breaker
-        # trips after the failure threshold.
-        proxy.down = True
-        clock.advance(5.0)
-        stale_1 = client.get_view()
-        assert stale_1.stale and stale_1.age >= 5.0
-        assert stale_1.view is snapshot.view
-        assert counters.stale_serves == 1
-        stale_2 = client.get_view()  # third consecutive failure -> trip
-        assert stale_2.stale
-        assert client.breaker_state == "open"
-        assert counters.breaker_trips == 1
-        # While open the stale view is served without touching the network.
-        seen = proxy.schedule.requests_seen
-        assert client.get_view().stale
-        assert proxy.schedule.requests_seen == seen
+            # Stage 3: portal goes dark -> stale views (flagged, aged), breaker
+            # trips after the failure threshold.
+            proxy.down = True
+            clock.advance(5.0)
+            stale_1 = client.get_view()
+            assert stale_1.stale and stale_1.age >= 5.0
+            assert stale_1.view is snapshot.view
+            assert counters.stale_serves == 1
+            stale_2 = client.get_view()  # third consecutive failure -> trip
+            assert stale_2.stale
+            assert client.breaker_state == "open"
+            assert counters.breaker_trips == 1
+            # While open the stale view is served without touching the network.
+            seen = proxy.schedule.requests_seen
+            assert client.get_view().stale
+            assert proxy.schedule.requests_seen == seen
 
-        # Stage 4: stale TTL expires -> explicit PortalUnavailable, and
-        # selection for that AS degrades to native.
-        clock.advance(61.0)
-        with pytest.raises(PortalUnavailable):
-            client.get_view()
-        assert counters.unavailable == 1
-        selector = P4PSelection(
-            pdistances={as_number: stale_2.view},
-            portal_health={as_number: "unavailable"},
-        )
-        peer = PeerInfo(peer_id=0, pid="SEAT", as_number=as_number)
-        candidates = [
-            PeerInfo(peer_id=i, pid=pid, as_number=as_number)
-            for i, pid in enumerate(
-                ["SEAT", "SEAT", "NYCM", "NYCM", "CHIN", "DNVR"], start=1
+            # Stage 4: stale TTL expires -> explicit PortalUnavailable, and
+            # selection for that AS degrades to native.
+            clock.advance(61.0)
+            with pytest.raises(PortalUnavailable):
+                client.get_view()
+            assert counters.unavailable == 1
+            selector = P4PSelection(
+                pdistances={as_number: stale_2.view},
+                portal_health={as_number: "unavailable"},
             )
-        ]
-        chosen = selector.select(peer, candidates, 4, random.Random(3))
-        native = RandomSelection().select(peer, candidates, 4, random.Random(3))
-        assert chosen == native
-        assert selector.native_fallbacks == 1
+            peer = PeerInfo(peer_id=0, pid="SEAT", as_number=as_number)
+            candidates = [
+                PeerInfo(peer_id=i, pid=pid, as_number=as_number)
+                for i, pid in enumerate(
+                    ["SEAT", "SEAT", "NYCM", "NYCM", "CHIN", "DNVR"], start=1
+                )
+            ]
+            chosen = selector.select(peer, candidates, 4, random.Random(3))
+            native = RandomSelection().select(peer, candidates, 4, random.Random(3))
+            assert chosen == native
+            assert selector.native_fallbacks == 1
 
-        # Stage 5: portal returns -> HALF_OPEN probe closes the breaker and
-        # fresh guidance resumes.
-        proxy.down = False
-        clock.advance(31.0)
-        recovered = client.get_view()
-        assert not recovered.stale
-        assert client.breaker_state == "closed"
-        assert counters.breaker_probes >= 1
-        # one retry from stage 2's reset, one inside stage 3's first failed
-        # fetch (the second fetch trips the breaker before its retry).
-        assert counters.snapshot()["retries"] == 2
-        assert counters.snapshot()["breaker_trips"] == 1
-        assert counters.snapshot()["stale_serves"] >= 2
-        assert counters.snapshot()["unavailable"] == 1
+            # Stage 5: portal returns -> HALF_OPEN probe closes the breaker and
+            # fresh guidance resumes.
+            proxy.down = False
+            clock.advance(31.0)
+            recovered = client.get_view()
+            assert not recovered.stale
+            assert client.breaker_state == "closed"
+            assert counters.breaker_probes >= 1
+            # one retry from stage 2's reset, one inside stage 3's first failed
+            # fetch (the second fetch trips the breaker before its retry).
+            assert counters.snapshot()["retries"] == 2
+            assert counters.snapshot()["breaker_trips"] == 1
+            assert counters.snapshot()["stale_serves"] >= 2
+            assert counters.snapshot()["unavailable"] == 1
 
 
 @pytest.mark.timeout(120)

@@ -1,14 +1,13 @@
 """Protocol conformance: the server's wire behaviour is the reference's.
 
-:class:`~repro.portal.aserver.AsyncPortalServer` (both accept models)
-receives request frames over raw sockets; every response frame must
+:class:`~repro.portal.aserver.AsyncPortalServer` receives request frames over raw sockets; every response frame must
 match, byte for byte, what the in-process reference answers for an
 identically-constructed iTracker (:func:`tests.conftest.reference_frame`:
 a bare, transport-free :class:`~repro.portal.dispatch.PortalDispatcher`
 recomputing each view from the iTracker, plain-dict result, plain
 ``encode_frame``).  A response is a pure function of the request and the
-iTracker state -- never of the transport, the worker model, or the view
-cache.  (The reference used to be a second, threaded socket server; its
+iTracker state -- never of the transport, the worker a connection lands
+on, or the view cache.  (The reference used to be a second, threaded socket server; its
 per-frame work was exactly this call, and its socket bytes were checked
 equal to it on every request below before it was deleted.)
 
@@ -22,9 +21,9 @@ not fire; ``busy`` shed frames identical to the reference's and inside
 the declared response-key catalog).
 
 Trace-envelope *propagation* (which needs real telemetry, whose metrics
-document is inherently run-dependent) is checked separately: each
-accept model must parent a ``portal.dispatch`` span under the caller's
-envelope and record the same span topology.
+document is inherently run-dependent) is checked separately: the server
+must parent a ``portal.dispatch`` span under the caller's envelope and
+record the same span topology.
 """
 
 import json
@@ -43,7 +42,8 @@ from repro.portal.aserver import AsyncPortalServer
 from repro.portal.dispatch import PortalDispatcher
 from tests.conftest import reference_frame
 
-SERVER_KINDS = ("async-reuseport", "async-dispatcher")
+#: The one server under test; a parameter only so test ids keep naming it.
+SERVER_KINDS = ("async-reuseport",)
 
 
 def make_itracker(with_pid_map: bool = True) -> ITracker:
@@ -76,11 +76,8 @@ def advance(tracker: ITracker, rounds: int, start: float = 0.0) -> None:
         tracker.observe_loads(loads, now=start + 100.0 * (round_index + 1))
 
 
-def make_server(kind: str, tracker: ITracker, telemetry=NULL_TELEMETRY):
-    accept_model = kind.split("-", 1)[1]
-    return AsyncPortalServer(
-        tracker, workers=2, accept_model=accept_model, telemetry=telemetry
-    )
+def make_server(tracker: ITracker, telemetry=NULL_TELEMETRY):
+    return AsyncPortalServer(tracker, workers=2, telemetry=telemetry)
 
 
 def reference_frames(tracker: ITracker, frames):
@@ -179,7 +176,7 @@ class TestByteIdenticalResponses:
         pids = tuple(make_itracker().get_pdistances().pids)
         frames = conformance_requests(pids)
         expected = reference_frames(make_itracker(), frames)
-        with make_server(kind, make_itracker()) as candidate:
+        with make_server(make_itracker()) as candidate:
             actual = exchange(candidate.address, frames)
         assert len(expected) == len(actual)
         for index, (want, got) in enumerate(zip(expected, actual)):
@@ -197,7 +194,7 @@ class TestByteIdenticalResponses:
             protocol.encode_frame({"method": "get_alto_networkmap", "params": {}}),
         ]
         expected = reference_frames(make_itracker(with_pid_map=False), frames)
-        with make_server(kind, make_itracker(with_pid_map=False)) as candidate:
+        with make_server(make_itracker(with_pid_map=False)) as candidate:
             actual = exchange(candidate.address, frames)
         assert expected == actual
 
@@ -208,7 +205,7 @@ class TestByteIdenticalResponses:
         cursor."""
         reference_tracker = make_itracker()
         candidate_tracker = make_itracker()
-        with make_server(kind, candidate_tracker) as candidate:
+        with make_server(candidate_tracker) as candidate:
             for step in range(3):
                 advance(reference_tracker, rounds=1, start=1000.0 * (step + 1))
                 advance(candidate_tracker, rounds=1, start=1000.0 * (step + 1))
@@ -232,7 +229,7 @@ class TestOverloadEnvelopeConformance:
 
     A ``deadline`` envelope that does not fire must be byte-invisible:
     the response to a stamped request is identical to the bare request's
-    response, on every server kind.  Ill-typed deadline values are
+    response.  Ill-typed deadline values are
     tolerated exactly like malformed trace envelopes.  Busy frames (the
     structured shed response) are part of the conformance surface too:
     identical to the reference's and confined to the declared response
@@ -251,7 +248,7 @@ class TestOverloadEnvelopeConformance:
             for value in self.DEADLINE_VARIANTS
         ]
         expected = reference_frames(make_itracker(), [bare] + stamped)
-        with make_server(kind, make_itracker()) as candidate:
+        with make_server(make_itracker()) as candidate:
             actual = exchange(candidate.address, [bare] + stamped)
         assert expected == actual
         # The deadline key is consumed server-side, never echoed: every
@@ -273,7 +270,7 @@ class TestOverloadEnvelopeConformance:
     def test_every_response_stays_inside_the_envelope_catalog(self, kind):
         pids = tuple(make_itracker().get_pdistances().pids)
         frames = conformance_requests(pids)
-        with make_server(kind, make_itracker()) as server:
+        with make_server(make_itracker()) as server:
             responses = exchange(server.address, frames)
         for raw in responses:
             keys = set(json.loads(raw[4:]))
@@ -294,7 +291,7 @@ class TestOverloadEnvelopeConformance:
             protocol.encode_frame(reference.dispatch(json.loads(frame[4:])))
             for frame in frames
         ]
-        with make_server(kind, make_itracker()) as candidate:
+        with make_server(make_itracker()) as candidate:
             candidate.force_brownout(True)
             actual = exchange(candidate.address, frames)
         assert expected == actual
@@ -316,7 +313,7 @@ class TestTracePropagation:
                 {"method": "get_version", "params": {}}, dict(envelope)
             )
         )
-        with make_server(kind, make_itracker(), telemetry=telemetry) as server:
+        with make_server(make_itracker(), telemetry=telemetry) as server:
             (raw,) = exchange(server.address, [frame])
         response = json.loads(raw[4:])
         assert "result" in response
@@ -346,7 +343,7 @@ class TestTracePropagation:
     def test_untraced_request_records_no_span(self, kind):
         telemetry = Telemetry()
         frame = protocol.encode_frame({"method": "get_version", "params": {}})
-        with make_server(kind, make_itracker(), telemetry=telemetry) as server:
+        with make_server(make_itracker(), telemetry=telemetry) as server:
             (raw,) = exchange(server.address, [frame])
         assert "result" in json.loads(raw[4:])
         assert not [

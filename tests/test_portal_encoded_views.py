@@ -333,9 +333,7 @@ class TestConcurrentFirstBuild:
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with make_async(
-                tracker, workers=2, accept_model="dispatcher"
-            ) as server:
+            with make_async(tracker, workers=2) as server:
                 for _ in range(4):
                     advance(tracker)
                     advance(twin)

@@ -390,6 +390,48 @@ class TestDrain:
             assert response["busy"] is True
             established.close()
 
+    def test_drain_refuses_connects_on_every_worker(self):
+        """Each worker owns a listener on the shared port and the kernel
+        spreads connects across them, so one listener left open would
+        take a share of these connects."""
+        telemetry = Telemetry()
+        before = set(threading.enumerate())
+        server = AsyncPortalServer(make_itracker(), workers=4, telemetry=telemetry)
+        established = socket.create_connection(server.address, timeout=5.0)
+        try:
+            # One serving thread per worker and no acceptor beside them.
+            assert set(threading.enumerate()) - before == {
+                worker.thread for worker in server._workers
+            }
+            warm, _ = raw_request(
+                server.address,
+                {"method": "get_version", "params": {}},
+                sock=established,
+            )
+            assert "result" in warm
+            assert server.drain(timeout=2.0) is True
+            accepted = 0
+            for _ in range(32):
+                try:
+                    socket.create_connection(server.address, timeout=0.5).close()
+                    accepted += 1
+                except OSError:
+                    pass
+            assert accepted == 0
+            response, _ = raw_request(
+                server.address,
+                {"method": "get_version", "params": {}},
+                sock=established,
+            )
+            assert response["busy"] is True
+        finally:
+            established.close()
+            server.close()
+        leaks = telemetry.registry.counter(
+            "p4p_server_close_leaks_total", "", ("kind",)
+        )
+        assert leaks.labels(kind="worker").value == 0
+
     def test_close_after_drain_still_severs_established_connections(self):
         server = AsyncPortalServer(make_itracker(), workers=1)
         established = socket.create_connection(server.address, timeout=5.0)
@@ -440,40 +482,6 @@ class TestCloseLeakAccounting:
         leaks = telemetry.registry.counter(
             "p4p_server_close_leaks_total", "", ("kind",)
         )
-        assert leaks.labels(kind="worker").value == 0
-        assert leaks.labels(kind="acceptor").value == 0
-
-    @pytest.mark.parametrize("drain_first", [False, True])
-    def test_dispatcher_model_close_wakes_its_acceptor(self, drain_first):
-        """Closing a listening socket does not wake an ``accept()`` blocked
-        in another thread on Linux: ``close()`` used to sit out its whole
-        join timeout and count a spurious acceptor leak."""
-        telemetry = Telemetry()
-        server = AsyncPortalServer(
-            make_itracker(), workers=2, accept_model="dispatcher",
-            telemetry=telemetry,
-        )
-        try:
-            # One served request: the acceptor has been through accept()
-            # once and is parked in it again.
-            with socket.create_connection(server.address, timeout=5.0) as sock:
-                warm, _ = raw_request(
-                    server.address, {"method": "get_version", "params": {}}, sock=sock
-                )
-                assert "result" in warm
-            began = time.perf_counter()
-            if drain_first:
-                assert server.drain(timeout=2.0) is True
-                server._acceptor.join(timeout=1.0)
-                assert not server._acceptor.is_alive()
-        finally:
-            server.close()
-        assert time.perf_counter() - began < 1.0
-        assert not server._acceptor.is_alive()
-        leaks = telemetry.registry.counter(
-            "p4p_server_close_leaks_total", "", ("kind",)
-        )
-        assert leaks.labels(kind="acceptor").value == 0
         assert leaks.labels(kind="worker").value == 0
 
     def test_connections_racing_close_are_severed_not_leaked(self, caplog):

@@ -1,5 +1,4 @@
-"""Stress and adversarial-transport tests for the portal server, on both
-accept models.
+"""Stress and adversarial-transport tests for the portal server.
 
 Concurrency (many clients, pipelined frames on one connection), torn and
 oversized and garbage frames, mid-request disconnects -- and the serving
@@ -24,7 +23,8 @@ from repro.portal import protocol
 from repro.portal.aserver import AsyncPortalServer
 from repro.portal.client import PortalClient
 
-SERVER_KINDS = ("async-reuseport", "async-dispatcher")
+#: The one server under test; a parameter only so test ids keep naming it.
+SERVER_KINDS = ("async-reuseport",)
 
 
 def make_itracker() -> ITracker:
@@ -39,17 +39,14 @@ def make_itracker() -> ITracker:
     return tracker
 
 
-def make_server(kind: str, tracker: ITracker, **kwargs):
-    accept_model = kind.split("-", 1)[1]
+def make_server(tracker: ITracker, **kwargs):
     kwargs.setdefault("workers", 2)
-    return AsyncPortalServer(
-        tracker, accept_model=accept_model, telemetry=NULL_TELEMETRY, **kwargs
-    )
+    return AsyncPortalServer(tracker, telemetry=NULL_TELEMETRY, **kwargs)
 
 
 @pytest.fixture(params=SERVER_KINDS)
 def server(request):
-    with make_server(request.param, make_itracker()) as portal:
+    with make_server(make_itracker()) as portal:
         yield portal
 
 
@@ -149,8 +146,8 @@ class TestTornInput:
 
 @pytest.mark.timeout(60)
 class TestCoalescing:
-    @pytest.mark.parametrize("accept_model", ["reuseport", "dispatcher"])
-    def test_identical_concurrent_view_requests_compute_once(self, accept_model):
+    @pytest.mark.parametrize("kind", ["reuseport"])  # keeps the test id
+    def test_identical_concurrent_view_requests_compute_once(self, kind):
         """k concurrent ``get_pdistances`` against a stale snapshot: one
         slow view computation, k byte-identical correct replies."""
         tracker = make_itracker()
@@ -185,9 +182,7 @@ class TestCoalescing:
                 with lock:
                     errors.append(exc)
 
-        with make_server(
-            f"async-{accept_model}", tracker, workers=1
-        ) as server:
+        with make_server(tracker, workers=1) as server:
             threads = [threading.Thread(target=worker) for _ in range(k)]
             for thread in threads:
                 thread.start()
@@ -218,7 +213,7 @@ class TestCoalescing:
             return real_snapshot()
 
         tracker.view_snapshot = counting_snapshot
-        with make_server("async-reuseport", tracker, workers=1) as server:
+        with make_server(tracker, workers=1) as server:
             with PortalClient(*server.address) as client:
                 first = client.get_pdistances(pids=["NYCM", "CHIN"])
                 second = client.get_pdistances(pids=["WASH"])

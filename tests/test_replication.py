@@ -174,43 +174,43 @@ class TestFailover:
             standby = StandbyReplica(make_tracker(), server.address, clock=clock)
             assert standby.sync()
             with standby.serve() as replica_server:
-                client = make_failover(
+                with make_failover(
                     [proxy.address, replica_server.address], clock
-                )
-                views, health = {}, {}
-                selector = P4PSelection(pdistances=views, portal_health=health)
-                integrator = Integrator()
-                as_number = abilene().node(abilene().aggregation_pids[0]).as_number
-                integrator.add(as_number, client)
+                ) as client:
+                    views, health = {}, {}
+                    selector = P4PSelection(pdistances=views, portal_health=health)
+                    integrator = Integrator()
+                    as_number = abilene().node(abilene().aggregation_pids[0]).as_number
+                    integrator.add(as_number, client)
 
-                def refresh():
-                    views.clear()
-                    views.update(integrator.views())
-                    health.clear()
-                    health.update(integrator.status_map())
+                    def refresh():
+                        views.clear()
+                        views.update(integrator.views())
+                        health.clear()
+                        health.update(integrator.status_map())
 
-                refresh()
-                assert health[as_number] == "ok"
-                assert client.active_endpoint == proxy.address
+                    refresh()
+                    assert health[as_number] == "ok"
+                    assert client.active_endpoint == proxy.address
 
-                proxy.down = True  # the partition
-                clock.advance(5.0)
-                refresh()
-                assert health[as_number] == "ok"  # still fresh -- via standby
-                assert client.active_endpoint == replica_server.address
-                snapshot = client.last_good
-                assert snapshot is not None and not snapshot.stale
-                assert snapshot.origin_staleness is not None
-                assert snapshot.origin_staleness <= clock.now
+                    proxy.down = True  # the partition
+                    clock.advance(5.0)
+                    refresh()
+                    assert health[as_number] == "ok"  # still fresh -- via standby
+                    assert client.active_endpoint == replica_server.address
+                    snapshot = client.last_good
+                    assert snapshot is not None and not snapshot.stale
+                    assert snapshot.origin_staleness is not None
+                    assert snapshot.origin_staleness <= clock.now
 
-                # The selection plane keeps working on the standby's view.
-                peers = [
-                    PeerInfo(peer_id=i, pid=pid, as_number=as_number)
-                    for i, pid in enumerate(abilene().aggregation_pids[:4])
-                ]
-                chosen = selector.select(peers[0], peers[1:], 2, random.Random(1))
-                assert len(chosen) == 2
-                assert selector.native_fallbacks == 0
+                    # The selection plane keeps working on the standby's view.
+                    peers = [
+                        PeerInfo(peer_id=i, pid=pid, as_number=as_number)
+                        for i, pid in enumerate(abilene().aggregation_pids[:4])
+                    ]
+                    chosen = selector.select(peers[0], peers[1:], 2, random.Random(1))
+                    assert len(chosen) == 2
+                    assert selector.native_fallbacks == 0
                 standby.close()
 
     def test_both_endpoints_down_serves_stale_then_unavailable(self):
@@ -222,32 +222,31 @@ class TestFailover:
             assert standby.sync()
             with standby.serve() as replica_server:
                 standby_proxy = FaultyPortal(replica_server.address)
-                client = make_failover(
+                with standby_proxy, make_failover(
                     [proxy.address, standby_proxy.address], clock, stale_ttl=20.0
-                )
-                assert not client.get_view().stale
-                proxy.down = True
-                standby_proxy.down = True
-                clock.advance(5.0)
-                snapshot = client.get_view()
-                assert snapshot.stale
-                assert snapshot.age == pytest.approx(5.0)
-                clock.advance(40.0)  # past the stale TTL
-                with pytest.raises(PortalUnavailable):
-                    client.get_view()
-                standby_proxy.close()
+                ) as client:
+                    assert not client.get_view().stale
+                    proxy.down = True
+                    standby_proxy.down = True
+                    clock.advance(5.0)
+                    snapshot = client.get_view()
+                    assert snapshot.stale
+                    assert snapshot.age == pytest.approx(5.0)
+                    clock.advance(40.0)  # past the stale TTL
+                    with pytest.raises(PortalUnavailable):
+                        client.get_view()
                 standby.close()
 
     def test_ranked_prefers_declaration_order_when_equally_healthy(self):
         clock = FakeClock()
-        client = FailoverPortalClient(
+        with FailoverPortalClient(
             [("127.0.0.1", 1), ("127.0.0.1", 2)],
             clock=clock,
             breaker_factory=lambda: CircuitBreaker(clock=clock),
-        )
-        assert client.ranked() == [0, 1]
-        client.clients[0].breaker.record_failure()
-        assert client.ranked() == [1, 0]  # fewer consecutive failures wins
+        ) as client:
+            assert client.ranked() == [0, 1]
+            client.clients[0].breaker.record_failure()
+            assert client.ranked() == [1, 0]  # fewer consecutive failures wins
 
 
 @pytest.mark.timeout(30)

@@ -21,6 +21,7 @@ import io
 import json
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.analysis import (
     Project,
     resolve_rules,
 )
+from repro.analysis import cli as lint_cli
 from repro.analysis.baseline import BaselineEntry
 from repro.analysis.cli import default_baseline_path, default_root
 from repro.tools.cli import main as cli_main
@@ -75,9 +77,13 @@ def run_rule(rule_id: str, filename: str, relpath: str):
 
 
 @pytest.fixture(scope="module")
-def tree_report():
-    project = Project.load(SRC_ROOT)
-    return Analyzer([rule_cls() for rule_cls in ALL_RULES]).run(project)
+def tree_project():
+    return Project.load(SRC_ROOT)
+
+
+@pytest.fixture(scope="module")
+def tree_report(tree_project):
+    return Analyzer([rule_cls() for rule_cls in ALL_RULES]).run(tree_project)
 
 
 def test_tree_has_no_nonbaselined_findings(tree_report):
@@ -355,10 +361,40 @@ def test_baseline_restricted_to_selected_rules():
 # -- CLI -------------------------------------------------------------------
 
 
-def run_cli(*argv: str):
-    out = io.StringIO()
-    status = cli_main(["lint", *argv], out=out)
-    return status, out.getvalue()
+@pytest.fixture(scope="module")
+def run_cli(tree_project, tree_report):
+    """``p4p-repro lint`` in process, returning (status, output).
+
+    The CLI tests re-run the unchanged tree only to exercise argument
+    parsing, baseline I/O, exit codes and output, so each (root, selected
+    rules) pair is loaded and analysed once per module and reused after
+    that; the tree gate's analysis seeds the cache.
+    """
+    projects = {tree_project.root: tree_project}
+    reports = {(tree_project.root, tuple(tree_report.rules)): tree_report}
+
+    def load(root):
+        root = Path(root).resolve()
+        if root not in projects:
+            projects[root] = Project.load(root)
+        return projects[root]
+
+    class MemoisedAnalyzer(Analyzer):
+        def run(self, project):
+            key = (project.root, tuple(rule.id for rule in self.rules))
+            if key not in reports:
+                reports[key] = super().run(project)
+            return reports[key]
+
+    def run(*argv: str):
+        out = io.StringIO()
+        status = cli_main(["lint", *argv], out=out)
+        return status, out.getvalue()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lint_cli, "Project", SimpleNamespace(load=load))
+        patch.setattr(lint_cli, "Analyzer", MemoisedAnalyzer)
+        yield run
 
 
 def test_cli_defaults_resolve_repo_layout():
@@ -366,13 +402,13 @@ def test_cli_defaults_resolve_repo_layout():
     assert default_baseline_path(SRC_ROOT) == BASELINE_PATH
 
 
-def test_cli_exits_zero_with_baseline():
+def test_cli_exits_zero_with_baseline(run_cli):
     status, text = run_cli()
     assert status == 0, text
     assert "0 finding(s)" in text
 
 
-def test_cli_exits_nonzero_without_baseline():
+def test_cli_exits_nonzero_without_baseline(run_cli):
     # The checked-in baseline suppresses at least one finding, so
     # disabling it must flip the exit code.
     status, text = run_cli("--baseline", "none")
@@ -380,7 +416,7 @@ def test_cli_exits_nonzero_without_baseline():
     assert "LCK001" in text
 
 
-def test_cli_json_output():
+def test_cli_json_output(run_cli):
     status, text = run_cli("--format", "json")
     assert status == 0
     document = json.loads(text)
@@ -393,7 +429,7 @@ def test_cli_json_output():
     assert set(document["timings"]) == {rule.id for rule in ALL_RULES} | {"index"}
 
 
-def test_cli_select_restricts_rules():
+def test_cli_select_restricts_rules(run_cli):
     status, text = run_cli("--format", "json", "--select", "DET001",
                            "--baseline", "none")
     assert status == 0
@@ -401,12 +437,12 @@ def test_cli_select_restricts_rules():
     assert set(document["counts"]) == {"DET001"}
 
 
-def test_cli_unknown_rule_is_usage_error():
+def test_cli_unknown_rule_is_usage_error(run_cli):
     status, _text = run_cli("--select", "NOPE001")
     assert status == 2
 
 
-def test_cli_write_baseline_round_trip(tmp_path):
+def test_cli_write_baseline_round_trip(tmp_path, run_cli):
     path = tmp_path / "generated_baseline.json"
     status, text = run_cli("--baseline", str(path), "--write-baseline")
     assert status == 0 and path.exists(), text
@@ -417,7 +453,7 @@ def test_cli_write_baseline_round_trip(tmp_path):
     assert status == 2
 
 
-def test_cli_update_baseline_round_trip(tmp_path):
+def test_cli_update_baseline_round_trip(tmp_path, run_cli):
     path = tmp_path / "baseline.json"
     # Seed via --write-baseline, inject a justification, then update.
     status, text = run_cli("--baseline", str(path), "--write-baseline")
@@ -440,7 +476,7 @@ def test_cli_update_baseline_round_trip(tmp_path):
     assert status == 0, text
 
 
-def test_cli_stale_baseline_entry_is_hard_error(tmp_path):
+def test_cli_stale_baseline_entry_is_hard_error(tmp_path, run_cli):
     path = tmp_path / "baseline.json"
     status, _text = run_cli("--baseline", str(path), "--write-baseline")
     assert status == 0
@@ -459,7 +495,7 @@ def test_cli_stale_baseline_entry_is_hard_error(tmp_path):
     assert "stale baseline entry" in text
 
 
-def test_cli_rule_version_mismatch_is_usage_error(tmp_path, capsys):
+def test_cli_rule_version_mismatch_is_usage_error(tmp_path, capsys, run_cli):
     path = tmp_path / "baseline.json"
     status, _text = run_cli("--baseline", str(path), "--write-baseline")
     assert status == 0
@@ -475,7 +511,7 @@ def test_cli_rule_version_mismatch_is_usage_error(tmp_path, capsys):
     assert status == 0
 
 
-def test_cli_text_output_reports_per_rule_timings():
+def test_cli_text_output_reports_per_rule_timings(run_cli):
     status, text = run_cli()
     assert status == 0, text
     timing_lines = [
