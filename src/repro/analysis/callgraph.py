@@ -27,7 +27,9 @@ whole-program layer those rules stand on:
   the blocking-primitive catalog.
 
 * **Execution-domain classification.**  Functions are seeded into the
-  event-loop domain (``async def`` bodies, ``call_soon*`` callbacks) or
+  event-loop domain (``async def`` bodies, ``call_soon*`` /
+  ``add_done_callback`` callbacks, the transport callbacks of
+  ``asyncio.Protocol`` subclasses) or
   the thread domain (``threading.Thread`` targets, ``Executor.submit`` /
   ``run_in_executor`` / ``asyncio.to_thread`` submissions, ``handle`` /
   ``run`` methods of classes extending external handler/server/thread
@@ -63,8 +65,33 @@ DOMAIN_LOOP = "loop"  # runs on an asyncio event-loop thread
 DOMAIN_THREAD = "thread"  # runs on a non-loop thread (Thread/executor)
 
 #: Methods that schedule a plain callable onto the event loop.
+#: ``add_done_callback`` counts: an asyncio future runs its callbacks on
+#: its loop (a ``concurrent.futures`` one would not, but the serving
+#: plane hands executor work back as asyncio futures).
 _LOOP_CALLBACK_METHODS = frozenset(
-    {"call_soon", "call_soon_threadsafe", "call_later", "call_at"}
+    {
+        "call_soon",
+        "call_soon_threadsafe",
+        "call_later",
+        "call_at",
+        "add_done_callback",
+    }
+)
+
+#: Methods the event loop calls on an ``asyncio`` protocol instance.
+_PROTOCOL_CALLBACKS = frozenset(
+    {
+        "connection_made",
+        "data_received",
+        "eof_received",
+        "connection_lost",
+        "pause_writing",
+        "resume_writing",
+        "get_buffer",
+        "buffer_updated",
+        "datagram_received",
+        "error_received",
+    }
 )
 
 #: Methods/functions that run a callable on a worker thread.  The callee
@@ -188,6 +215,7 @@ class ProjectIndex:
         self.tables: Dict[str, _ModuleTable] = {}  # module name -> table
         self._methods_by_name: Dict[str, List[str]] = {}
         self._domains: Optional[Dict[str, Set[str]]] = None
+        self._loop_callbacks: Optional[Set[str]] = None
         self._fn_by_node: Dict[int, str] = {}
 
     # -- construction ------------------------------------------------------
@@ -403,6 +431,37 @@ class ProjectIndex:
 
     # -- execution domains -------------------------------------------------
 
+    def loop_callbacks(self) -> Set[str]:
+        """Plain functions the event loop itself calls: transport
+        callbacks of ``asyncio`` protocol subclasses, and callables
+        scheduled with ``call_soon*`` / ``call_later`` / ``call_at`` /
+        ``add_done_callback``.  Like a coroutine, each one runs on the
+        loop thread with nothing above it on the stack."""
+        if self._loop_callbacks is not None:
+            return self._loop_callbacks
+        callbacks: Set[str] = set()
+        for qualname, info in self.functions.items():
+            if (
+                info.class_name is not None
+                and info.name in _PROTOCOL_CALLBACKS
+                and any(
+                    base.startswith("asyncio.") and base.endswith("Protocol")
+                    for ancestor in self.mro(info.class_name)
+                    for base in ancestor.bases
+                )
+            ):
+                callbacks.add(qualname)
+        for edges in self.edges.values():
+            for edge in edges:
+                if edge.callee is not None and edge.kind == "loopref":
+                    callbacks.add(edge.callee)
+        self._loop_callbacks = {
+            qualname
+            for qualname in callbacks
+            if not self.functions[qualname].is_async
+        }
+        return self._loop_callbacks
+
     def domains(self) -> Dict[str, Set[str]]:
         """Function qualname -> execution domains it can run in.
 
@@ -423,14 +482,12 @@ class ProjectIndex:
                     for base in cls.bases
                 ):
                     seeds[qualname].add(DOMAIN_THREAD)
+        for qualname in self.loop_callbacks():
+            seeds[qualname].add(DOMAIN_LOOP)
         for edges in self.edges.values():
             for edge in edges:
-                if edge.callee is None:
-                    continue
-                if edge.executor:
+                if edge.callee is not None and edge.executor:
                     seeds[edge.callee].add(DOMAIN_THREAD)
-                elif edge.kind == "loopref":
-                    seeds[edge.callee].add(DOMAIN_LOOP)
         # Propagate caller domains along inline call edges.  Async
         # callees keep their loop seed (their body runs on the loop no
         # matter who constructs the coroutine); executor hops already

@@ -8,7 +8,11 @@ in-flight connection on that worker.  The rule walks the synchronous
 closure of every ``async def`` (executor hops cut the walk: work
 offloaded through ``run_in_executor``/``submit``/``to_thread`` is the
 *approved* way to block) and reports each blocking call site with the
-full reachability chain, so the finding explains itself.
+full reachability chain, so the finding explains itself.  A plain
+function the loop calls directly -- an ``asyncio.Protocol`` transport
+callback, or a ``call_soon``/``call_later``/``add_done_callback`` target
+-- is a root too; a class's loop callbacks report a blocking site once,
+through the shortest chain that reaches it.
 
 **ASY002 (cross-domain races).**  LCK001 enforces lock consistency but
 is blind to *who* runs a method.  This rule uses the dataflow summaries:
@@ -25,7 +29,7 @@ them to (the same philosophy as LCK001's inference).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import DOMAIN_LOOP, DOMAIN_THREAD, ProjectIndex
 from repro.analysis.core import Finding, Module, Project, Rule
@@ -94,7 +98,7 @@ class AsyncBlockingRule(Rule):
         "socket/file ops, subprocess) transitively reachable from an "
         "async def without an executor hop."
     )
-    version = "1.0"
+    version = "1.1"
     requires_project_index = True
 
     def check(self, module: Module, project: Project) -> Iterator[Finding]:
@@ -104,38 +108,63 @@ class AsyncBlockingRule(Rule):
         for qualname, info in sorted(index.functions.items()):
             if info.module != module.relpath or not info.is_async:
                 continue
-            yield from self._check_coroutine(module, index, qualname)
+            for chain, blocked in self._blocking_sites(index, qualname).values():
+                yield self._finding(module, index, "async", chain, blocked)
+        # Loop callbacks, grouped by owning class (or function): the
+        # callbacks of one protocol share their code paths, and one
+        # blocking site is one finding, whichever callback reaches it.
+        groups: Dict[str, List[str]] = {}
+        for qualname in index.loop_callbacks():
+            info = index.functions[qualname]
+            if info.module == module.relpath:
+                groups.setdefault(info.class_name or qualname, []).append(qualname)
+        for _owner, roots in sorted(groups.items()):
+            shortest: Dict[Tuple[str, str], Tuple[Tuple[str, ...], str]] = {}
+            for root in sorted(roots):
+                for key, (chain, blocked) in self._blocking_sites(index, root).items():
+                    if key not in shortest or len(chain) < len(shortest[key][0]):
+                        shortest[key] = (chain, blocked)
+            for chain, blocked in shortest.values():
+                yield self._finding(module, index, "loop callback", chain, blocked)
 
-    def _check_coroutine(
-        self, module: Module, index: ProjectIndex, start: str
-    ) -> Iterator[Finding]:
-        start_info = index.functions[start]
-        reported: Set[Tuple[str, str]] = set()
+    @staticmethod
+    def _blocking_sites(
+        index: ProjectIndex, start: str
+    ) -> Dict[Tuple[str, str], Tuple[Tuple[str, ...], str]]:
+        """``(function, blocking call) -> (chain from start, blocking
+        call)`` for every blocking call in the synchronous closure of
+        ``start``, in walk order."""
+        sites: Dict[Tuple[str, str], Tuple[Tuple[str, ...], str]] = {}
         for fn_qual, chain, _edge in index.walk_sync(start):
             for edge in index.external_calls(fn_qual):
                 blocked = classify_blocking(edge.external or "", edge.awaited)
-                if blocked is None:
-                    continue
-                shorts = tuple(
-                    index.functions[q].short for q in chain
-                )
-                key = (fn_qual, blocked)
-                if key in reported:
-                    continue
-                reported.add(key)
-                chain_text = " -> ".join([*shorts, blocked])
-                yield Finding(
-                    rule=self.id,
-                    path=module.relpath,
-                    line=start_info.lineno,
-                    col=1,
-                    message=(
-                        f"async {start_info.short}() can block its event "
-                        f"loop: {blocked} is reachable with no executor "
-                        f"hop via {chain_text}"
-                    ),
-                    severity=self.severity,
-                )
+                if blocked is not None:
+                    sites.setdefault((fn_qual, blocked), (chain, blocked))
+        return sites
+
+    def _finding(
+        self,
+        module: Module,
+        index: ProjectIndex,
+        kind: str,
+        chain: Tuple[str, ...],
+        blocked: str,
+    ) -> Finding:
+        start_info = index.functions[chain[0]]
+        shorts = [index.functions[q].short for q in chain]
+        chain_text = " -> ".join([*shorts, blocked])
+        return Finding(
+            rule=self.id,
+            path=module.relpath,
+            line=start_info.lineno,
+            col=1,
+            message=(
+                f"{kind} {start_info.short}() can block its event "
+                f"loop: {blocked} is reachable with no executor "
+                f"hop via {chain_text}"
+            ),
+            severity=self.severity,
+        )
 
 
 class CrossDomainRaceRule(Rule):

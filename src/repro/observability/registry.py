@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 Clock = Callable[[], float]
@@ -92,13 +93,21 @@ class CounterChild(_Child):
 
 
 class GaugeChild(_Child):
-    """A value that can go up and down (set/inc/dec)."""
+    """A value that can go up and down (set/inc/dec), or one derived
+    from other state each time it is read (:meth:`set_function`)."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_read")
 
     def __init__(self, lock: threading.Lock) -> None:
         super().__init__(lock)
         self._value = 0.0
+        self._read: Optional[Callable[[], float]] = None
+
+    def set_function(self, read: Callable[[], float]) -> None:
+        """Derive the value on read: from now on ``value`` is ``read()``,
+        so a gauge over state its owner already keeps costs nothing until
+        it is scraped."""
+        self._read = read
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -114,6 +123,9 @@ class GaugeChild(_Child):
 
     @property
     def value(self) -> float:
+        read = self._read
+        if read is not None:
+            return float(read())
         with self._lock:
             return self._value
 
@@ -132,11 +144,10 @@ class HistogramChild(_Child):
 
     def observe(self, value: float) -> None:
         value = float(value)
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
+        # The first bucket with ``value <= bound``; NaN compares false
+        # against every bound and lands in +Inf.
+        buckets = self.buckets
+        index = bisect_left(buckets, value) if value == value else len(buckets)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
@@ -406,6 +417,9 @@ class _NullChild:
         pass
 
     def set(self, value: float) -> None:
+        pass
+
+    def set_function(self, read: Callable[[], float]) -> None:
         pass
 
     def observe(self, value: float) -> None:

@@ -7,7 +7,7 @@ portal method or to every method with the ``"*"`` wildcard.
 
 :class:`SLOTracker` judges each completed request against every matching
 SLO over a count-based rolling window (the last ``window`` requests) and
-keeps three registry instruments current:
+exposes three registry instruments:
 
 * ``p4p_slo_events_total{slo, outcome}`` -- counter of good/bad events;
 * ``p4p_slo_burn_rate{slo}`` -- gauge: the rate at which the error
@@ -18,14 +18,18 @@ keeps three registry instruments current:
   ``max(0, 1 - burn_rate)``.
 
 The window is a deque plus a running bad-count, so ``observe`` is O(1)
-per matching SLO -- cheap enough to sit on the dispatch hot path.
+per matching SLO -- it pushes the window and counts the event, nothing
+more -- and the two gauges are derived from the window when they are
+read (:meth:`~repro.observability.registry.GaugeChild.set_function`):
+the dispatch hot path pays for a burn rate only when someone scrapes it.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.observability.registry import MetricsRegistry
 
@@ -118,33 +122,35 @@ class SLOTracker:
         )
         # Pre-bind every label child once; observe() touches no dicts
         # keyed by label tuples on the hot path.
-        self._tracked: List[Tuple[SLO, _Window, Any, Any, Any, Any]] = []
+        self._tracked: List[Tuple[SLO, _Window, Any, Any]] = []
         for slo in self.slos:
+            window = _Window(slo.window)
             good = events.labels(slo=slo.name, outcome="good")
             bad = events.labels(slo=slo.name, outcome="bad")
-            burn_child = burn.labels(slo=slo.name)
-            budget_child = budget.labels(slo=slo.name)
-            burn_child.set(0.0)
-            budget_child.set(1.0)
-            self._tracked.append(
-                (slo, _Window(slo.window), good, bad, burn_child, budget_child)
+            burn_rate = functools.partial(_burn_rate, slo, window)
+            burn.labels(slo=slo.name).set_function(burn_rate)
+            budget.labels(slo=slo.name).set_function(
+                functools.partial(_budget_remaining, burn_rate)
             )
+            self._tracked.append((slo, window, good, bad))
 
     def observe(self, method: str, duration: float, error: bool) -> None:
         """Record one completed request for every SLO matching ``method``."""
-        for slo, window, good, bad, burn_child, budget_child in self._tracked:
+        for slo, window, good, bad in self._tracked:
             if slo.method != "*" and slo.method != method:
                 continue
             is_bad = slo.is_bad(duration, error)
             window.push(is_bad)
             (bad if is_bad else good).inc()
-            burn = window.bad_fraction() / (1.0 - slo.objective)
-            burn_child.set(burn)
-            budget_child.set(max(0.0, 1.0 - burn))
 
     def burn_rates(self) -> Dict[str, float]:
         """Current burn rate per SLO name (for tests and the dashboard)."""
-        return {
-            slo.name: window.bad_fraction() / (1.0 - slo.objective)
-            for slo, window, *_ in self._tracked
-        }
+        return {slo.name: _burn_rate(slo, window) for slo, window, *_ in self._tracked}
+
+
+def _burn_rate(slo: SLO, window: _Window) -> float:
+    return window.bad_fraction() / (1.0 - slo.objective)
+
+
+def _budget_remaining(burn_rate: Callable[[], float]) -> float:
+    return max(0.0, 1.0 - burn_rate())

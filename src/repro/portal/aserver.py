@@ -14,6 +14,21 @@ transport, built for "millions of users":
   on one worker) and its own listening socket, bound to the shared port
   with ``SO_REUSEPORT`` so the kernel load-balances accepts.
 
+* **A request is answered inside one transport callback.**  Each
+  connection is an ``asyncio.Protocol`` (:class:`_Connection`): bytes
+  land in a :class:`~repro.portal.protocol.FrameSplitter`, and the
+  ``data_received`` that completes a frame decodes, admits, dispatches,
+  encodes and writes the answer with ``transport.write`` -- no
+  coroutine, no task wake-up, no ``drain()`` per request.  Further
+  frames from the same read are answered one per loop pass, so a
+  pipelining client cannot starve the worker's other connections or
+  its lag probe.  Only a view read that finds the snapshot stale leaves
+  the callback (the publication runs in the executor; the frames behind
+  it wait, so answers keep request order).  Connection governance is
+  loop timers (idle, and a frame's read budget from its first byte) and
+  flow control: nothing more is answered while the transport is over
+  its high-water mark.
+
 * **Versioned copy-on-update publication.**  The read-mostly external
   view is computed once per ``(epoch, version)``, indexed by source
   row, and published by atomic reference swap
@@ -41,6 +56,7 @@ instruments: ``p4p_portal_view_publications_total``,
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 import socket
 import threading
@@ -64,6 +80,253 @@ logger = logging.getLogger(__name__)
 _VIEW_METHODS = frozenset({"get_pdistances", "get_alto_costmap"})
 
 
+class _Connection(asyncio.Protocol):
+    """One accepted connection, answered inside its transport callbacks
+    (module docstring).  At most one frame is in hand (``busy``): held
+    for a view publication, or queued for the next loop pass; the frames
+    behind it wait in ``frames``.  The idle and frame budgets share one
+    timer, since a connection is waiting for at most one of them."""
+
+    def __init__(self, server: "AsyncPortalServer", worker: "_Worker") -> None:
+        self.server = server
+        self.worker = worker
+        self.transport: Any = None
+        self.frames = protocol.FrameSplitter()
+        self.opened = False  # holds a connection slot until connection_lost
+        self.busy = False  # a frame in hand: publishing, or queued for a pass
+        self.admitted = False  # the frame in hand holds an admission slot
+        self.write_paused = False
+        self.read_paused = False
+        self.eof = False
+        self.done = False  # closing: nothing more is answered
+        self.served = 0
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.timing: Optional[str] = None  # "idle" | "slow_reader"
+
+    # -- transport callbacks ------------------------------------------------
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.worker.connections.add(transport)
+        governor = self.server.overload
+        if not governor.try_open_connection():
+            # Over the cap: one cheap busy frame (so a well-behaved
+            # client backs off instead of reconnect-storming), then sever.
+            governor.count_connection_reject("cap")
+            transport.write(
+                protocol.encode_frame(
+                    protocol.busy_error(
+                        "connection limit reached", governor.config.retry_after
+                    )
+                )
+            )
+            self._close()
+            return
+        self.opened = True
+        self.worker.gauge.inc()
+        self._wait()
+
+    def data_received(self, data: bytes) -> None:
+        self.frames.feed(data)
+        if self.busy or self.write_paused or self.done:
+            # Not answering: stop reading, so a client that pipelines
+            # without reading is held back by TCP flow control on its
+            # own socket.  ``_wait`` resumes once the buffer is answered.
+            if not self.read_paused:
+                self.read_paused = True
+                self.transport.pause_reading()
+            return
+        self._advance()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if not (self.busy or self.write_paused or self.done):
+            self._advance()
+        return True  # half-open: answer what is buffered, then close
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        if not (self.busy or self.done):
+            self._advance()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.done = True
+        self._cancel_timer()
+        self.worker.connections.discard(self.transport)
+        governor = self.server.overload
+        if self.admitted:  # abandoned mid-publication
+            self.admitted = False
+            governor.release()
+        if self.opened:
+            self.opened = False
+            self.worker.gauge.dec()
+            governor.connection_closed()
+
+    # -- serving ------------------------------------------------------------
+
+    def _advance(self) -> None:
+        """Answer the next buffered frame, or wait for one."""
+        try:
+            framed = self.frames.next_frame()
+        except protocol.ProtocolError:
+            # Oversized/malformed frame: framing is lost, sever.
+            self._close()
+            return
+        if framed is None:
+            self._wait()
+            return
+        self._cancel_timer()
+        server = self.server
+        message, frame_bytes = framed
+        # Receipt stamp only for deadline-carrying requests: legacy
+        # traffic must not pay an extra clock read (the traced scenario
+        # pins clock cadence).
+        received_at = server.telemetry.clock() if "deadline" in message else None
+        server._bytes_in.inc(frame_bytes)
+        # Admission never queues: when the loop lags, arrivals are shed
+        # with a busy frame *before* any dispatch work, which is what
+        # restores capacity.
+        governor = server.overload
+        admitted = False
+        if governor.enabled or governor.draining:
+            outcome = governor.admit()
+            if outcome.shed:
+                self._respond(
+                    message,
+                    protocol.busy_error(
+                        f"request shed ({outcome.value})",
+                        governor.retry_after(outcome),
+                    ),
+                )
+                return
+            admitted = True
+        if message.get("method") in _VIEW_METHODS:
+            publication = server._publication(self.worker.loop)
+            if publication is not None:
+                # This frame (and its admission slot) is held until the
+                # view is published; later frames wait in the buffer.
+                self.busy = True
+                self.admitted = admitted
+                publication.add_done_callback(
+                    functools.partial(self._published, message, received_at)
+                )
+                return
+        self._dispatch(message, received_at, admitted)
+
+    def _published(
+        self,
+        message: Dict[str, Any],
+        received_at: Optional[float],
+        future: "asyncio.Future[Any]",
+    ) -> None:
+        admitted, self.admitted = self.admitted, False
+        if not future.cancelled() and future.exception() is not None:
+            # The handler hits the same failure synchronously and
+            # dispatch() turns it into a structured error frame.
+            logger.debug(
+                "view publication failed; %s will surface the error "
+                "synchronously",
+                message.get("method"),
+                exc_info=future.exception(),
+            )
+        if self.done:
+            if admitted:
+                self.server.overload.release()
+            return
+        self.busy = False
+        self._dispatch(message, received_at, admitted)
+
+    def _dispatch(
+        self, message: Dict[str, Any], received_at: Optional[float], admitted: bool
+    ) -> None:
+        try:
+            response = self.server.dispatch(message, received_at=received_at)
+        finally:
+            if admitted:
+                self.server.overload.release()
+        self._respond(message, response)
+
+    def _respond(self, message: Dict[str, Any], response: Dict[str, Any]) -> None:
+        server = self.server
+        try:
+            payload = protocol.encode_frame(response)
+        except protocol.ProtocolError as exc:
+            # The answer cannot be framed: say so on a connection that
+            # stays usable instead of dropping it unannounced.
+            payload = server._oversized(message, exc)
+        server._bytes_out.inc(len(payload))
+        self.transport.write(payload)
+        self.served += 1
+        budget = server.overload.config.connection_request_budget
+        if budget is not None and self.served >= budget:
+            # Recycle long-lived connections so governance changes
+            # (caps, drain) reach clients that never disconnect.
+            server.overload.count_connection_reject("request_budget")
+            self._close()
+        elif self.write_paused:
+            pass  # resume_writing() answers the next frame
+        elif self.frames:
+            # One frame per loop pass: a pipelining client must not
+            # starve the lag probe or the worker's other connections.
+            self.busy = True
+            self.worker.loop.call_soon(self._next)
+        else:
+            self._wait()
+
+    def _next(self) -> None:
+        self.busy = False
+        if not (self.write_paused or self.done):
+            self._advance()
+
+    # -- governance -----------------------------------------------------------
+
+    def _wait(self) -> None:
+        """No complete frame is buffered: wait for bytes, on a timer."""
+        if self.eof:
+            self._close()  # a clean EOF, or the peer stopped mid-frame
+            return
+        if self.read_paused:
+            self.read_paused = False
+            self.transport.resume_reading()
+        config = self.server.overload.config
+        kind: Optional[str] = None
+        delay: Optional[float] = None
+        if self.frames and config.frame_timeout is not None:
+            # A started frame has ``frame_timeout`` from its first byte.
+            kind, delay = "slow_reader", config.frame_timeout
+        elif not self.frames.has_header():
+            # The idle budget covers the wait for a frame to start; with
+            # no frame budget, for its whole length prefix.
+            kind, delay = "idle", config.idle_timeout
+        if self.timing != kind:  # a running budget is not renewed by bytes
+            self._cancel_timer()
+            if kind is not None and delay is not None:
+                self.timing = kind
+                self.timer = self.worker.loop.call_later(
+                    delay, self._expired, kind
+                )
+
+    def _cancel_timer(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+            self.timing = None
+
+    def _expired(self, kind: str) -> None:
+        self.timer = None
+        self.timing = None
+        self.server.overload.count_connection_reject(kind)
+        self._close()
+
+    def _close(self) -> None:
+        self.done = True
+        self._cancel_timer()
+        self.transport.close()
+
+
 class _Worker:
     """One event loop on one thread, owning its accepted connections."""
 
@@ -77,8 +340,8 @@ class _Worker:
         self.index = index
         self.sock = sock
         self.loop = asyncio.new_event_loop()
-        self.connections: set = set()
-        self._handlers: set = set()  # keeps start_server handler tasks alive
+        self.connections: set = set()  # transports of accepted connections
+        self.gauge = server._worker_connections.labels(worker=str(index))
         self.started = threading.Event()
         self._stop: Optional[asyncio.Event] = None
         self.listener: Optional[asyncio.AbstractServer] = None
@@ -101,9 +364,9 @@ class _Worker:
                 self.loop.run_until_complete(
                     asyncio.gather(*pending, return_exceptions=True)
                 )
-            # A handler cancelled before its first step never closed its
-            # writer, and a closed transport only lets go of its socket on
-            # the loop's next pass.
+            # Sever what the stop left established (connections made
+            # while the tasks above wound down included); a closed
+            # transport only lets go of its socket on the loop's next pass.
             self._sever()
             self.loop.run_until_complete(asyncio.sleep(0))
         finally:
@@ -112,9 +375,12 @@ class _Worker:
 
     async def _main(self) -> None:
         self._stop = asyncio.Event()
-        self.listener = await asyncio.start_server(self._accepted, sock=self.sock)
+        server = self.server
+        self.listener = await self.loop.create_server(
+            lambda: _Connection(server, self), sock=self.sock
+        )
         probe = None
-        if self.server.overload.enabled:
+        if server.overload.enabled:
             # The event loop's scheduling lag *is* this worker's queueing
             # delay (dispatch runs on-loop): a probe task feeds it to the
             # admission controller's CoDel signal.
@@ -140,23 +406,8 @@ class _Worker:
         await asyncio.sleep(0)
 
     def _sever(self) -> None:
-        for writer in list(self.connections):
-            writer.transport.abort()
-
-    def _accepted(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """``start_server`` callback.  A plain function on purpose: it runs
-        inside ``connection_made``, so a stop severs this connection even
-        when the handler task is cancelled before its first step (and the
-        task is ours: asyncio 3.11's own done-callback logs an error for
-        every cancelled handler)."""
-        self.connections.add(writer)
-        task = self.loop.create_task(
-            self.server._serve_connection(self, reader, writer)
-        )
-        self._handlers.add(task)
-        task.add_done_callback(self._handlers.discard)
+        for transport in list(self.connections):
+            transport.abort()
 
     async def _lag_probe(self) -> None:
         governor = self.server.overload
@@ -287,97 +538,6 @@ class AsyncPortalServer(PortalDispatcher):
 
     # -- serving -----------------------------------------------------------
 
-    async def _serve_connection(
-        self,
-        worker: _Worker,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        governor = self.overload
-        config = governor.config
-        if not governor.try_open_connection():
-            # Over the cap: one cheap busy frame (so a well-behaved
-            # client backs off instead of reconnect-storming), then sever.
-            governor.count_connection_reject("cap")
-            try:
-                writer.write(
-                    protocol.encode_frame(
-                        protocol.busy_error(
-                            "connection limit reached", config.retry_after
-                        )
-                    )
-                )
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-            worker.connections.discard(writer)
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-            return
-        gauge = self._worker_connections.labels(worker=str(worker.index))
-        gauge.inc()
-        served = 0
-        try:
-            while True:
-                try:
-                    framed = await protocol.aread_frame_ex(
-                        reader,
-                        idle_timeout=config.idle_timeout,
-                        frame_timeout=config.frame_timeout,
-                    )
-                except protocol.IdleTimeoutError:
-                    governor.count_connection_reject("idle")
-                    break
-                except protocol.SlowReaderError:
-                    governor.count_connection_reject("slow_reader")
-                    break
-                except (protocol.ProtocolError, ConnectionError, OSError):
-                    # Torn/oversized/malformed frame or a peer reset:
-                    # framing is lost, sever.
-                    break
-                if framed is None:
-                    break
-                message, frame_bytes = framed
-                # Receipt stamp only for deadline-carrying requests:
-                # legacy traffic must not pay an extra clock read (the
-                # traced scenario pins clock cadence).
-                received_at = (
-                    self.telemetry.clock() if "deadline" in message else None
-                )
-                self._bytes_in.inc(frame_bytes)
-                response = await self._adispatch(message, received_at)
-                try:
-                    payload = protocol.encode_frame(response)
-                except protocol.ProtocolError as exc:
-                    # The answer cannot be framed: say so on a connection
-                    # that stays usable instead of dropping it unannounced.
-                    payload = self._oversized(message, exc)
-                self._bytes_out.inc(len(payload))
-                writer.write(payload)
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    break
-                served += 1
-                if (
-                    config.connection_request_budget is not None
-                    and served >= config.connection_request_budget
-                ):
-                    # Recycle long-lived connections so governance changes
-                    # (caps, drain) reach clients that never disconnect.
-                    governor.count_connection_reject("request_budget")
-                    break
-        finally:
-            worker.connections.discard(writer)
-            gauge.dec()
-            governor.connection_closed()
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
     def _oversized(
         self, message: Dict[str, Any], exc: protocol.ProtocolError
     ) -> bytes:
@@ -389,59 +549,23 @@ class AsyncPortalServer(PortalDispatcher):
         self._errors.labels(method=method, kind="too_large").inc()
         return protocol.encode_frame(protocol.error(f"response too large: {exc}"))
 
-    async def _adispatch(
-        self,
-        message: Dict[str, Any],
-        received_at: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Admission-gated dispatch of one message on the event loop.
+    def _publication(
+        self, loop: asyncio.AbstractEventLoop
+    ) -> "Optional[asyncio.Future[Any]]":
+        """The publication a view read must wait for, or ``None``.
 
-        Handlers are microsecond-scale once the view snapshot is
-        current; the only heavyweight step -- recomputing the view after
-        a price update -- is offloaded to the executor, where concurrent
-        identical requests coalesce onto a single computation.  Nothing
-        here may block, so admission never queues: when the loop lags,
-        arrivals are shed with a busy frame *before* any dispatch work,
-        which is what restores capacity.
+        Handlers are microsecond-scale once the view snapshot is current;
+        the only heavyweight step -- recomputing the view after a price
+        update -- runs in the executor, where concurrent identical
+        requests coalesce onto a single computation.  In brownout the
+        view handlers serve the last published snapshot as it is.
         """
-        governor = self.overload
-        admitted = False
-        if governor.enabled or governor.draining:
-            outcome = governor.admit()
-            if outcome.shed:
-                return protocol.busy_error(
-                    f"request shed ({outcome.value})",
-                    governor.retry_after(outcome),
-                )
-            admitted = True
-        try:
-            method = message.get("method")
-            if method in _VIEW_METHODS and not self.publisher.is_current():
-                if governor.brownout_active and self.publisher.has_published():
-                    # Brownout: skip the re-aggregation entirely -- the
-                    # view handlers below fall back to the stale
-                    # published snapshot.
-                    pass
-                else:
-                    loop = asyncio.get_running_loop()
-                    try:
-                        await loop.run_in_executor(
-                            self._executor, self.publisher.current
-                        )
-                    except Exception:
-                        # The handler will hit the same failure
-                        # synchronously and dispatch() turns it into a
-                        # structured error frame.
-                        logger.debug(
-                            "view publication failed; %s will surface the "
-                            "error synchronously",
-                            method,
-                            exc_info=True,
-                        )
-            return self.dispatch(message, received_at=received_at)
-        finally:
-            if admitted:
-                governor.release()
+        publisher = self.publisher
+        if publisher.is_current() or (
+            self.overload.brownout_active and publisher.has_published()
+        ):
+            return None
+        return loop.run_in_executor(self._executor, self.publisher.current)
 
     # -- view handlers (served from the published snapshot) ----------------
     # Each handler takes one snapshot -- during brownout the last

@@ -43,8 +43,7 @@ import json
 import math
 import socket
 import struct
-import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.pdistance import PDistanceMap
 
@@ -69,15 +68,6 @@ RESPONSE_ENVELOPE_KEYS = frozenset(
 
 class ProtocolError(Exception):
     """Malformed frame or message."""
-
-
-class IdleTimeoutError(ProtocolError):
-    """No frame started within the connection's idle timeout."""
-
-
-class SlowReaderError(ProtocolError):
-    """A started frame did not arrive in full within its read budget
-    (the slowloris defence: a trickling peer must not pin a worker)."""
 
 
 # ``json.dumps`` with non-default separators builds a ``JSONEncoder`` per
@@ -128,8 +118,8 @@ def read_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
 def read_frame_ex(sock: socket.socket) -> Optional[Tuple[Dict[str, Any], int]]:
     """Like :func:`read_frame` but also returns the wire size in bytes
     (header + payload).  Blocks under the caller's own socket timeout:
-    this is the client-side reader; the server's governed reader (idle
-    and slow-reader budgets) is :func:`aread_frame_ex`.
+    this is the client-side reader; the server cuts frames out of what
+    its transport delivers with :class:`FrameSplitter`.
     """
     header = _read_exact(sock, _HEADER.size, allow_eof=True)
     if header is None:
@@ -142,7 +132,7 @@ def read_frame_ex(sock: socket.socket) -> Optional[Tuple[Dict[str, Any], int]]:
     return _decode_payload(payload), _HEADER.size + length
 
 
-def _decode_payload(payload: bytes) -> Dict[str, Any]:
+def _decode_payload(payload: Union[bytes, bytearray]) -> Dict[str, Any]:
     try:
         message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -152,70 +142,72 @@ def _decode_payload(payload: bytes) -> Dict[str, Any]:
     return message
 
 
-async def aread_frame_ex(
-    reader: Any,
-    idle_timeout: Optional[float] = None,
-    frame_timeout: Optional[float] = None,
-) -> Optional[Tuple[Dict[str, Any], int]]:
-    """The server's reader: :func:`read_frame_ex` over a ``StreamReader``,
-    plus connection governance.
-
-    Same framing contract: ``None`` on clean EOF before a header,
-    :class:`ProtocolError` on a torn frame, an oversized length, or a
-    malformed payload (the server severs such connections).
-    ``idle_timeout`` bounds the wait for a frame to *start* (raises
-    :class:`IdleTimeoutError`); ``frame_timeout`` bounds how long a
-    started frame -- first byte seen -- may take to arrive in full,
-    header included, so a slowloris peer trickling partial headers is
-    severed too (raises :class:`SlowReaderError`).  A timed-out read is
-    cancelled, so the connection must be severed afterwards.
+async def aread_frame_ex(reader: Any) -> Optional[Tuple[Dict[str, Any], int]]:
+    """:func:`read_frame_ex` over an asyncio ``StreamReader`` (the load
+    generator's reader).  Same framing contract: ``None`` on clean EOF
+    before a header, :class:`ProtocolError` on a torn frame, an oversized
+    length, or a malformed payload.
     """
     import asyncio
 
-    deadline = None
-    head_wanted = _HEADER.size if frame_timeout is None else 1
     try:
-        if idle_timeout is None:
-            header = await reader.readexactly(head_wanted)
-        else:
-            header = await asyncio.wait_for(
-                reader.readexactly(head_wanted), timeout=idle_timeout
-            )
-    except asyncio.TimeoutError as exc:
-        raise IdleTimeoutError("connection idle past timeout") from exc
+        header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
         raise ProtocolError("connection closed mid-frame") from exc
-    if frame_timeout is not None:
-        # A frame "starts" at its first byte: the idle budget covers the
-        # wait for that byte, the frame budget the remaining header plus
-        # the payload.
-        deadline = time.monotonic() + frame_timeout
-        try:
-            header += await asyncio.wait_for(
-                reader.readexactly(_HEADER.size - 1), timeout=frame_timeout
-            )
-        except asyncio.TimeoutError as exc:
-            raise SlowReaderError("frame read exceeded budget") from exc
-        except asyncio.IncompleteReadError as exc:
-            raise ProtocolError("connection closed mid-frame") from exc
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise _too_large(length)
     try:
-        if deadline is None:
-            payload = await reader.readexactly(length)
-        else:
-            payload = await asyncio.wait_for(
-                reader.readexactly(length),
-                timeout=max(deadline - time.monotonic(), 0.0),
-            )
-    except asyncio.TimeoutError as exc:
-        raise SlowReaderError("frame read exceeded budget") from exc
+        payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("connection closed mid-frame") from exc
     return _decode_payload(payload), _HEADER.size + length
+
+
+class FrameSplitter:
+    """The server's frame reader: bytes in as a transport delivers them,
+    frames out.
+
+    Same framing contract as :func:`read_frame_ex`, for a reader that is
+    handed bytes instead of asking for them.  :meth:`feed` appends one
+    read's bytes; :meth:`next_frame` cuts the next ``(message, wire
+    size)`` off the front, returns ``None`` while that frame is still
+    incomplete, and raises :class:`ProtocolError` on an oversized length
+    (as soon as the header is in, before the payload) or a malformed
+    payload.  ``len()`` is the number of bytes buffered and not yet cut
+    into a frame: at EOF, anything left is a frame the peer cut short.
+    """
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def __len__(self) -> int:
+        return len(self._buffer)
+
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def has_header(self) -> bool:
+        """Whether the next frame's length prefix is buffered."""
+        return len(self._buffer) >= _HEADER.size
+
+    def next_frame(self) -> Optional[Tuple[Dict[str, Any], int]]:
+        buffer = self._buffer
+        if len(buffer) < _HEADER.size:
+            return None
+        (length,) = _HEADER.unpack_from(buffer)
+        if length > MAX_FRAME_BYTES:
+            raise _too_large(length)
+        size = _HEADER.size + length
+        if len(buffer) < size:
+            return None
+        payload = buffer[_HEADER.size : size]
+        del buffer[:size]  # O(1) at the front of a bytearray
+        return _decode_payload(payload), size
 
 
 def _read_exact(sock: socket.socket, n: int, allow_eof: bool) -> Optional[bytes]:

@@ -34,3 +34,25 @@ class Portal:
 def sync_caller() -> None:
     # Blocking is fine here: no coroutine reaches this function inline.
     _blocking_refresh()
+
+
+class OffloadingProtocol(asyncio.Protocol):
+    """A loop callback that hands blocking work to the executor."""
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        loop = asyncio.get_running_loop()
+        future = loop.run_in_executor(None, _blocking_refresh)
+        future.add_done_callback(self._refreshed)
+
+    def _refreshed(self, future) -> None:
+        self.transport.write(b"done")
+
+
+class NotAProtocol:
+    """Same method name, but nothing on a loop calls it."""
+
+    def data_received(self, data: bytes) -> None:
+        _blocking_refresh()

@@ -1,5 +1,7 @@
-"""ASY001 trigger: coroutines that reach blocking primitives inline."""
+"""ASY001 trigger: coroutines and loop callbacks that reach blocking
+primitives inline."""
 
+import asyncio
 import subprocess
 import time
 
@@ -31,3 +33,24 @@ class Session:
 
     async def acquire_inline(self) -> None:
         self._lock.acquire()  # parks the loop until the lock frees
+
+
+class SlowProtocol(asyncio.Protocol):
+    """Transport callbacks run on the loop, like a coroutine body."""
+
+    def data_received(self, data: bytes) -> None:
+        self._answer()
+
+    def eof_received(self) -> None:
+        self._answer()  # the same blocking site: one finding for the class
+
+    def _answer(self) -> None:
+        _refresh()
+
+
+def schedule(loop) -> None:
+    loop.call_soon(_throttle_later)
+
+
+def _throttle_later() -> None:
+    time.sleep(0.01)

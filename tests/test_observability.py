@@ -81,6 +81,14 @@ class TestInstruments:
         gauge.inc()
         assert gauge.value == 7
 
+    def test_gauge_with_a_function_is_derived_when_read(self):
+        state = {"bad": 1}
+        gauge = MetricsRegistry().gauge("g")
+        gauge.labels().set_function(lambda: state["bad"] / 4)
+        assert gauge.value == 0.25
+        state["bad"] = 3
+        assert gauge.value == 0.75
+
     def test_labeled_children_are_cached_and_independent(self):
         counter = MetricsRegistry().counter("c_total", "", ("method",))
         a = counter.labels(method="a")
@@ -110,6 +118,22 @@ class TestInstruments:
         ]
         assert child.count == 4
         assert child.sum == pytest.approx(105.0)
+
+    def test_histogram_bucket_is_the_first_bound_at_or_above(self):
+        bounds = (0.001, 0.01, 0.1, 1.0)
+        cases = [(-float("inf"), 0), (float("inf"), 4), (float("nan"), 4)]
+        for index, bound in enumerate(bounds):
+            cases += [
+                (bound, index),  # value <= bound: on the boundary it is in
+                (bound * (1 - 1e-12), index),
+                (bound * (1 + 1e-12), index + 1),
+            ]
+        for value, index in cases:
+            child = MetricsRegistry().histogram("h", buckets=bounds).labels()
+            child.observe(value)
+            counts = [n for _, n in child.bucket_counts()]
+            first = counts.index(1)
+            assert first == index, (value, counts)
 
     def test_histogram_percentile_interpolates(self):
         hist = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 4.0))

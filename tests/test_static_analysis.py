@@ -238,6 +238,23 @@ def test_asy001_finding_carries_reachability_chain():
     assert "no executor hop" in message
 
 
+def test_asy001_roots_loop_callbacks():
+    """Protocol transport callbacks and ``call_soon`` targets are roots
+    like coroutines; one class's callbacks report a blocking site once."""
+    findings = run_rule(
+        "ASY001", "asy001_trigger.py", "repro/portal/fixture.py"
+    )
+    callbacks = sorted(
+        f.message for f in findings if f.message.startswith("loop callback")
+    )
+    assert len(callbacks) == 2, callbacks
+    assert (
+        "SlowProtocol.data_received -> SlowProtocol._answer -> _refresh "
+        "-> _throttle -> time.sleep()" in callbacks[0]
+    )
+    assert "_throttle_later -> time.sleep()" in callbacks[1]
+
+
 def test_asy001_findings_are_deterministic():
     first = run_rule("ASY001", "asy001_trigger.py", "repro/portal/fixture.py")
     second = run_rule("ASY001", "asy001_trigger.py", "repro/portal/fixture.py")

@@ -60,6 +60,7 @@ from repro.observability.tracing import (
 )
 from repro.portal import protocol
 from repro.portal.aserver import AsyncPortalServer
+from repro.portal.dispatch import PortalDispatcher
 from repro.portal.faults import Fault, FaultKind, FaultSchedule, FaultyPortal
 from repro.portal.resilience import (
     CircuitBreaker,
@@ -456,6 +457,58 @@ class TestSLO:
         assert budget["portal-availability"] == 1.0
         assert budget["portal-latency"] == 0.0  # one of one bad: budget gone
 
+    def test_scraped_gauges_are_derived_from_the_window(self):
+        """Through the portal's own ``get_metrics``, in both formats: burn
+        rate and remaining budget are what the window says when scraped,
+        and the budget clamps at 0 once the burn passes 1."""
+        telemetry = Telemetry(clock=FakeClock())
+        topo = abilene()
+        dispatcher = PortalDispatcher(
+            ITracker(topology=topo),
+            telemetry=telemetry,
+            # Scoped to one method so the scrapes are not judged by it.
+            slos=[SLO(name="avail", method="get_version", objective=0.75, window=8)],
+        )
+        good = protocol.request("get_version")
+        bad = protocol.request("get_version", bogus=1)
+
+        def scrape():
+            expected = dispatcher._slo.burn_rates()["avail"]
+            snapshot = dispatcher.dispatch(protocol.request("get_metrics"))["result"]
+            gauges = {
+                metric["name"]: metric["samples"][0]["value"]
+                for metric in snapshot["metrics"]
+                if metric["name"].startswith("p4p_slo_") and metric["type"] == "gauge"
+            }
+            text = dispatcher.dispatch(
+                protocol.request("get_metrics", format="prometheus")
+            )["result"]["text"]
+            exposed = {
+                line.split("{")[0]: float(line.rsplit(" ", 1)[1])
+                for line in text.splitlines()
+                if line.startswith(("p4p_slo_burn_rate{", "p4p_slo_error_budget"))
+            }
+            assert gauges == exposed
+            return expected, gauges["p4p_slo_burn_rate"], gauges[
+                "p4p_slo_error_budget_remaining"
+            ]
+
+        for message in (good, good, bad, good):
+            dispatcher.dispatch(message)
+        burn_expected, burn, budget = scrape()
+        assert burn == burn_expected == pytest.approx(1.0)
+        assert budget == pytest.approx(0.0)
+        for message in (good, good, good, good):
+            dispatcher.dispatch(message)
+        burn_expected, burn, budget = scrape()
+        assert burn == burn_expected == pytest.approx(0.5)
+        assert budget == pytest.approx(0.5)
+        for message in (bad, bad, bad, bad, bad):
+            dispatcher.dispatch(message)
+        burn_expected, burn, budget = scrape()
+        assert burn == burn_expected == pytest.approx(2.5)
+        assert budget == 0.0
+
     def test_dashboard_renders_slo_section(self):
         clock = FakeClock()
         telemetry = Telemetry(clock=clock)
@@ -550,6 +603,13 @@ class TestServerPropagation:
             assert server._slo is None
             assert not server._trace_enabled
             assert len(NULL_TELEMETRY.traces) == 0
+            scrape = server.dispatch(protocol.request("get_metrics"))["result"]
+            assert [
+                metric
+                for metric in scrape.get("metrics", [])
+                if metric["name"].startswith("p4p_slo_")
+            ] == []
+            assert server.telemetry.registry.get("p4p_slo_burn_rate") is None
 
     @pytest.mark.timeout(30)
     def test_byzantine_proxy_forwards_the_envelope(self, itracker):

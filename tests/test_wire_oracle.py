@@ -1,20 +1,23 @@
-"""Wire oracle: the two frame readers agree on every byte string.
+"""Wire oracle: every frame reader agrees on every byte string.
 
-Two readers parse the portal's framing: the blocking
+Three readers parse the portal's framing: the blocking
 :func:`~repro.portal.protocol.read_frame` / ``read_frame_ex`` (clients and
-``FaultyPortal``) and the server's :func:`~repro.portal.protocol.
-aread_frame_ex` over a ``StreamReader``.  They share the header struct,
-the size limit and the payload decoder but not the read loop, so this is a
-differential test: the same bytes -- well-formed frames, and frames with
-a short, zero or oversized length header, a truncated payload, invalid
-UTF-8, non-object JSON, trailing bytes -- go down a ``socketpair`` and
-into a fed ``StreamReader``, and both must produce the same sequence of
-``(message, wire size)`` results ending in the same way (clean EOF or
-``ProtocolError``).  Every message either reader accepts is then handed
-to a real :class:`~repro.portal.dispatch.PortalDispatcher`, malformed
-``trace`` / ``deadline`` envelopes included: dispatch must answer with a
-well-formed response frame, never raise, never hit its internal-error
-net.
+``FaultyPortal``), :func:`~repro.portal.protocol.aread_frame_ex` over a
+``StreamReader`` (the load generator), and the server's buffered
+:class:`~repro.portal.protocol.FrameSplitter`, which is handed whatever
+each read delivered.  They share the header struct, the size limit and
+the payload decoder but not the read loop, so this is a differential
+test: the same bytes -- well-formed frames, and frames with a short, zero
+or oversized length header, a truncated payload, invalid UTF-8,
+non-object JSON, trailing bytes -- go down a ``socketpair``, into a fed
+``StreamReader``, and into the splitter three ways (all at once, one byte
+per read, and cut at chosen points), and all must produce the same
+sequence of ``(message, wire size)`` results ending in the same way
+(clean EOF, or ``ProtocolError`` with the same message).  Every message the readers accept is
+then handed to a real :class:`~repro.portal.dispatch.PortalDispatcher`,
+malformed ``trace`` / ``deadline`` envelopes included: dispatch must
+answer with a well-formed response frame, never raise, never hit its
+internal-error net.
 
 Deterministic: hypothesis runs derandomized with no example database.
 """
@@ -40,6 +43,20 @@ MAX_FRAMES = 8  # per byte string; generated strings hold at most three
 EOF, ERROR = ("eof",), ("error",)
 
 
+def failed(exc: protocol.ProtocolError):
+    """How a read ended in error: the readers must agree on why, too."""
+    return ("error", str(exc))
+
+
+#: The readers' verdict on a stream that ends inside a frame.
+CUT_SHORT = ("error", "connection closed mid-frame")
+
+
+def verdicts(outcomes):
+    """``outcomes`` with every error reduced to :data:`ERROR`."""
+    return [ERROR if outcome[0] == "error" else outcome for outcome in outcomes]
+
+
 def read_sync(wire: bytes):
     near, far = socket.socketpair()
     try:
@@ -50,8 +67,8 @@ def read_sync(wire: bytes):
         for _ in range(MAX_FRAMES):
             try:
                 framed = protocol.read_frame_ex(far)
-            except protocol.ProtocolError:
-                outcomes.append(ERROR)
+            except protocol.ProtocolError as exc:
+                outcomes.append(failed(exc))
                 break
             if framed is None:
                 outcomes.append(EOF)
@@ -72,8 +89,8 @@ def read_async(loop, wire: bytes):
         for _ in range(MAX_FRAMES):
             try:
                 framed = await protocol.aread_frame_ex(reader)
-            except protocol.ProtocolError:
-                outcomes.append(ERROR)
+            except protocol.ProtocolError as exc:
+                outcomes.append(failed(exc))
                 break
             if framed is None:
                 outcomes.append(EOF)
@@ -82,6 +99,28 @@ def read_async(loop, wire: bytes):
         return outcomes
 
     return loop.run_until_complete(read_all())
+
+
+def read_split(wire: bytes, cuts=()):
+    """The server's splitter, fed ``wire`` as the reads cut at ``cuts``
+    (ascending offsets) would deliver it."""
+    splitter = protocol.FrameSplitter()
+    bounds = [0, *cuts, len(wire)]
+    outcomes = []
+    for start, stop in zip(bounds, bounds[1:]):
+        splitter.feed(wire[start:stop])
+        while len(outcomes) < MAX_FRAMES:
+            try:
+                framed = splitter.next_frame()
+            except protocol.ProtocolError as exc:
+                return outcomes + [failed(exc)]
+            if framed is None:
+                break
+            outcomes.append(framed)
+    if len(outcomes) < MAX_FRAMES:
+        # Bytes left at EOF are a frame the peer cut short.
+        outcomes.append(CUT_SHORT if len(splitter) else EOF)
+    return outcomes
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +139,17 @@ def dispatcher():
     )
 
 
-def check_agreement(loop, dispatcher, wire: bytes):
+def check_agreement(loop, dispatcher, wire: bytes, *cut_sets):
+    """All readers agree on ``wire``; the splitter is also fed it in one
+    read, one byte per read, and cut at each of ``cut_sets``."""
     sync_outcomes = read_sync(wire)
     assert sync_outcomes == read_async(loop, wire)
+    assert sync_outcomes == read_split(wire)
+    assert sync_outcomes == read_split(wire, range(1, len(wire)))
+    for cuts in cut_sets:
+        if cuts:
+            assert sync_outcomes == read_split(wire, cuts)
+    sync_outcomes = verdicts(sync_outcomes)
     for outcome in sync_outcomes:
         if outcome in (EOF, ERROR):
             continue
@@ -157,7 +204,15 @@ NAMED = {
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_mutation(name, loop, dispatcher):
     wire, expected = NAMED[name]
-    assert check_agreement(loop, dispatcher, wire) == expected
+    # Reads that end mid-header, and mid-payload.
+    cut_sets = [cut for cut in ([2], [2, 6], [9]) if cut[-1] < len(wire)]
+    assert check_agreement(loop, dispatcher, wire, *cut_sets) == expected
+
+
+def split_points(wire: bytes):
+    return st.sets(st.integers(1, max(1, len(wire) - 1)), max_size=6).map(
+        lambda cuts: sorted(cut for cut in cuts if cut < len(wire))
+    )
 
 
 MALFORMED_ENVELOPES = (
@@ -265,8 +320,18 @@ wires = st.tuples(
 ).map(lambda parts: b"".join(parts[0]) + parts[1])
 
 
+@st.composite
+def cut_wires(draw):
+    """A generated byte string and the points where reads split it."""
+    wire = draw(wires)
+    return wire, draw(split_points(wire))
+
+
 @pytest.mark.timeout(300)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(wire=wires)
-def test_readers_agree_and_dispatch_survives_on_generated_bytes(wire, loop, dispatcher):
-    check_agreement(loop, dispatcher, wire)
+@given(cut_wire=cut_wires())
+def test_readers_agree_and_dispatch_survives_on_generated_bytes(
+    cut_wire, loop, dispatcher
+):
+    wire, cuts = cut_wire
+    check_agreement(loop, dispatcher, wire, cuts)
