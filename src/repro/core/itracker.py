@@ -29,15 +29,24 @@ from repro.core.charging import (
     ChargingVolumePredictor,
     estimate_virtual_capacity,
 )
-from repro.core.objectives import MinMaxUtilization, ProviderObjective, effective_capacity
-from repro.core.pdistance import PDistanceMap, PidMap, external_view
+from repro.core.objectives import (
+    MinMaxUtilization,
+    ProviderObjective,
+    effective_capacity,
+    link_vector,
+)
+from repro.core.pdistance import PDistanceMap, PidMap, link_hops, mesh_values, mesh_view
 from repro.core.policy import NetworkPolicy
 from repro.core.statestore import StateStore
-from repro.network.routing import RoutingTable
+from repro.network.routing import RouteHopIndex, RoutingTable
 from repro.network.topology import Topology
 from repro.optimization.projection import project_weighted_simplex, uniform_price
 
 LinkKey = Tuple[str, str]
+#: One price-state generation as the update log keeps it: ``(epoch,
+#: version, time, link order, price vector)``, rendered as a record
+#: (:meth:`ITracker._record`) only when it is read or persisted.
+UpdateEntry = Tuple[int, int, float, Tuple[LinkKey, ...], np.ndarray]
 
 logger = logging.getLogger(__name__)
 
@@ -131,8 +140,10 @@ class ITracker:
         self._last_update_time = 0.0
         self._volume_history: Dict[LinkKey, List[float]] = {}
         self._background_history: Dict[LinkKey, List[float]] = {}
-        self._update_log: Deque[Dict[str, Any]] = deque(maxlen=self.UPDATE_LOG_SIZE)
-        self._update_log.append(self._update_record())
+        # ``view_vector``'s route gather, for one (hop index, link order).
+        self._view_hops: Optional[Tuple[RouteHopIndex, Tuple[LinkKey, ...], np.ndarray]] = None
+        self._update_log: Deque[UpdateEntry] = deque(maxlen=self.UPDATE_LOG_SIZE)
+        self._update_log.append(self._update_entry())
 
     # -- price state -----------------------------------------------------------
 
@@ -186,8 +197,10 @@ class ITracker:
             view = view.restricted_to(pids)
         return self.finish_view(view)
 
-    def view_snapshot(self) -> PDistanceMap:
-        """The raw full-mesh external view for the current price state.
+    def view_vector(self) -> Tuple[RouteHopIndex, np.ndarray]:
+        """The raw full-mesh external view for the current price state,
+        as the routes' hop index and the p-distance vector in its
+        ``pairs`` order (:func:`~repro.core.pdistance.mesh_values`).
 
         This is the expensive, *pure* part of :meth:`get_pdistances`
         (aggregating per-link prices over every PID-pair route), before
@@ -196,13 +209,21 @@ class ITracker:
         the async serving plane's versioned copy-on-update view
         publication (:class:`repro.portal.views.ViewPublisher`).
         """
-        return external_view(
-            self.topology,
-            self.routing,
-            self.link_prices,
-            self.objective.cost_offsets(self.topology),
-            intra_pid_distance=self.config.intra_pid_distance,
-        )
+        index = self.routing.hop_index(self.topology.aggregation_pids)
+        gather = self._view_hops
+        if gather is None or gather[0] is not index or gather[1] is not self._link_order:
+            gather = (index, self._link_order, link_hops(index, self._link_order))
+            self._view_hops = gather
+        cost = self._prices
+        offsets = self.objective.cost_offsets(self.topology)
+        if offsets:
+            cost = cost + link_vector(self._link_order, offsets)
+        return index, mesh_values(index, gather[2], cost, self.config.intra_pid_distance)
+
+    def view_snapshot(self) -> PDistanceMap:
+        """:meth:`view_vector` as a :class:`PDistanceMap`."""
+        index, values = self.view_vector()
+        return mesh_view(index.pids, index.pairs, values, self.config.intra_pid_distance)
 
     def finish_view(
         self, view: PDistanceMap, version: Optional[int] = None
@@ -280,25 +301,31 @@ class ITracker:
         )
         self._version += 1
         self._log_update()
-        if telemetry is not None:
-            self._record_price_update(telemetry, span, xi, loads)
-        logger.debug(
-            "price update v%d for %s (%d links loaded)",
-            self._version,
-            self.topology.name,
-            sum(1 for value in loads.values() if value > 0),
-        )
+        debug = logger.isEnabledFor(logging.DEBUG)
+        if telemetry is not None or debug:
+            loaded = sum(1 for value in loads.values() if value > 0)
+            if telemetry is not None:
+                self._record_price_update(telemetry, span, xi, loads, loaded)
+            if debug:
+                logger.debug(
+                    "price update v%d for %s (%d links loaded)",
+                    self._version,
+                    self.topology.name,
+                    loaded,
+                )
         return True
 
-    def _record_price_update(self, telemetry, span, xi, loads) -> None:
+    def _record_price_update(self, telemetry, span, xi, loads, loaded) -> None:
         """Set the ``p4p_core_*`` gauges and finish the update span."""
         norm = float(np.linalg.norm(xi))
-        max_utilization = 0.0
-        for key, capacity in zip(self._link_order, self._capacities):
-            if capacity > 0:
-                max_utilization = max(
-                    max_utilization, float(loads.get(key, 0.0)) / float(capacity)
-                )
+        capacity = self._capacities
+        utilization = np.divide(
+            link_vector(self._link_order, loads),
+            capacity,
+            out=np.zeros(len(capacity)),
+            where=capacity > 0,
+        )
+        max_utilization = float(utilization.max(initial=0.0))
         registry = telemetry.registry
         registry.counter(
             "p4p_core_price_updates_total", "Dynamic price updates applied."
@@ -319,7 +346,7 @@ class ITracker:
                 version=self._version,
                 supergradient_norm=norm,
                 max_link_utilization=max_utilization,
-                links_loaded=sum(1 for value in loads.values() if value > 0),
+                links_loaded=loaded,
             )
             telemetry.traces.finish(span)
 
@@ -368,24 +395,33 @@ class ITracker:
 
     # -- crash safety & replication ------------------------------------------------
 
-    def _update_record(self) -> Dict[str, Any]:
+    def _update_entry(self) -> UpdateEntry:
+        """The current price state as the update log keeps it."""
+        return (
+            self._epoch,
+            self._version,
+            self._last_update_time,
+            self._link_order,
+            self._prices,  # replaced, never written in place
+        )
+
+    @staticmethod
+    def _record(entry: UpdateEntry) -> Dict[str, Any]:
         """One self-contained price-state record (WAL line / delta entry)."""
+        epoch, version, time, link_order, prices = entry
         return {
-            "epoch": self._epoch,
-            "version": self._version,
-            "time": self._last_update_time,
-            "prices": [
-                [src, dst, float(value)]
-                for (src, dst), value in zip(self._link_order, self._prices)
-            ],
+            "epoch": epoch,
+            "version": version,
+            "time": time,
+            "prices": _price_list(link_order, prices),
         }
 
     def _log_update(self) -> None:
         """Record the current state in the delta log and, if attached, the WAL."""
-        record = self._update_record()
-        self._update_log.append(record)
+        entry = self._update_entry()
+        self._update_log.append(entry)
         if self.state_store is not None:
-            self.state_store.append_wal(record)
+            self.state_store.append_wal(self._record(entry))
 
     def checkpoint(self) -> None:
         """Write a full snapshot (prices, version, epoch, charging
@@ -399,10 +435,7 @@ class ITracker:
                 "epoch": self._epoch,
                 "version": self._version,
                 "last_update_time": self._last_update_time,
-                "prices": [
-                    [src, dst, float(value)]
-                    for (src, dst), value in zip(self._link_order, self._prices)
-                ],
+                "prices": _price_list(self._link_order, self._prices),
                 "volume_history": [
                     [src, dst, list(values)]
                     for (src, dst), values in self._volume_history.items()
@@ -463,7 +496,7 @@ class ITracker:
         self._version = version + 1
         self._last_update_time = last_time
         self._update_log.clear()
-        self._update_log.append(self._update_record())
+        self._update_log.append(self._update_entry())
         self.checkpoint()
         logger.info(
             "restored %s from %s: epoch %d, version %d (%d WAL record(s), %d torn)",
@@ -503,9 +536,9 @@ class ITracker:
         snapshot transfer out of band.
         """
         records = [
-            record for record in self._update_log if int(record["version"]) > since
+            self._record(entry) for entry in self._update_log if entry[1] > since
         ]
-        oldest = int(self._update_log[0]["version"]) if self._update_log else 0
+        oldest = self._update_log[0][1] if self._update_log else 0
         return {
             "epoch": self._epoch,
             "version": self._version,
@@ -530,7 +563,7 @@ class ITracker:
         self._set_prices([(src, dst, value) for src, dst, value in tail["prices"]])
         self._epoch, self._version = key
         self._last_update_time = float(tail.get("time", self._last_update_time))
-        self._update_log.append(self._update_record())
+        self._update_log.append(self._update_entry())
         return True
 
     # -- interdomain multihoming (Sec. 6.1) -----------------------------------------
@@ -594,3 +627,11 @@ class ITracker:
                 self.topology.name,
             )
         return estimates
+
+
+def _price_list(
+    link_order: Sequence[LinkKey], prices: np.ndarray
+) -> List[List[Any]]:
+    """``[[src, dst, price], ...]``, every price a float."""
+    values = np.asarray(prices, dtype=float).tolist()
+    return [[src, dst, value] for (src, dst), value in zip(link_order, values)]

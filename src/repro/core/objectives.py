@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +46,25 @@ def effective_capacity(link: Link) -> float:
     return link.capacity
 
 
+def link_vector(
+    link_order: Sequence[LinkKey], values: Mapping[LinkKey, float]
+) -> np.ndarray:
+    """Per-link ``values`` as a float vector over ``link_order`` (0 where
+    a link has none)."""
+    return np.fromiter(map(values.get, link_order, repeat(0.0)), float, len(link_order))
+
+
+def _link_state(
+    topology: Topology, link_order: Sequence[LinkKey]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Background ``b_e`` and effective capacity ``c_e`` over ``link_order``,
+    read from the links as they are now."""
+    links = list(map(topology.links.__getitem__, link_order))
+    background = np.fromiter(map(attrgetter("background"), links), float, len(links))
+    capacity = np.fromiter(map(effective_capacity, links), float, len(links))
+    return background, capacity
+
+
 class ProviderObjective(abc.ABC):
     """Interface every ISP objective implements for the decomposition loop."""
 
@@ -60,7 +81,8 @@ class ProviderObjective(abc.ABC):
         link_order: Sequence[LinkKey],
         loads: Mapping[LinkKey, float],
     ) -> np.ndarray:
-        """Super-gradient of the dual at the measured P4P ``loads``."""
+        """Super-gradient of the dual at the measured P4P ``loads``, over
+        ``link_order`` (every link of ``topology``)."""
 
     @abc.abstractmethod
     def evaluate(self, topology: Topology, loads: Mapping[LinkKey, float]) -> float:
@@ -202,13 +224,10 @@ class MinMaxUtilization(ProviderObjective):
         link_order: Sequence[LinkKey],
         loads: Mapping[LinkKey, float],
     ) -> np.ndarray:
-        alpha = self.evaluate(topology, loads)
-        xi = np.zeros(len(link_order))
-        for index, key in enumerate(link_order):
-            link = topology.links[key]
-            total = link.background + loads.get(key, 0.0)
-            xi[index] = total - alpha * effective_capacity(link)
-        return xi
+        background, capacity = _link_state(topology, link_order)
+        total = background + link_vector(link_order, loads)
+        alpha = (total / capacity).max()  # the MLU ``evaluate`` gives: every link
+        return total - alpha * capacity
 
     def _add_objective(self, lp, topology, routing, sessions, pair_vars) -> None:
         load_terms = _link_load_terms(topology, routing, sessions, pair_vars)
@@ -245,11 +264,8 @@ class BandwidthDistanceProduct(ProviderObjective):
         link_order: Sequence[LinkKey],
         loads: Mapping[LinkKey, float],
     ) -> np.ndarray:
-        xi = np.zeros(len(link_order))
-        for index, key in enumerate(link_order):
-            link = topology.links[key]
-            xi[index] = link.background + loads.get(key, 0.0) - effective_capacity(link)
-        return xi
+        background, capacity = _link_state(topology, link_order)
+        return background + link_vector(link_order, loads) - capacity
 
     def _add_objective(self, lp, topology, routing, sessions, pair_vars) -> None:
         load_terms = _link_load_terms(topology, routing, sessions, pair_vars)

@@ -10,6 +10,10 @@ The interface has two views (Sec. 4):
   such as the distance ``d_e`` under the bandwidth-distance-product
   objective).
 
+The external view is computed as one float64 vector over the full mesh
+(:func:`mesh_values`); :class:`PDistanceMap` is its per-pair dict form
+(:func:`mesh_view`), built for whoever asks for one.
+
 The module also provides the IP -> PID mapping clients use on start-up, the
 optional privacy perturbation, and the coarse "ranks" degradation of the
 interface discussed in the ISP use cases.
@@ -24,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.routing import RoutingTable
+from repro.network.routing import RouteHopIndex, RoutingTable
 from repro.network.topology import Topology
 
 LinkKey = Tuple[str, str]
@@ -127,26 +131,72 @@ def external_view(
             BDP objective, yielding ``p_e + d_e`` per eq. 15).
         intra_pid_distance: ``p_ii`` reported for every visible PID.
 
-    Routes are summed as arrays over the routing table's
-    :meth:`~repro.network.routing.RoutingTable.hop_index`; every value
-    is bit-identical to adding up its route link by link.
+    The :class:`PDistanceMap` form of :func:`mesh_values` over the
+    routing table's :meth:`~repro.network.routing.RoutingTable.hop_index`.
     """
     offsets = cost_offsets or {}
     index = routing.hop_index(topology.aggregation_pids)
     links = index.links
     prices = np.fromiter((link_prices.get(key, 0.0) for key in links), float, len(links))
     extra = np.fromiter((offsets.get(key, 0.0) for key in links), float, len(links))
-    # ``p_e + offset_e`` per link, then the zero-cost slot that pads routes.
-    cost = np.append(prices + extra, 0.0)
-    # Summed hop by hop from a zero start, in route order: the same float
-    # additions, in the same order, as summing each route in a loop.
-    total = np.zeros(len(index.pairs))
-    for hop in index.hops:
-        total += cost[hop]
-    values = total.tolist()
-    for position in index.diagonal:
-        values[position] = intra_pid_distance
-    return PDistanceMap(pids=index.pids, distances=dict(zip(index.pairs, values)))
+    values = mesh_values(index, index.hops, prices + extra, intra_pid_distance)
+    return mesh_view(index.pids, index.pairs, values, intra_pid_distance)
+
+
+def link_hops(index: RouteHopIndex, link_order: Sequence[LinkKey]) -> np.ndarray:
+    """``index.hops`` re-pointed from ``index.links`` at positions in
+    ``link_order`` (padding: ``len(link_order)``), so that a per-link
+    vector kept in ``link_order`` is gathered by :func:`mesh_values`
+    as it is."""
+    position = {key: slot for slot, key in enumerate(link_order)}
+    order = np.fromiter(map(position.__getitem__, index.links), np.intp, len(index.links))
+    return np.append(order, len(link_order))[index.hops]
+
+
+def mesh_values(
+    index: RouteHopIndex,
+    hops: np.ndarray,
+    link_cost: np.ndarray,
+    intra_pid_distance: float = 0.0,
+) -> np.ndarray:
+    """The full-mesh p-distances over ``index``, as a float64 vector in
+    ``index.pairs`` order: the one aggregation behind every view.
+
+    ``link_cost`` is ``p_e`` plus any offset per link, in the order
+    ``hops`` points into (``index.hops`` for ``index.links`` order, or
+    :func:`link_hops` for another); ``p_ii`` is ``intra_pid_distance``.
+    Every value is bit-identical to adding up its route link by link.
+    Raises ``ValueError`` on a negative p-distance.
+    """
+    # The zero-cost slot that pads routes, then the routes summed hop by
+    # hop from a zero start, in route order: the same float additions,
+    # in the same order, as summing each route in a loop.
+    cost = np.append(link_cost, 0.0)
+    values = np.zeros(len(index.pairs))
+    for hop in hops:
+        values += cost[hop]
+    values[index.diagonal] = intra_pid_distance
+    negative = np.flatnonzero(values < 0)
+    if len(negative):
+        src, dst = index.pairs[negative[0]]
+        raise ValueError(f"negative p-distance for ({src}, {dst})")
+    return values
+
+
+def mesh_view(
+    pids: Sequence[str],
+    pairs: Sequence[Tuple[str, str]],
+    values: np.ndarray,
+    intra_pid_distance: float = 0.0,
+) -> PDistanceMap:
+    """:func:`mesh_values`' ``values`` over ``pairs`` as a
+    :class:`PDistanceMap`, with ``p_ii`` as configured (an int stays an
+    int)."""
+    listed = values.tolist()
+    n = len(pids)
+    if n:
+        listed[::n] = [intra_pid_distance] * n  # rows start at the diagonal
+    return PDistanceMap(pids=tuple(pids), distances=dict(zip(pairs, listed)))
 
 
 @dataclass

@@ -59,7 +59,7 @@ class RouteHopIndex:
     def diagonal(self) -> range:
         """Positions of the ``(src, src)`` pairs in ``pairs``."""
         n = len(self.pids)
-        return range(0, n * n, n)
+        return range(0, n * n, n or 1)
 
 
 @dataclass

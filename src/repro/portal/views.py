@@ -1,4 +1,4 @@
-"""Versioned, row-indexed, copy-on-update publication of iTracker views.
+"""Versioned, copy-on-update publication of iTracker views.
 
 The reference :class:`~repro.portal.dispatch.PortalDispatcher` recomputes
 the full external view on every ``get_pdistances`` request -- correct,
@@ -7,13 +7,6 @@ and exactly what would cap a server's throughput.  The view is
 version)`` identity advances (once per update period), while "millions
 of users" read it in between.  This module turns that asymmetry into
 the serving plane's hot path:
-
-* :class:`ShardedView` -- one immutable raw external view, split into
-  one ``{dst: value}`` row per source.  Restricting to a swarm's k-PID
-  footprint is k lookups in each of the k rows it keeps instead of a
-  scan of the full mesh, in exactly the order :meth:`~repro.core.
-  pdistance.PDistanceMap.restricted_to` would produce -- the wire bytes
-  must not depend on whether the view was read off rows or recomputed.
 
 * :class:`ViewPublisher` -- versioned copy-on-update publication with
   request coalescing.  Readers grab the current published snapshot with
@@ -24,40 +17,53 @@ the serving plane's hot path:
   view computation, k replies).  Publication swaps a single reference,
   so a reader never observes a half-built snapshot.
 
+* A published snapshot *is* the p-distance vector
+  (:meth:`~repro.core.itracker.ITracker.view_vector`: one float per
+  full-mesh pair, in :class:`MeshLayout` order) and its
+  ``(epoch, version)`` key.  Publishing builds nothing per pair: no
+  :class:`~repro.core.pdistance.PDistanceMap`, no per-pair validation
+  (non-negativity is checked on the vector), no rows.
+
 * :class:`MeshLayout` -- what depends on the PID list alone: the
   external-view pair order, and the encoded text between the numbers of
-  the two full-mesh documents.  Built once and handed from each
-  published snapshot to the next.
+  the two full-mesh documents.  Built once, checked once against the
+  route index's pair order, and handed from each published snapshot to
+  the next.
+
+Everything else is derived from the vector by the first read that needs
+it and memoised on the snapshot, without a lock (two readers missing at
+once build the same thing and one assignment wins), and dropped with
+it:
+
+* the *encoded* full-mesh documents (:meth:`ViewPublisher.
+  pdistances_document`, :meth:`~ViewPublisher.costmap_document`): an
+  unrestricted read is the same bytes for every caller until the next
+  publication.  A raw view gets ``get_pdistances`` and the numerical
+  cost map in one pass (:meth:`MeshLayout.encode`): every value is
+  encoded once, the intra-PID entries as the configured
+  ``intra_pid_distance`` encodes (an int stays ``1``, not ``1.0``),
+  and spliced between the layout's text for both documents.  Degraded
+  views and the ordinal cost map are built by the reference
+  ``pdistance_to_wire`` / ``alto.cost_map_document`` and encoded;
+* the encoded *rows* (:meth:`ViewPublisher.cells`): a restricted read
+  whose view needs no degradation is its rows' cells, looked up and
+  joined (:meth:`ViewPublisher.spliced_pdistances`,
+  :meth:`~ViewPublisher.spliced_costmap`);
+* the :class:`~repro.core.pdistance.PDistanceMap` forms -- the raw
+  full view, its per-source rows (:class:`ShardedView`) and the
+  finished view -- for ``ViewPublisher.view`` and for degraded reads.
 
 Degradations (privacy perturbation, rank coarsening) are applied per
 request *after* restriction via :meth:`~repro.core.itracker.ITracker.
 finish_view`, seeded by the snapshot's version -- the same order and
 seed the iTracker uses inline, which is what keeps the cached path
-bit-identical to the reference dispatcher's.
-
-The snapshot also memoises the *encoded* full-mesh documents
-(:meth:`ViewPublisher.pdistances_document`, :meth:`~ViewPublisher.
-costmap_document`): an unrestricted read is the same bytes for every
-caller until the next publication, so they are built once per
-generation, by the first request that asks, and the memo is dropped
-with the snapshot.  A full view in the layout's order -- raw or
-perturbed -- gets ``get_pdistances`` and the numerical cost map in one
-pass (:meth:`MeshLayout.encode`): every value is encoded once and
-spliced between the layout's text for both documents.  Ranked views
-and the ordinal cost map are built by the reference ``pdistance_to_wire``
-/ ``alto.cost_map_document`` and encoded.  Restricted responses are not
-kept -- their footprints differ per swarm and nobody has measured a hit
-rate -- but what they are made of is: the first read to touch a source
-row in a generation encodes that row's cells (:meth:`ViewPublisher.
-cells`), and a restricted read whose view needs no degradation is those
-cells' bytes, looked up and joined (:meth:`ViewPublisher.
-spliced_pdistances`, :meth:`~ViewPublisher.spliced_costmap`).  Every
+bit-identical to the reference dispatcher's.  Perturbation and ranks
+are functions of the restricted *set* (noise is drawn in restricted
+iteration order, ranks are taken within the restricted row), so those
+configurations rebuild through :meth:`ViewPublisher.finish`.  Every
 memoised or spliced result is the document's compact-JSON ``bytes``,
 which :func:`~repro.portal.protocol.encode_frame` copies into the frame
-as they are; no plain-dict copy of it is ever built.  Perturbation and
-ranks are functions of the restricted *set* (noise is drawn in
-restricted iteration order, ranks are taken within the restricted row),
-so those configurations rebuild through :meth:`ViewPublisher.finish`.
+as they are.
 """
 
 from __future__ import annotations
@@ -66,8 +72,10 @@ import threading
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.itracker import ITracker
-from repro.core.pdistance import PDistanceMap
+from repro.core.pdistance import PDistanceMap, mesh_view
 from repro.observability import Telemetry
 from repro.portal import alto, protocol
 from repro.portal.protocol import encode_json
@@ -82,26 +90,38 @@ COALESCE_TIMEOUT = 60.0
 MESH_DOCUMENTS = ("pdistances", f"costmap-{alto.NUMERICAL}")
 
 
+#: One destination of an encoded source row: the compact JSON of its
+#: ``[src, dst, value]`` entry of a ``get_pdistances`` result, and the
+#: ``"dst":value`` member of an ALTO cost-map row.
+Cell = Tuple[bytes, bytes]
+
+
 class MeshLayout:
     """The full mesh over ``pids`` in external-view order, and the
     encoded text around every number of its two full-mesh documents.
 
     :attr:`pairs` runs per source: the intra-PID ``(src, src)`` entry
-    first, then every other PID in PID order -- the way
-    :func:`~repro.core.pdistance.external_view` lays a view out.
-    Nothing here depends on the values, so one layout serves every
-    generation of a portal's views.
+    first, then every other PID in PID order -- the order of
+    :attr:`~repro.network.routing.RouteHopIndex.pairs`, and so of the
+    p-distance vector :meth:`~repro.core.itracker.ITracker.view_vector`
+    returns.  Nothing here depends on the values, so one layout serves
+    every generation of a portal's views.
     """
 
     def __init__(self, pids: Sequence[str]) -> None:
         self.pids = tuple(pids)
         n = len(self.pids)
-        names = [encode_json(pid) for pid in self.pids]
+        #: Each PID's position in :attr:`pids`.
+        self.position = {pid: i for i, pid in enumerate(self.pids)}
+        self._names = [encode_json(pid) for pid in self.pids]
         # Each source row's destinations as PID positions: diagonal first.
-        order = [[i] + [j for j in range(n) if j != i] for i in range(n)]
+        self._order = [[i] + [j for j in range(n) if j != i] for i in range(n)]
         #: Destinations of each source row, in view order.
-        self.rows = [tuple(self.pids[j] for j in row) for row in order]
-        self.pairs = [(self.pids[i], self.pids[j]) for i in range(n) for j in order[i]]
+        self.rows = [tuple(self.pids[j] for j in row) for row in self._order]
+        self.pairs = tuple(
+            (self.pids[i], self.pids[j]) for i in range(n) for j in self._order[i]
+        )
+        names = self._names
         # A document is its parts joined, with the numbers in the odd
         # slots: head, (text, number) per value, tail.
         self._pdistances = [b""] * (2 * n * n + 2)
@@ -110,7 +130,9 @@ class MeshLayout:
         )
         heads = [b"],[" + name + b"," for name in names]
         dsts = [name + b"," for name in names]
-        self._pdistances[1:-1:2] = [heads[i] + dsts[j] for i in range(n) for j in order[i]]
+        self._pdistances[1:-1:2] = [
+            heads[i] + dsts[j] for i in range(n) for j in self._order[i]
+        ]
         if n:
             self._pdistances[1] = self._pdistances[1][2:]  # no "]," before the first
         self._pdistances[-1] = b"]]}" if n else b"]}"
@@ -132,20 +154,36 @@ class MeshLayout:
 
     def ordered(self, view: PDistanceMap) -> bool:
         """True when ``view``'s entries run exactly in :attr:`pairs` order."""
-        return tuple(view.pids) == self.pids and list(view.distances) == self.pairs
+        return tuple(view.pids) == self.pids and tuple(view.distances) == self.pairs
 
-    def encode(self, view: PDistanceMap, version: int) -> Tuple[bytes, bytes]:
-        """The encoded ``pdistance_to_wire(view)`` and
-        ``alto.cost_map_document(view)`` in numerical mode tagged with
-        ``version`` -- the :data:`MESH_DOCUMENTS` -- for a view in this
-        layout.
+    def kept(self, pids: Sequence[str]) -> List[str]:
+        """The PIDs of this layout among ``pids``, once each, in order."""
+        position = self.position
+        return sorted(position.keys() & set(pids), key=position.__getitem__)
+
+    def _numbers(self, values: np.ndarray, diagonal: bytes) -> List[bytes]:
+        """Each value of a vector in this layout (or of one of its rows)
+        as its JSON number, ``diagonal`` at the intra-PID entries."""
+        if not len(values):
+            return []
+        n = len(self.pids)
+        numbers = encode_json(values.tolist())[1:-1].split(b",")
+        numbers[::n] = [diagonal] * (len(numbers) // n)  # rows open on it
+        return numbers
+
+    def encode(
+        self, values: np.ndarray, diagonal: bytes, version: int
+    ) -> Tuple[bytes, bytes]:
+        """The :data:`MESH_DOCUMENTS` of the raw view ``values`` (a
+        p-distance vector in :attr:`pairs` order whose intra-PID entries
+        encode as ``diagonal``): the encoded ``pdistance_to_wire`` and
+        numerical ``alto.cost_map_document`` tagged with ``version``.
 
         Every value is encoded once, for both documents, and spliced
         between the layout's text: byte for byte what encoding the
         reference builders' documents gives.
         """
-        array = encode_json(list(view.distances.values()))
-        numbers = array[1:-1].split(b",") if view.distances else []
+        numbers = self._numbers(values, diagonal)
         parts = self._pdistances[:]
         parts[2:-1:2] = numbers
         pdistances = b"".join(parts)
@@ -154,6 +192,21 @@ class MeshLayout:
         parts[0] = b'{"meta":%b,"cost-map":{' % encode_json(meta)
         parts[2:-1:2] = map(numbers.__getitem__, self._costmap_order)
         return pdistances, b"".join(parts)
+
+    def encode_row(
+        self, src: str, values: np.ndarray, diagonal: bytes
+    ) -> Dict[str, Cell]:
+        """The :data:`Cell` of every destination of ``src``'s row of the
+        raw view ``values`` (as in :meth:`encode`), keyed by destination."""
+        i = self.position[src]
+        n = len(self.pids)
+        numbers = self._numbers(values[i * n : (i + 1) * n], diagonal)
+        head = b"[" + self._names[i] + b","
+        names = self._names
+        return {
+            dst: (head + names[j] + b"," + number + b"]", names[j] + b":" + number)
+            for dst, j, number in zip(self.rows[i], self._order[i], numbers)
+        }
 
 
 class ShardedView:
@@ -180,22 +233,16 @@ class ShardedView:
             src: dict(zip(dsts, values[i * n : (i + 1) * n]))
             for i, (src, dsts) in enumerate(zip(view.pids, layout.rows))
         }
-        self._rank = {pid: index for index, pid in enumerate(view.pids)}
 
     def row(self, src: str) -> Dict[str, float]:
         """``{dst: value}`` of one source, in the view's insertion order."""
         return self._rows[src]
 
-    def kept(self, pids: Sequence[str]) -> List[str]:
-        """The visible PIDs among ``pids``, once each, in view order."""
-        rank = self._rank
-        return sorted(rank.keys() & set(pids), key=rank.__getitem__)
-
     def restricted(self, pids: Sequence[str]) -> PDistanceMap:
         """Sub-view over ``pids``, equal to ``view.restricted_to(pids)``
         entry for entry and in the same order, so its JSON wire encoding
         matches that restriction exactly."""
-        keep = self.kept(pids)
+        keep = self.layout.kept(pids)
         distances: Dict[Tuple[str, str], float] = {}
         for src in keep:
             row = self.row(src)
@@ -206,40 +253,67 @@ class ShardedView:
         return PDistanceMap(pids=tuple(keep), distances=distances)
 
 
-#: One destination of an encoded source row: the compact JSON of its
-#: ``[src, dst, value]`` entry of a ``get_pdistances`` result, and the
-#: ``"dst":value`` member of an ALTO cost-map row.
-Cell = Tuple[bytes, bytes]
-
-
-def _encode_row(src: str, row: Dict[str, float]) -> Dict[str, Cell]:
-    head = b"[" + encode_json(src) + b","
-    cells: Dict[str, Cell] = {}
-    for dst, value in row.items():
-        name = encode_json(dst)
-        number = encode_json(value)
-        cells[dst] = (head + name + b"," + number + b"]", name + b":" + number)
-    return cells
-
-
 class _Snapshot:
-    """One published generation: raw rows, the finished full view, and
-    what has been encoded from them so far -- the full-mesh wire
-    documents and the per-source rows of cells."""
+    """One published generation: the raw p-distance vector in its
+    layout's order, and what has been derived from it so far -- the
+    full-mesh wire documents, the per-source rows of cells, and the
+    :class:`PDistanceMap` forms (:attr:`raw`, :attr:`sharded`,
+    :attr:`full`).  Each is built on first use, without a lock: two
+    readers missing at once build the same thing and one assignment
+    wins."""
 
-    __slots__ = ("key", "sharded", "full", "documents", "cells")
+    __slots__ = (
+        "key", "layout", "values", "intra", "diagonal", "documents", "cells",
+        "_itracker", "_raw", "_sharded", "_full",
+    )
 
     def __init__(
         self,
         key: Tuple[int, int],
-        sharded: ShardedView,
-        full: PDistanceMap,
+        layout: MeshLayout,
+        values: np.ndarray,
+        itracker: ITracker,
     ) -> None:
         self.key = key  # (epoch, version) identity of the price state
-        self.sharded = sharded
-        self.full = full
+        self.layout = layout
+        self.values = values
+        # ``p_ii`` as configured: an int stays an int on the wire.
+        self.intra = itracker.config.intra_pid_distance
+        self.diagonal = encode_json(self.intra)
         self.documents: Dict[str, bytes] = {}
         self.cells: Dict[str, Dict[str, Cell]] = {}
+        self._itracker = itracker
+        self._raw: Optional[PDistanceMap] = None
+        self._sharded: Optional[ShardedView] = None
+        self._full: Optional[PDistanceMap] = None
+
+    @property
+    def raw(self) -> PDistanceMap:
+        """The raw full view, as ``itracker.view_snapshot()`` gives it."""
+        raw = self._raw
+        if raw is None:
+            layout = self.layout
+            raw = mesh_view(layout.pids, layout.pairs, self.values, self.intra)
+            self._raw = raw
+        return raw
+
+    @property
+    def sharded(self) -> ShardedView:
+        """:attr:`raw` split into rows, for restrictions that are degraded."""
+        sharded = self._sharded
+        if sharded is None:
+            sharded = self._sharded = ShardedView(self.raw, self.layout)
+        return sharded
+
+    @property
+    def full(self) -> PDistanceMap:
+        """The finished full view: :attr:`raw` with the configured
+        degradations, seeded by this snapshot's version."""
+        full = self._full
+        if full is None:
+            full = self._itracker.finish_view(self.raw, version=self.key[1])
+            self._full = full
+        return full
 
 
 class ViewPublisher:
@@ -313,7 +387,7 @@ class ViewPublisher:
                 self._served_published.inc()
                 return snapshot
             # The PID layout outlives generations (rebuilt if the PIDs change).
-            layout = None if snapshot is None else snapshot.sharded.layout
+            layout = None if snapshot is None else snapshot.layout
             existing = self._inflight.get(key)
             if existing is None:
                 future = Future()
@@ -347,12 +421,14 @@ class ViewPublisher:
     ) -> _Snapshot:
         traces = self._traces
         span = traces.start("portal.view_publish", version=key[1], epoch=key[0])
-        raw = self.itracker.view_snapshot()
-        sharded = ShardedView(raw, layout)
-        full = self.itracker.finish_view(raw, version=key[1])
-        traces.finish(span.set(pids=len(raw.pids)))
+        index, values = self.itracker.view_vector()
+        if layout is None or layout.pids != index.pids:
+            layout = MeshLayout(index.pids)
+            if layout.pairs != index.pairs:
+                raise ValueError("view is not a full mesh in external-view order")
+        traces.finish(span.set(pids=len(index.pids)))
         self._publications.inc()
-        return _Snapshot(key, sharded, full)
+        return _Snapshot(key, layout, values, self.itracker)
 
     # -- reads -------------------------------------------------------------
 
@@ -421,23 +497,22 @@ class ViewPublisher:
         """The encoded wire document ``name`` of ``snapshot``'s full view,
         built by the first caller and shared by every later one.
 
-        A full view in the snapshot's layout gets both documents of
-        :meth:`MeshLayout.encode` at once; any other view (ranks) or
-        document (ordinal cost map) is ``reference()``, encoded.  No
-        lock: two workers missing at once both build the same bytes and
-        one assignment wins, which costs a duplicate build once per
-        generation instead of a lock acquisition per read.
+        A raw view gets both documents of :meth:`MeshLayout.encode` at
+        once, straight from the snapshot's vector; a degraded view
+        (noise, ranks) or the ordinal cost map is ``reference()``,
+        encoded.  No lock: two workers missing at once both build the
+        same bytes and one assignment wins, which costs a duplicate
+        build once per generation instead of a lock acquisition per
+        read.
         """
         document = snapshot.documents.get(name)
         if document is not None:
             return document
-        sharded, full = snapshot.sharded, snapshot.full
-        if name in MESH_DOCUMENTS and (
-            full is sharded.view or sharded.layout.ordered(full)
-        ):
-            built = dict(
-                zip(MESH_DOCUMENTS, sharded.layout.encode(full, snapshot.key[1]))
+        if name in MESH_DOCUMENTS and self.itracker.serves_raw_views:
+            encoded = snapshot.layout.encode(
+                snapshot.values, snapshot.diagonal, snapshot.key[1]
             )
+            built = dict(zip(MESH_DOCUMENTS, encoded))
         else:
             built = {name: encode_json(reference())}
         for built_name, document in built.items():
@@ -452,7 +527,7 @@ class ViewPublisher:
         :meth:`_document`, and dropped with the snapshot."""
         cells = snapshot.cells.get(src)
         if cells is None:
-            cells = _encode_row(src, snapshot.sharded.row(src))
+            cells = snapshot.layout.encode_row(src, snapshot.values, snapshot.diagonal)
             snapshot.cells[src] = cells
             self._encodes.labels(document="row").inc()
         return cells
@@ -461,7 +536,7 @@ class ViewPublisher:
         """The encoded ``pdistance_to_wire`` of ``snapshot``'s raw view
         over ``pids``, joined from its rows' cells instead of rebuilt.
         Only for an iTracker that :attr:`~ITracker.serves_raw_views`."""
-        keep = snapshot.sharded.kept(pids)
+        keep = snapshot.layout.kept(pids)
         parts: List[bytes] = []
         for src in keep:
             cells = self.cells(snapshot, src)
@@ -477,7 +552,7 @@ class ViewPublisher:
         ``snapshot``'s raw view over ``pids``, tagged with the snapshot's
         version, joined from its rows' cells.  Same precondition as
         :meth:`spliced_pdistances`."""
-        keep = snapshot.sharded.kept(pids)
+        keep = snapshot.layout.kept(pids)
         meta = alto.cost_map_meta(alto.NUMERICAL, f"p4p-{snapshot.key[1]}")
         rows: List[bytes] = []
         for src in keep:  # cost-map rows run in PID order, diagonal in place

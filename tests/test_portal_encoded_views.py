@@ -254,11 +254,11 @@ class TestNoPerPairAllocation:
     no ``[src, dst, value]`` list or cost-map dict behind."""
 
     def test_the_full_mesh_documents_keep_fewer_objects_than_pids(self):
-        view = bench_provider().view_snapshot()
-        layout = views.MeshLayout(view.pids)
-        assert len(layout.pids) == 80 and layout.ordered(view)
-        layout.encode(view, 1)  # warm
-        documents, kept = kept_alive(lambda: layout.encode(view, 1))
+        index, values = bench_provider().view_vector()
+        layout = views.MeshLayout(index.pids)
+        assert len(layout.pids) == 80 and layout.pairs == index.pairs
+        layout.encode(values, b"0.0", 1)  # warm
+        documents, kept = kept_alive(lambda: layout.encode(values, b"0.0", 1))
         assert [type(document) for document in documents] == [bytes, bytes]
         assert kept < len(layout.pids)
 

@@ -40,10 +40,10 @@ def make_itracker(
     topo = abilene()
 
     class SlowITracker(ITracker):
-        def view_snapshot(self):
+        def view_vector(self):
             if slow_views:
                 time.sleep(slow_views)
-            return super().view_snapshot()
+            return super().view_vector()
 
     return SlowITracker(
         topology=topo,

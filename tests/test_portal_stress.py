@@ -152,14 +152,14 @@ class TestCoalescing:
         slow view computation, k byte-identical correct replies."""
         tracker = make_itracker()
         computations = []
-        real_snapshot = tracker.view_snapshot
+        real_vector = tracker.view_vector
 
-        def slow_snapshot():
+        def slow_vector():
             computations.append(threading.get_ident())
             time.sleep(0.4)  # wide window: every request arrives mid-compute
-            return real_snapshot()
+            return real_vector()
 
-        tracker.view_snapshot = slow_snapshot  # instance attr shadows method
+        tracker.view_vector = slow_vector  # instance attr shadows method
         k = 8
         results = []
         errors = []
@@ -196,7 +196,7 @@ class TestCoalescing:
             f"concurrent requests; coalescing must collapse them to one"
         )
         # every reply is correct and identical
-        tracker.view_snapshot = real_snapshot
+        tracker.view_vector = real_vector
         expected = protocol.pdistance_to_wire(tracker.get_pdistances())
         for response in results:
             assert response == {"result": expected}
@@ -206,13 +206,13 @@ class TestCoalescing:
         (same version) must not recompute."""
         tracker = make_itracker()
         computations = []
-        real_snapshot = tracker.view_snapshot
+        real_vector = tracker.view_vector
 
-        def counting_snapshot():
+        def counting_vector():
             computations.append(1)
-            return real_snapshot()
+            return real_vector()
 
-        tracker.view_snapshot = counting_snapshot
+        tracker.view_vector = counting_vector
         with make_server(tracker, workers=1) as server:
             with PortalClient(*server.address) as client:
                 first = client.get_pdistances(pids=["NYCM", "CHIN"])

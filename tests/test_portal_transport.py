@@ -33,9 +33,9 @@ def make_itracker(slow_views: float = 0.0) -> ITracker:
     topo = abilene()
 
     class SlowITracker(ITracker):
-        def view_snapshot(self):
+        def view_vector(self):
             time.sleep(slow_views)
-            return super().view_snapshot()
+            return super().view_vector()
 
     return SlowITracker(topology=topo, pid_map=uniform_pid_map(topo))
 
