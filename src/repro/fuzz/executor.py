@@ -24,15 +24,16 @@ The executor is the fuzzer's judgement layer.  Given a spec it runs:
 
 Each run also emits a **coverage** set -- which invariant checks, chaos
 event kinds, engine code paths (full-solve / incremental / incremental
-over several closures / compaction), health-ladder states, failover
+over several components / compaction), health-ladder states, failover
 endpoints, and rejection categories the run reached -- which is what
 drives corpus retention in the fuzzer.
 
 **Planted regressions** (:data:`PLANTS`) let the tests and the CI smoke
 job prove the whole pipeline end to end: each plant wraps one layer with
-a known-bad behaviour (a vectorized engine that drops tight rate caps; a
-validation policy that stops requiring full-mesh views) that the fuzzer
-must re-discover, minimize, and replay.
+a known-bad behaviour (a vectorized engine that drops tight rate caps; one
+whose arrivals join components without merging their flows; a validation
+policy that stops requiring full-mesh views) that the fuzzer must
+re-discover, minimize, and replay.
 """
 
 from __future__ import annotations
@@ -56,7 +57,11 @@ from repro.simulator.tcp import VectorizedFlowNetwork
 from repro.fuzz.spec import ScenarioSpec
 
 #: Named, deliberately-broken behaviours the fuzzer must catch.
-PLANTS: Tuple[str, ...] = ("vector-cap-ignored", "view-accept-missing-rows")
+PLANTS: Tuple[str, ...] = (
+    "vector-cap-ignored",
+    "vector-merge-skipped",
+    "view-accept-missing-rows",
+)
 
 #: Rate caps below this threshold are silently dropped by the
 #: ``vector-cap-ignored`` plant -- tight caps are exactly the regime the
@@ -85,6 +90,23 @@ class _CapDroppingVector(VectorizedFlowNetwork):
         if rate_cap is not None and rate_cap < _PLANT_CAP_THRESHOLD:
             rate_cap = None
         return super().start_flow(links, size, meta=meta, rate_cap=rate_cap)
+
+
+class _MergeSkippingVector(VectorizedFlowNetwork):
+    """The ``vector-merge-skipped`` planted regression: an arrival joining
+    two components relabels their links but drops one side's flows from
+    the joined component, so its later solves miss them."""
+
+    def _merge(self, keep, other):
+        self._comp_slots[other] = set()
+        return super()._merge(keep, other)
+
+
+#: Engine plants by name; several combine into one subclass.
+_VECTOR_PLANTS = {
+    "vector-cap-ignored": _CapDroppingVector,
+    "vector-merge-skipped": _MergeSkippingVector,
+}
 
 
 @dataclass(frozen=True)
@@ -221,9 +243,10 @@ class Executor:
         self._executions.labels(oracle="differential").inc()
         diff = spec.differential
         assert diff is not None
-        factory = (
-            _CapDroppingVector if "vector-cap-ignored" in self.plants else None
+        planted = tuple(
+            cls for name, cls in _VECTOR_PLANTS.items() if name in self.plants
         )
+        factory = type("PlantedVector", planted, {}) if planted else None
         coverage.append(f"diff:regime:{diff.regime}")
         local: Dict[str, Any] = {}
         try:

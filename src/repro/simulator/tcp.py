@@ -12,10 +12,11 @@ One engine runs every simulation, and one reference checks it:
 * :class:`VectorizedFlowNetwork` -- the engine (:func:`make_flow_network`
   builds it).  The incidence lives permanently in flat numpy entry arrays
   (a COO sparse flow x link matrix with lazy deletion and periodic
-  compaction), flow state lives in reusable array slots, and each
-  arrival/completion only re-solves the links transitively affected (the
-  dirty closures), falling back to a single whole-network vector solve
-  when one closure grows past a threshold.
+  compaction), flow state lives in reusable array slots, every link
+  carries a component label (union on arrival, a lazy amortised split on
+  departure), and each arrival/completion only re-solves the components it
+  touched, falling back to a single whole-network vector solve when one
+  of them grows past a threshold.
 * :class:`FlowNetwork` -- the reference oracle (and the base class holding
   the link registry).  Between rate recomputations the per-flow remaining
   sizes live in a numpy array so advancing the clock is vectorized, but
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -293,12 +295,13 @@ class EngineStats:
 
     full_solves: int = 0
     incremental_solves: int = 0
-    #: Incremental solves whose dirty links spanned two or more closures
-    #: that carry flows.
+    #: Incremental solves over two or more components that carry flows.
     multi_closure_solves: int = 0
     dirty_flows_last: int = 0
     dirty_flows_peak: int = 0
     compactions: int = 0
+    #: Components split back into their exact closures (one BFS each).
+    resplits: int = 0
 
     @property
     def solves(self) -> int:
@@ -315,27 +318,33 @@ class VectorizedFlowNetwork(FlowNetwork):
     State layout (the "slot" representation):
 
     * Every active flow owns a slot in flat numpy arrays (remaining size,
-      rate, rate cap, active mask, flow id); slots are recycled through a
-      free list, so per-event work never rebuilds per-flow arrays.
+      rate, rate cap, active mask, flow id, entry span); slots are recycled
+      through a free list, so per-event work never rebuilds per-flow arrays.
     * The flow x link incidence is a COO entry store: parallel arrays
-      ``entry_link`` / ``entry_slot``.  A flow's entries are written once
-      at ``start_flow``; freeing a slot tombstones its entries
+      ``entry_link`` / ``entry_slot``.  A flow's entries are written once,
+      contiguously, at ``start_flow``; freeing a slot tombstones its entries
       (``entry_slot = -1``), and the store compacts when less than half
       the cells are live.
-    * Each link knows the set of slots crossing it, giving the adjacency
-      needed to expand a dirty link set into its closed component.
+    * Every link carries a component label; a component holds its links
+      and the slots of the live flows crossing them.
 
-    Invalidation rule: an arrival or departure marks exactly the flow's
-    links dirty.  At the next query each dirty link is expanded to its
-    transitive closure (links of flows on dirty links, and so on), one
-    closure at a time; because no closure shares a link with the rest of
-    the network, re-solving the union of the closures in isolation with
-    full link capacities -- one kernel call -- reproduces the global
-    max-min allocation.  When any single closure exceeds
-    ``dirty_flow_floor`` + ``dirty_flow_fraction`` x active flows,
-    expansion is abandoned and one whole-network vector solve (no Python
-    per-flow work) runs instead -- that path is bit-identical to the
-    scalar engine's allocation.
+    Label invariant: a live flow's links share one label, and a component
+    is a union of exact closures (closed sets of links and the flows on
+    them).  An arrival unions the labels of its links, relabelling the
+    smaller side into the larger -- exact, since the flow is what joins
+    them.  A departure only removes its slot, so the component may now hold
+    several closures.  It is split back by one BFS over itself once its
+    departures since it was last exact exceed its flow count at that time,
+    which keeps the split amortised O(1) per departure.
+
+    Invalidation rule: an arrival or departure marks its component dirty.
+    Because no component shares a link with the rest of the network,
+    re-solving the union of the dirty components in isolation with full
+    link capacities -- one kernel call -- reproduces the global max-min
+    allocation.  When any single dirty component holds more than
+    ``dirty_flow_floor`` + ``dirty_flow_fraction`` x active flows, one
+    whole-network vector solve (no Python per-flow work) runs instead --
+    that path is bit-identical to the scalar engine's allocation.
     """
 
     def __init__(
@@ -364,6 +373,8 @@ class VectorizedFlowNetwork(FlowNetwork):
         self._s_cap = np.full(size, np.inf)
         self._s_active = np.zeros(size, dtype=bool)
         self._s_flow_id = np.full(size, -1, dtype=np.int64)
+        self._s_estart = np.zeros(size, dtype=np.intp)  # entry span start
+        self._s_ecount = np.zeros(size, dtype=np.intp)  # entry span length
         self._slot_flow: List[Optional[Flow]] = []
         self._free_slots: List[int] = []
         self._slot_of_flow: Dict[int, int] = {}
@@ -372,16 +383,17 @@ class VectorizedFlowNetwork(FlowNetwork):
         self._e_slot = np.full(size * 4, -1, dtype=np.intp)
         self._e_count = 0  # high-water mark of written cells
         self._e_live = 0  # cells not tombstoned
-        self._entry_span: List[Tuple[int, int]] = []  # per-slot (start, len)
-        # Per-link adjacency for dirty-set expansion.
-        self._link_flows: List[Set[int]] = []
-        # Dirty state: link ids touched since the last solve.
-        self._dirty_links: Set[int] = set()
-        # Consecutive solves that fell back to a full recompute.  Once the
-        # streak shows the network is effectively one component, the BFS is
-        # doomed and skipped; an occasional probe re-detects partitioning.
-        self._full_streak = 0
+        # Components, indexed by label; dead labels are recycled.
+        self._link_comp: List[int] = []  # per-link label
+        self._comp_links: List[List[int]] = []
+        self._comp_slots: List[Set[int]] = []
+        self._comp_base: List[int] = []  # flows when last exact
+        self._comp_departs: List[int] = []  # departures since then
+        self._free_labels: List[int] = []
+        # Dirty state: components touched since the last solve.
+        self._dirty_comps: Set[int] = set()
         self._caps_np = np.zeros(0)
+        self._link_pos = np.zeros(0, dtype=np.intp)  # solve-local link ids
         self._caps_stale = True
         self._act_cache: Optional[np.ndarray] = None
         self.telemetry = telemetry
@@ -404,24 +416,119 @@ class VectorizedFlowNetwork(FlowNetwork):
                 "Wall-clock latency of one max-min solve.",
                 ("engine",),
             ).labels(**labels)
+            self._m_resplits = registry.counter(
+                "p4p_engine_component_resplits_total",
+                "Flow-graph components split back into their exact closures.",
+                ("engine",),
+            ).labels(**labels)
         else:
             self._m_solves = None
             self._m_dirty = None
             self._m_latency = None
+            self._m_resplits = None
 
     # -- links ------------------------------------------------------------
 
     def add_link(self, name: object, capacity: float) -> int:
         index = super().add_link(name, capacity)
-        self._link_flows.append(set())
+        self._link_comp.append(-1)
+        self._new_component([index], set())
         self._caps_stale = True
         return index
 
     def _caps(self) -> np.ndarray:
         if self._caps_stale:
             self._caps_np = np.asarray(self._capacities, dtype=float)
+            self._link_pos = np.zeros(self.n_links, dtype=np.intp)
             self._caps_stale = False
         return self._caps_np
+
+    # -- components --------------------------------------------------------
+
+    def _new_component(self, links: List[int], slots: Set[int]) -> int:
+        """Label ``links`` as one exact component holding ``slots``."""
+        if self._free_labels:
+            label = self._free_labels.pop()
+            self._comp_links[label] = links
+            self._comp_slots[label] = slots
+            self._comp_base[label] = len(slots)
+            self._comp_departs[label] = 0
+        else:
+            label = len(self._comp_links)
+            self._comp_links.append(links)
+            self._comp_slots.append(slots)
+            self._comp_base.append(len(slots))
+            self._comp_departs.append(0)
+        link_comp = self._link_comp
+        for link in links:
+            link_comp[link] = label
+        return label
+
+    def _merge(self, keep: int, other: int) -> int:
+        """Union two components; returns the surviving label."""
+        comp_links = self._comp_links
+        if len(comp_links[keep]) < len(comp_links[other]):
+            keep, other = other, keep
+        link_comp = self._link_comp
+        moved = comp_links[other]
+        for link in moved:
+            link_comp[link] = keep
+        comp_links[keep] += moved
+        comp_slots = self._comp_slots
+        if len(comp_slots[keep]) < len(comp_slots[other]):
+            comp_slots[keep], comp_slots[other] = comp_slots[other], comp_slots[keep]
+        comp_slots[keep] |= comp_slots[other]
+        self._comp_base[keep] += self._comp_base[other]
+        self._comp_departs[keep] += self._comp_departs[other]
+        comp_links[other] = []
+        comp_slots[other] = set()
+        self._dirty_comps.discard(other)
+        self._free_labels.append(other)
+        return keep
+
+    def _resplit(self, comp: int) -> List[int]:
+        """Split ``comp`` into its exact closures; returns their labels.
+
+        Links no live flow crosses any more leave as singletons, their
+        rates zeroed here.
+        """
+        slot_flow = self._slot_flow
+        by_link: Dict[int, List[int]] = {link: [] for link in self._comp_links[comp]}
+        for slot in self._comp_slots[comp]:
+            for link in slot_flow[slot].link_indices:
+                by_link[link].append(slot)
+        self._free_labels.append(comp)  # the first new component reuses it
+        pieces: List[int] = []
+        idle: List[int] = []
+        for root in list(by_link):
+            crossing = by_link.pop(root, None)
+            if crossing is None:
+                continue  # inside a closure already expanded
+            if not crossing:
+                idle.append(root)
+                continue
+            links = [root]
+            slots = set(crossing)
+            stack = list(crossing)
+            while stack:
+                for link in slot_flow[stack.pop()].link_indices:
+                    more = by_link.pop(link, None)
+                    if more is None:
+                        continue
+                    links.append(link)
+                    for slot in more:
+                        if slot not in slots:
+                            slots.add(slot)
+                            stack.append(slot)
+            pieces.append(self._new_component(links, slots))
+        for link in idle:
+            self._new_component([link], set())
+        if idle:
+            self._link_rates[idle] = 0.0
+        self.stats.resplits += 1
+        if self._m_resplits is not None:
+            self._m_resplits.inc()
+        return pieces
 
     # -- slot / entry store ------------------------------------------------
 
@@ -431,7 +538,10 @@ class VectorizedFlowNetwork(FlowNetwork):
             return
         while size < needed:
             size *= 2
-        for name in ("_s_remaining", "_s_rate", "_s_cap", "_s_active", "_s_flow_id"):
+        for name in (
+            "_s_remaining", "_s_rate", "_s_cap", "_s_active", "_s_flow_id",
+            "_s_estart", "_s_ecount",
+        ):
             old = getattr(self, name)
             fresh = np.zeros(size, dtype=old.dtype)
             if name == "_s_cap":
@@ -441,7 +551,7 @@ class VectorizedFlowNetwork(FlowNetwork):
             fresh[: old.size] = old
             setattr(self, name, fresh)
 
-    def _append_entries(self, slot: int, links: Tuple[int, ...]) -> Tuple[int, int]:
+    def _append_entries(self, slot: int, links: Tuple[int, ...]) -> None:
         count = len(links)
         need = self._e_count + count
         size = self._e_link.size
@@ -459,7 +569,8 @@ class VectorizedFlowNetwork(FlowNetwork):
             self._e_slot[start:need] = slot
         self._e_count = need
         self._e_live += count
-        return (start, count)
+        self._s_estart[slot] = start
+        self._s_ecount[slot] = count
 
     def _compact_entries(self) -> None:
         mark = self._e_count
@@ -472,22 +583,22 @@ class VectorizedFlowNetwork(FlowNetwork):
         self._e_live = live
         slots = self._e_slot[:live]
         if live:
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(slots)) + 1)
-            )
-            lens = np.diff(np.concatenate((starts, [live])))
-            for slot, start, length in zip(slots[starts], starts, lens):
-                self._entry_span[slot] = (int(start), int(length))
+            # Spans stay contiguous and in store order: one start per run.
+            starts = np.concatenate(([0], np.flatnonzero(np.diff(slots)) + 1))
+            self._s_estart[slots[starts]] = starts
         self.stats.compactions += 1
 
     def _free_slot(self, slot: int) -> None:
         flow = self._slot_flow[slot]
-        start, count = self._entry_span[slot]
+        start = self._s_estart[slot]
+        count = len(flow.link_indices)
         if count:
             self._e_slot[start : start + count] = -1
             self._e_live -= count
-        for link in flow.link_indices:
-            self._link_flows[link].discard(slot)
+            comp = self._link_comp[flow.link_indices[0]]
+            self._comp_slots[comp].discard(slot)
+            self._comp_departs[comp] += 1
+            self._dirty_comps.add(comp)
         self._s_active[slot] = False
         self._s_flow_id[slot] = -1
         del self._slot_of_flow[flow.flow_id]
@@ -534,7 +645,6 @@ class VectorizedFlowNetwork(FlowNetwork):
         else:
             slot = len(self._slot_flow)
             self._slot_flow.append(None)
-            self._entry_span.append((0, 0))
             self._grow_slots(slot + 1)
         self._slot_flow[slot] = flow
         self._slot_of_flow[flow.flow_id] = slot
@@ -542,11 +652,15 @@ class VectorizedFlowNetwork(FlowNetwork):
         self._s_cap[slot] = flow.rate_cap
         self._s_flow_id[slot] = flow.flow_id
         self._s_active[slot] = True
-        self._entry_span[slot] = self._append_entries(slot, links)
-        for link in links:
-            self._link_flows[link].add(slot)
+        self._append_entries(slot, links)
         if links:
-            self._dirty_links.update(links)
+            link_comp = self._link_comp
+            comp = link_comp[links[0]]
+            for link in links:
+                if link_comp[link] != comp:
+                    comp = self._merge(comp, link_comp[link])
+            self._comp_slots[comp].add(slot)
+            self._dirty_comps.add(comp)
         else:
             # A flow crossing no link is unconstrained: its rate is its cap
             # (or infinite) and nobody else's allocation changes.
@@ -562,7 +676,6 @@ class VectorizedFlowNetwork(FlowNetwork):
         flow.remaining_mbit = float(self._s_remaining[slot])
         flow.rate = float(self._s_rate[slot])
         self._free_slot(slot)
-        self._dirty_links.update(flow.link_indices)
         return flow
 
     @property
@@ -584,105 +697,76 @@ class VectorizedFlowNetwork(FlowNetwork):
     # -- solving -----------------------------------------------------------
 
     def _ensure_rates(self) -> None:
-        if not self._dirty_links:
+        dirty = self._dirty_comps
+        if not dirty:
             return
         started = self._perf_clock()
-        component = None
-        if self._full_streak < 8 or self.stats.solves % 32 == 0:
-            component = self._collect_component()
-        if component is None:
-            self._solve_full()
-            self._full_streak += 1
-            mode = "full"
-            dirty = self.n_flows
-        else:
-            self._full_streak = 0
-            links, slots, spanned = component
-            self._solve_component(links, slots)
-            mode = "incremental"
-            dirty = len(slots)
-        self._dirty_links.clear()
+        comp_slots = self._comp_slots
+        departs = self._comp_departs
+        base = self._comp_base
+        for comp in [comp for comp in dirty if departs[comp] > base[comp]]:
+            dirty.discard(comp)
+            dirty.update(self._resplit(comp))
+        limit = self._dirty_floor + int(self._dirty_fraction * self.n_flows)
         stats = self.stats
-        if mode == "full":
+        if any(len(comp_slots[comp]) > limit for comp in dirty):
+            self._solve_full()
+            mode = "full"
+            size = self.n_flows
             stats.full_solves += 1
         else:
+            size = self._solve_component(dirty)
+            mode = "incremental"
             stats.incremental_solves += 1
-            if spanned > 1:
+            if sum(1 for comp in dirty if comp_slots[comp]) > 1:
                 stats.multi_closure_solves += 1
-        stats.dirty_flows_last = dirty
-        stats.dirty_flows_peak = max(stats.dirty_flows_peak, dirty)
+        dirty.clear()
+        stats.dirty_flows_last = size
+        stats.dirty_flows_peak = max(stats.dirty_flows_peak, size)
         if self._m_solves is not None:
             self._m_solves.labels(engine="vectorized", mode=mode).inc()
-            self._m_dirty.observe(dirty)
+            self._m_dirty.observe(size)
             self._m_latency.observe(self._perf_clock() - started)
 
-    def _collect_component(self) -> Optional[Tuple[Set[int], Set[int], int]]:
-        """Expand the dirty links closure by closure.
-
-        Returns the union of the closures' links and slots and how many of
-        the closures carry flows, or None as soon as any *one* closure
-        holds more flows than the dirty limit.
-        """
-        limit = self._dirty_floor + int(self._dirty_fraction * self.n_flows)
-        seen_links: Set[int] = set()
-        seen_slots: Set[int] = set()
-        link_flows = self._link_flows
-        slot_flow = self._slot_flow
-        closures = 0
-        for root in self._dirty_links:
-            if root in seen_links:
-                continue  # inside a closure already expanded
-            seen_links.add(root)
-            stack = [root]
-            size = 0
-            while stack:
-                link = stack.pop()
-                for slot in link_flows[link]:
-                    if slot in seen_slots:
-                        continue
-                    seen_slots.add(slot)
-                    size += 1
-                    if size > limit:
-                        return None
-                    for other in slot_flow[slot].link_indices:
-                        if other not in seen_links:
-                            seen_links.add(other)
-                            stack.append(other)
-            if size:
-                closures += 1
-        return seen_links, seen_slots, closures
-
-    def _solve_component(self, links: Set[int], slots: Set[int]) -> None:
-        link_arr = np.fromiter(links, dtype=np.intp, count=len(links))
-        if not slots:
-            # The dirty links went idle (last crossing flow left).
-            self._link_rates[link_arr] = 0.0
-            return
-        slot_arr = np.fromiter(slots, dtype=np.intp, count=len(slots))
+    def _solve_component(self, comps: Set[int]) -> int:
+        """Re-rate the flows of ``comps``; returns how many there are."""
+        caps = self._caps()
+        comp_links = self._comp_links
+        comp_slots = self._comp_slots
+        link_arr = np.fromiter(
+            chain.from_iterable(comp_links[comp] for comp in comps), dtype=np.intp
+        )
+        slot_arr = np.fromiter(
+            chain.from_iterable(comp_slots[comp] for comp in comps), dtype=np.intp
+        )
         n = slot_arr.size
-        # Closure-local ids by gather over the entry store: the extra
-        # trailing -1 maps a tombstone (slot -1) to "not in a closure".
-        # Local ids follow set order and entries store order; the fill's
-        # bits depend on neither.
-        slot_pos = np.full(len(self._slot_flow) + 1, -1, dtype=np.intp)
-        slot_pos[slot_arr] = np.arange(n, dtype=np.intp)
-        link_pos = np.zeros(self.n_links, dtype=np.intp)
+        if not n:
+            # The components went idle (their last flow left).
+            self._link_rates[link_arr] = 0.0
+            return 0
+        # Solve-local ids: a link's position in ``link_arr``, a flow's in
+        # ``slot_arr``; each slot's entries are one contiguous span of the
+        # store.  Local ids follow set order; the fill's bits depend on
+        # neither order.
+        link_pos = self._link_pos
         link_pos[link_arr] = np.arange(link_arr.size, dtype=np.intp)
-        mark = self._e_count
-        flow_of = slot_pos[self._e_slot[:mark]]
-        inside = flow_of >= 0
-        flow_of = flow_of[inside]
-        link_of = link_pos[self._e_link[:mark][inside]]
-        # The closures share no link, so one fill over their union is the
-        # global max-min on every one of them.
+        counts = self._s_ecount[slot_arr]
+        ends = np.cumsum(counts)
+        flow_of = np.repeat(np.arange(n, dtype=np.intp), counts)
+        entry = np.arange(int(ends[-1]), dtype=np.intp)
+        entry += (self._s_estart[slot_arr] - ends + counts)[flow_of]
+        link_of = link_pos[self._e_link[entry]]
+        # The components share no link, so one fill over their union is
+        # the global max-min on every one of them.
         rates = _progressive_fill_fast(
-            link_of, flow_of, self._caps()[link_arr], n, self._s_cap[slot_arr]
+            link_of, flow_of, caps[link_arr], n, self._s_cap[slot_arr]
         )
         self._s_rate[slot_arr] = rates
         finite = np.where(np.isfinite(rates), rates, 0.0)
         self._link_rates[link_arr] = np.bincount(
             link_of, weights=finite[flow_of], minlength=link_arr.size
         )
+        return n
 
     def _solve_full(self) -> None:
         if self._e_live < self._e_count // 2 and self._e_count > 256:
@@ -776,7 +860,6 @@ class VectorizedFlowNetwork(FlowNetwork):
             flow.rate = rate
             done.append(flow)
             self._free_slot(slot)
-            self._dirty_links.update(flow.link_indices)
         return done
 
     # -- accounting ----------------------------------------------------------

@@ -456,3 +456,178 @@ def test_rates_scale_with_capacity():
     doubled = _solve(flow_links, [2 * c for c in capacities], caps)
     finite = np.isfinite(base)
     assert np.allclose(doubled[finite], 2 * base[finite], rtol=1e-9)
+
+
+# -- component labels ---------------------------------------------------------
+
+
+def _closures(flows):
+    """Exact closures of the live flows by an independent BFS: a map from
+    each crossed link to the (links, flow ids) of its closure."""
+    by_link = {}
+    for flow in flows:
+        for link in flow.link_indices:
+            by_link.setdefault(link, []).append(flow)
+    closure_of = {}
+    for root in by_link:
+        if root in closure_of:
+            continue
+        links, ids, stack = {root}, set(), [root]
+        while stack:
+            for flow in by_link[stack.pop()]:
+                if flow.flow_id in ids:
+                    continue
+                ids.add(flow.flow_id)
+                for link in flow.link_indices:
+                    if link not in links:
+                        links.add(link)
+                        stack.append(link)
+        closure = (frozenset(links), frozenset(ids))
+        for link in links:
+            closure_of[link] = closure
+    return closure_of
+
+
+def _check_labels(net):
+    """The label invariant, read from the engine's component state.
+
+    Returns the components as (links, flow ids) pairs."""
+    dead = set(net._free_labels)
+    live = [label for label in range(len(net._comp_links)) if label not in dead]
+    owner = {}
+    for label in live:
+        for link in net._comp_links[label]:
+            assert link not in owner, f"link {link} in two components"
+            assert net._link_comp[link] == label
+            owner[link] = label
+    assert sorted(owner) == list(range(net.n_links))
+    closure_of = _closures(net.flows())
+    components = []
+    for label in live:
+        links = frozenset(net._comp_links[label])
+        ids = frozenset(net._slot_flow[slot].flow_id for slot in net._comp_slots[label])
+        for slot in net._comp_slots[label]:
+            assert {net._link_comp[link] for link in net._slot_flow[slot].link_indices} == {label}
+        # A union of exact closures: every closure it touches lies inside.
+        for link in links:
+            closure = closure_of.get(link)
+            if closure is not None:
+                assert closure[0] <= links and closure[1] <= ids
+        if net._comp_departs[label] == 0:
+            # No departure since it was last exact: one closure, or one
+            # idle link.
+            if ids:
+                assert closure_of[next(iter(links))] == (links, ids)
+            else:
+                assert len(links) == 1 and next(iter(links)) not in closure_of
+        components.append((links, ids))
+    # Every live flow that crosses a link is in exactly one component.
+    placed = [flow_id for _, ids in components for flow_id in ids]
+    assert sorted(placed) == sorted(flow.flow_id for flow in net.flows() if flow.link_indices)
+    return components
+
+
+def _bridged_pop_schedule(seed, n_pops=4, per_pop=3, n_events=400):
+    """A PoP-partitioned network churned at random, with bridge flows (one
+    PoP's up link, another's down link) that join two PoPs and then leave.
+
+    The schedule is recorded while it runs on the engine, whose labels are
+    checked after every event; returns it in the lockstep oracle's format,
+    with the engine's stats."""
+    from repro.simulator.tcp import VectorizedFlowNetwork
+
+    rng = random.Random(seed)
+    net = VectorizedFlowNetwork()
+    capacities = []
+    pops = []
+    for pop in range(n_pops):
+        ups, downs = [], []
+        for _ in range(per_pop):
+            for group, low in ((ups, 5.0), (downs, 10.0)):
+                capacities.append(rng.uniform(low, 3 * low))
+                group.append(net.add_link(("l", len(capacities) - 1), capacities[-1]))
+        pops.append((ups, downs))
+    pop_of = {link: pop for pop, groups in enumerate(pops) for group in groups for link in group}
+    ops, live, bridges = [], [], []
+    joined = parted = 0
+    was_joined = False
+    for _ in range(n_events):
+        action = rng.random()
+        if action < 0.5 or len(live) < 4:
+            src = rng.randrange(n_pops)
+            dst = src
+            if rng.random() < 0.15:
+                dst = rng.choice([pop for pop in range(n_pops) if pop != src])
+            links = [rng.choice(pops[src][0]), rng.choice(pops[dst][1])]
+            cap = rng.uniform(2.0, 12.0) if rng.random() < 0.4 else None
+            op = {"op": "arrive", "links": links, "size": rng.uniform(0.5, 5.0), "cap": cap}
+            flow = net.start_flow(links, op["size"], rate_cap=cap)
+            (bridges if dst != src else live).append(flow.flow_id)
+        elif action < 0.7 or bridges:
+            # Bridges leave first: a joined pair of PoPs then splits apart.
+            pool = bridges if bridges and rng.random() < 0.6 else live
+            victim = pool.pop(rng.randrange(len(pool)))
+            op = {"op": "abort", "flow": victim}
+            net.abort_flow(victim)
+        else:
+            idle = rng.uniform(0.0, 0.5) if rng.random() < 0.3 else None
+            op = {"op": "advance", "idle": idle}
+            when = net.next_completion()
+            if idle is not None or when is None:
+                when = net._clock + (idle or 0.0)
+            net.advance(max(when, net._clock))
+            for flow in net.pop_finished():
+                for pool in (live, bridges):
+                    if flow.flow_id in pool:
+                        pool.remove(flow.flow_id)
+        ops.append(op)
+        net.next_completion()  # solve: labels are re-split here
+        is_joined = any(
+            len({pop_of[link] for link in links}) > 1 for links, _ in _check_labels(net)
+        )
+        joined += is_joined
+        parted += was_joined and not is_joined
+        was_joined = is_joined
+    return capacities, ops, net.stats, joined, parted
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_labels_hold_their_invariant_under_bridged_churn(seed):
+    """Labels are a union of exact closures after every event, exact after
+    a re-split, and every solve mode agrees with the reference in lockstep
+    on the same schedule."""
+    from repro.simulator.differential import ENGINE_REGIMES, run_schedule
+
+    capacities, ops, stats, joined, parted = _bridged_pop_schedule(seed)
+    assert stats.resplits > 10
+    assert joined > 0 and parted > 0  # bridges joined PoPs, re-splits parted them
+    assert stats.multi_closure_solves > 0
+    for regime in ENGINE_REGIMES:
+        report = run_schedule(capacities, ops, regime=regime, label=f"seed={seed}")
+        assert report.steps == len(ops)
+
+
+def test_resplits_are_mirrored_into_telemetry():
+    """``EngineStats.resplits`` and ``p4p_engine_component_resplits_total``
+    count the same splits, and the solve-latency histogram keeps reading
+    the injected clock (two reads per solve)."""
+    from repro.observability import Telemetry
+    from repro.simulator.tcp import VectorizedFlowNetwork
+
+    ticks = iter(range(10**6))
+    telemetry = Telemetry(clock=lambda: 0.0)
+    net = VectorizedFlowNetwork(telemetry=telemetry, perf_clock=lambda: float(next(ticks)))
+    links = [net.add_link(("l", index), 10.0) for index in range(4)]
+    rng = random.Random(3)
+    for _ in range(200):
+        flow = net.start_flow(rng.sample(links, 2), 1.0)
+        net.next_completion()
+        if rng.random() < 0.7:
+            net.abort_flow(flow.flow_id)
+    net.next_completion()
+    counter = telemetry.registry.get("p4p_engine_component_resplits_total")
+    assert net.stats.resplits >= 5
+    assert counter.labels(engine="vectorized").value == net.stats.resplits
+    latency = net._m_latency
+    assert latency.count == net.stats.solves
+    assert latency.sum == latency.count  # each solve spans one clock tick

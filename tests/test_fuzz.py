@@ -339,6 +339,24 @@ def test_fuzzer_deterministic_and_finds_plants(tmp_path):
     assert len(corpus_files) == len(report.corpus)
 
 
+def test_fuzzer_finds_the_skipped_component_merge():
+    """The CI job's planted run (seed 0, 40 iterations, no chaos) finds an
+    engine whose arrivals join components without merging their flows, and
+    the minimized spec still shows it: two flows sharing one link."""
+    config = FuzzConfig(
+        seed=0, iterations=40, chaos_enabled=False, plants=("vector-merge-skipped",)
+    )
+    report = Fuzzer(config).run()
+    signatures = {f.failure.signature for f in report.findings}
+    assert signatures == {("differential", "divergence")}
+    finding = report.findings[0]
+    assert finding.confirmed
+    ops = finding.minimized.differential.ops
+    arrivals = [set(op["links"]) for op in ops if op["op"] == "arrive"]
+    assert len(arrivals) >= 2 and arrivals[0] & arrivals[1]
+    assert not Executor().run(finding.minimized).failed
+
+
 def test_fuzzer_clean_run_has_no_findings():
     report = Fuzzer(FuzzConfig(seed=1, iterations=30, chaos_enabled=False)).run()
     assert not report.failed
