@@ -299,37 +299,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def import_aliases(tree: ast.Module, module_name: str) -> Dict[str, str]:
-    """Local names bound to ``module_name`` or its members.
-
-    Returns a map of local identifier -> dotted origin, covering both
-    ``import x.y as z`` and ``from x import y as z`` forms.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == module_name or alias.name.startswith(
-                    module_name + "."
-                ):
-                    aliases[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == module_name or node.module.startswith(
-                module_name + "."
-            ):
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-    return aliases
-
-
-def iter_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
 def literal_str(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value

@@ -1,2 +1,2 @@
 """appTracker integrations (Sec. 6.2): peer-selection engines and the
-BitTorrent / Pando / Liveswarms trackers built on them."""
+BitTorrent and Pando trackers built on them."""

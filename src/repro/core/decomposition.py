@@ -54,10 +54,6 @@ class DecompositionResult:
     link_order: Tuple[LinkKey, ...]
 
     @property
-    def final_objective(self) -> float:
-        return self.objective_history[-1]
-
-    @property
     def best_objective(self) -> float:
         """Minimum over the trajectory.
 

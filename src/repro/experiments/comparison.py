@@ -89,16 +89,6 @@ class SchemeOutcome:
     def mean_completion(self) -> float:
         return self.result.mean_completion()
 
-    def peak_total_utilization(self, topology: Topology) -> float:
-        """Peak (background + P2P) utilization across backbone links."""
-        peak = 0.0
-        for sample in self.result.samples:
-            for key, p2p_share in sample.link_utilization.items():
-                link = topology.links[key]
-                total = (link.background + p2p_share * link.headroom) / link.capacity
-                peak = max(peak, total)
-        return peak
-
 
 def make_population(
     topology: Topology, config: ComparisonConfig

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.metrics.completion import completion_cdf, excess_percent, improvement_percent
+from repro.metrics.completion import excess_percent, improvement_percent
 from repro.metrics.localization import localization_ratio
 from repro.simulator.fieldtest import (
     FieldTest,
@@ -72,12 +72,6 @@ class FieldTestFigures:
         return {
             "native": self.report.native.unit_bdp,
             "p4p": self.report.p4p.unit_bdp,
-        }
-
-    def completion_cdfs(self) -> Dict[str, List[Tuple[float, float]]]:
-        return {
-            "native": completion_cdf(self.report.native.result.completion_times),
-            "p4p": completion_cdf(self.report.p4p.result.completion_times),
         }
 
     def mean_completion(self, scheme: str, cls: Optional[str] = None) -> float:

@@ -353,20 +353,6 @@ class Integrator:
         self.portals[as_number] = client
         self.health[as_number] = PortalHealth()
 
-    def add_replicated(
-        self, as_number: int, endpoints: List[Tuple[str, int]], **client_kwargs: Any
-    ) -> Any:
-        """Wire one AS to several replica endpoints (primary first) via a
-        health-ranked :class:`~repro.portal.replication.
-        FailoverPortalClient`; returns the client for further wiring."""
-        from repro.portal.replication import FailoverPortalClient
-
-        client = FailoverPortalClient(
-            endpoints, telemetry=self.telemetry, **client_kwargs
-        )
-        self.add(as_number, client)
-        return client
-
     def views(self) -> Dict[int, PDistanceMap]:
         """One external view per AS, freshest available (possibly stale).
 

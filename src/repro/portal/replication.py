@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.itracker import ITracker
 from repro.portal.aserver import AsyncPortalServer
@@ -416,15 +416,3 @@ def graceful_handoff(
     replica.close()
     return drained
 
-
-def replicated_clients(
-    endpoints_by_as: Dict[int, Sequence[Endpoint]],
-    **client_kwargs: Any,
-) -> Dict[int, FailoverPortalClient]:
-    """One :class:`FailoverPortalClient` per AS, ready for
-    ``Integrator.add`` -- the multi-endpoint-per-AS convenience the
-    integrator's docstring promises."""
-    return {
-        as_number: FailoverPortalClient(endpoints, **client_kwargs)
-        for as_number, endpoints in endpoints_by_as.items()
-    }

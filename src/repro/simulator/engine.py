@@ -43,10 +43,6 @@ class EventEngine:
         heapq.heappush(self._heap, timer)
         return timer
 
-    def schedule_at(self, time: float, callback: EventCallback) -> _Timer:
-        """Schedule ``callback`` at an absolute time (>= now)."""
-        return self.schedule(time - self.now, callback)
-
     def cancel(self, timer: _Timer) -> None:
         timer.cancelled = True
 

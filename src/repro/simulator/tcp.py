@@ -79,7 +79,6 @@ class FlowNetwork:
 
     def __init__(self) -> None:
         self._capacities: List[float] = []
-        self._link_names: List[object] = []
         self._link_index: Dict[object, int] = {}
         self._flows: Dict[int, Flow] = {}
         self._next_flow_id = 0
@@ -102,7 +101,6 @@ class FlowNetwork:
             raise ValueError(f"duplicate link {name!r}")
         index = len(self._capacities)
         self._link_index[name] = index
-        self._link_names.append(name)
         self._capacities.append(capacity)
         self.link_mbit = np.append(self.link_mbit, 0.0)
         self._link_rates = np.append(self._link_rates, 0.0)
@@ -114,9 +112,6 @@ class FlowNetwork:
     @property
     def n_links(self) -> int:
         return len(self._capacities)
-
-    def link_name(self, index: int) -> object:
-        return self._link_names[index]
 
     def capacity(self, index: int) -> float:
         return self._capacities[index]

@@ -131,32 +131,3 @@ class TestControlLoopProtectsLink:
         cold = ("SEAT", "SNVA")
         assert final[cold] < initial[cold]
         assert final[cold] == pytest.approx(0.0, abs=1e-12)
-
-
-class TestGossipDistribution:
-    """Sec. 3: peers help distribute iTracker information via gossip."""
-
-    def test_view_reaches_whole_swarm_with_one_portal_query(self):
-        import random as rnd
-
-        from repro.portal.gossip import GossipSwarm, VersionedView
-
-        itracker = ITracker(
-            topology=abilene(), config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
-        )
-        swarm = GossipSwarm(fanout=3)
-        for peer_id in range(80):
-            swarm.add_peer(peer_id)
-        # One peer queries the portal; everyone else learns by gossip.
-        fetched = VersionedView(
-            version=itracker.version, view=itracker.get_pdistances()
-        )
-        swarm.seed(0, fetched)
-        rounds = swarm.run_until_converged(rnd.Random(1))
-        assert swarm.coverage(itracker.version) == 1.0
-        assert rounds < 20
-        # Any peer can now select with the gossiped view.
-        view = swarm.peers[79].held.view
-        assert view.distance("SEAT", "NYCM") == pytest.approx(
-            itracker.get_pdistances().distance("SEAT", "NYCM")
-        )

@@ -1,83 +1,12 @@
-"""Tests for topology serialization and the CLI experiment runner."""
+"""Tests for the CLI experiment runner."""
 
 import io
 import json
 
 import pytest
 
-from repro.network.generators import isp_a
-from repro.network.interdomain import partition_virtual_isps
 from repro.network.library import abilene
-from repro.network.serialization import (
-    TopologyFormatError,
-    load_topology,
-    save_topology,
-    topology_from_document,
-    topology_to_document,
-)
 from repro.tools.cli import build_parser, main
-
-
-class TestTopologySerialization:
-    def test_round_trip_abilene(self, tmp_path):
-        original = abilene()
-        path = tmp_path / "abilene.json"
-        save_topology(original, path)
-        restored = load_topology(path)
-        assert restored.name == original.name
-        assert set(restored.nodes) == set(original.nodes)
-        assert set(restored.links) == set(original.links)
-        for key in original.links:
-            assert restored.links[key].capacity == original.links[key].capacity
-            assert restored.links[key].distance == pytest.approx(
-                original.links[key].distance
-            )
-
-    def test_round_trip_preserves_interdomain_state(self, tmp_path):
-        topo = abilene()
-        partition = partition_virtual_isps(topo)
-        key = partition.cut_links[0]
-        topo.links[key].virtual_capacity = 42.0
-        path = tmp_path / "split.json"
-        save_topology(topo, path)
-        restored = load_topology(path)
-        assert restored.links[key].interdomain
-        assert restored.links[key].virtual_capacity == 42.0
-        for pid in topo.nodes:
-            assert restored.node(pid).as_number == topo.node(pid).as_number
-
-    def test_round_trip_synthetic(self, tmp_path):
-        topo = isp_a()
-        path = tmp_path / "ispa.json"
-        save_topology(topo, path)
-        restored = load_topology(path)
-        assert len(restored.links) == len(topo.links)
-        assert restored.node(topo.pids[0]).metro == topo.node(topo.pids[0]).metro
-
-    def test_unsupported_version_rejected(self):
-        document = topology_to_document(abilene())
-        document["format_version"] = 99
-        with pytest.raises(TopologyFormatError):
-            topology_from_document(document)
-
-    def test_malformed_document_rejected(self):
-        with pytest.raises(TopologyFormatError):
-            topology_from_document({"format_version": 1, "nodes": [{}], "links": []})
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(TopologyFormatError):
-            load_topology(path)
-
-    def test_non_object_rejected(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]", encoding="utf-8")
-        with pytest.raises(TopologyFormatError):
-            load_topology(path)
-
-    def test_document_is_json_serializable(self):
-        json.dumps(topology_to_document(abilene()))
 
 
 class TestCli:

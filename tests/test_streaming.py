@@ -1,10 +1,9 @@
-"""Tests for the Liveswarms streaming simulation and tracker."""
+"""Tests for the Liveswarms streaming simulation."""
 
 import random
 
 import pytest
 
-from repro.apptracker.liveswarms import AdmissionController, LiveswarmsTracker
 from repro.apptracker.selection import PeerInfo, RandomSelection
 from repro.network.library import abilene
 from repro.network.routing import RoutingTable
@@ -114,70 +113,6 @@ class TestStreamingSimulation:
         assert sum(local.link_traffic_mbit.values()) < sum(
             spread.link_traffic_mbit.values()
         )
-
-
-class TestAdmissionController:
-    def test_admits_when_capacity_suffices(self):
-        controller = AdmissionController(stream_mbps=1.0, source_mbps=10.0)
-        assert controller.admit(1, upload_mbps=1.0)
-        assert controller.n_clients == 1
-
-    def test_rejects_when_starved(self):
-        controller = AdmissionController(
-            stream_mbps=10.0, source_mbps=5.0, safety_factor=1.0
-        )
-        assert not controller.can_admit(upload_mbps=0.0)
-
-    def test_leave_frees_capacity(self):
-        controller = AdmissionController(
-            stream_mbps=5.0, source_mbps=6.0, safety_factor=1.0
-        )
-        assert controller.admit(1, upload_mbps=0.0)
-        assert not controller.can_admit(upload_mbps=0.0)
-        controller.leave(1)
-        assert controller.can_admit(upload_mbps=0.0)
-
-    def test_duplicate_admission_rejected(self):
-        controller = AdmissionController(stream_mbps=1.0, source_mbps=100.0)
-        controller.admit(1, upload_mbps=1.0)
-        with pytest.raises(ValueError):
-            controller.admit(1, upload_mbps=1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionController(stream_mbps=0.0, source_mbps=1.0)
-        with pytest.raises(ValueError):
-            AdmissionController(stream_mbps=1.0, source_mbps=1.0, safety_factor=0.5)
-
-    def test_supply_accounting(self):
-        controller = AdmissionController(stream_mbps=1.0, source_mbps=10.0)
-        controller.admit(1, upload_mbps=2.0)
-        controller.admit(2, upload_mbps=3.0)
-        assert controller.supply_mbps == pytest.approx(15.0)
-        assert controller.demand_mbps() == pytest.approx(2.0)
-
-
-class TestLiveswarmsTracker:
-    def test_join_admits_and_selects(self):
-        tracker = LiveswarmsTracker(
-            selector=RandomSelection(),
-            admission=AdmissionController(stream_mbps=1.0, source_mbps=100.0),
-        )
-        client = PeerInfo(peer_id=1, pid="A", as_number=0)
-        candidates = [PeerInfo(peer_id=i, pid="A", as_number=0) for i in range(2, 10)]
-        chosen = tracker.join(client, 2.0, candidates, 4, random.Random(0))
-        assert chosen is not None
-        assert len(chosen) == 4
-
-    def test_join_rejected_when_full(self):
-        tracker = LiveswarmsTracker(
-            selector=RandomSelection(),
-            admission=AdmissionController(
-                stream_mbps=10.0, source_mbps=1.0, safety_factor=1.0
-            ),
-        )
-        client = PeerInfo(peer_id=1, pid="A", as_number=0)
-        assert tracker.join(client, 0.0, [], 4, random.Random(0)) is None
 
 
 class TestStreamingRateCaps:
