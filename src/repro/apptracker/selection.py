@@ -224,7 +224,7 @@ class P4PSelection(PeerSelector):
             by_pid: Dict[str, List[PeerInfo]] = {}
             for peer in same_as:
                 by_pid.setdefault(peer.pid, []).append(peer)
-            known_pids = [pid for pid in by_pid if pid in view.pids and client.pid in view.pids]
+            known_pids = [pid for pid in by_pid if pid in view.index and client.pid in view.index]
             weights = pdistance_weights(view, client.pid, known_pids, self.gamma)
             quotas = {pid: weights[pid] * inter_budget for pid in known_pids}
             allocation = _weighted_round(quotas, inter_budget, rng)
@@ -313,7 +313,7 @@ class P4PSelection(PeerSelector):
         for peer in pool:
             by_pid.setdefault(peer.pid, []).append(peer)
         known = [
-            pid for pid in by_pid if pid in view.pids and client.pid in view.pids
+            pid for pid in by_pid if pid in view.index and client.pid in view.index
         ]
         if known:
             weights = pdistance_weights(view, client.pid, known, self.gamma)
@@ -353,7 +353,7 @@ class P4PSelection(PeerSelector):
             distances = [
                 view.distance(client.pid, peer.pid)
                 for peer in peers
-                if peer.pid in view.pids and client.pid in view.pids
+                if peer.pid in view.index and client.pid in view.index
             ]
             if distances:
                 mean = sum(distances) / len(distances)

@@ -18,7 +18,7 @@ so an operator can judge whether the compression is acceptable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -50,14 +50,6 @@ class CoordinateEmbedding:
         delta = self.coordinate(src) - self.coordinate(dst)
         return float(np.linalg.norm(delta))
 
-    def to_pdistance_map(self) -> PDistanceMap:
-        """Materialize the approximate full mesh (for evaluation/testing)."""
-        distances: Dict[Tuple[str, str], float] = {}
-        for src in self.pids:
-            for dst in self.pids:
-                distances[(src, dst)] = self.distance(src, dst)
-        return PDistanceMap(pids=self.pids, distances=distances)
-
     def state_size(self) -> int:
         """Floats a client must hold (vs ``n^2`` for the full mesh)."""
         return self.coordinates.size
@@ -78,15 +70,11 @@ class EmbeddingQuality:
 
 
 def _symmetric_distance_matrix(view: PDistanceMap) -> Tuple[Tuple[str, ...], np.ndarray]:
-    pids = tuple(view.pids)
-    n = len(pids)
-    matrix = np.zeros((n, n))
-    for i, src in enumerate(pids):
-        for j, dst in enumerate(pids):
-            if i == j:
-                continue
-            matrix[i, j] = 0.5 * (view.distance(src, dst) + view.distance(dst, src))
-    return pids, matrix
+    matrix = 0.5 * (view.matrix + view.matrix.T)
+    np.fill_diagonal(matrix, 0.0)
+    if np.isnan(matrix).any():
+        raise ValueError("embedding needs every inter-PID p-distance")
+    return view.pids, matrix
 
 
 def _smacof(

@@ -35,7 +35,7 @@ from repro.core.objectives import (
     effective_capacity,
     link_vector,
 )
-from repro.core.pdistance import PDistanceMap, PidMap, link_hops, mesh_values, mesh_view
+from repro.core.pdistance import PDistanceMap, PidMap, link_hops, mesh_values
 from repro.core.policy import NetworkPolicy
 from repro.core.statestore import StateStore
 from repro.network.routing import RouteHopIndex, RoutingTable
@@ -223,7 +223,7 @@ class ITracker:
     def view_snapshot(self) -> PDistanceMap:
         """:meth:`view_vector` as a :class:`PDistanceMap`."""
         index, values = self.view_vector()
-        return mesh_view(index.pids, index.pairs, values, self.config.intra_pid_distance)
+        return PDistanceMap.from_mesh(index.pids, values, self.config.intra_pid_distance)
 
     def finish_view(
         self, view: PDistanceMap, version: Optional[int] = None

@@ -11,8 +11,11 @@ The interface has two views (Sec. 4):
   objective).
 
 The external view is computed as one float64 vector over the full mesh
-(:func:`mesh_values`); :class:`PDistanceMap` is its per-pair dict form
-(:func:`mesh_view`), built for whoever asks for one.
+(:func:`mesh_values`, in external-view pair order), and handed to
+applications as a :class:`PDistanceMap`: the PIDs and an ``n`` x ``n``
+matrix, the vector un-rotated by one index assignment
+(:func:`mesh_order`).  Lookups, restriction, perturbation, ranks and
+the wire forms are array operations on that matrix.
 
 The module also provides the IP -> PID mapping clients use on start-up, the
 optional privacy perturbation, and the coarse "ranks" degradation of the
@@ -21,10 +24,11 @@ interface discussed in the ISP use cases.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,36 +38,144 @@ from repro.network.topology import Topology
 LinkKey = Tuple[str, str]
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=16)
+def mesh_order(n: int) -> np.ndarray:
+    """Flat positions in an ``n`` x ``n`` matrix, in external-view pair
+    order (:attr:`~repro.network.routing.RouteHopIndex.pairs`): per
+    source row, the diagonal first, then every other PID in PID order."""
+    k = np.arange(n)
+    i = k[:, None]
+    order = (i * n + np.where(k == 0, i, np.where(k <= i, k - 1, k))).ravel()
+    order.setflags(write=False)
+    return order
+
+
+@dataclass(frozen=True, eq=False)
 class PDistanceMap:
     """The external view: p-distances over ordered pairs of visible PIDs.
 
-    Distances are non-negative; ``p_ii`` (intra-PID) defaults to 0 unless the
-    provider deliberately raises it (e.g. the UK DSL example of Sec. 8 where
-    local transfers are *more* expensive than transit).
+    ``matrix[i, j]`` is ``p_ij`` from ``pids[i]`` to ``pids[j]``, ``NaN``
+    where the producer gave no pair.  Distances are non-negative;
+    ``p_ii`` (intra-PID) defaults to 0 when absent unless the provider
+    deliberately raises it (e.g. the UK DSL example of Sec. 8 where local
+    transfers are *more* expensive than transit).  ``intra``, when set,
+    is every ``p_ii`` as configured: the wire emits it as given, so an
+    integer stays an integer.  Pairs iterate (:meth:`entries`,
+    :meth:`perturbed`, the wire) in external-view order
+    (:func:`mesh_order`), or in ``order`` (flat positions) when given: a
+    ranked map lists each row most preferred first.  Equal maps have
+    equal PIDs and matrices.
     """
 
     pids: Tuple[str, ...]
-    distances: Mapping[Tuple[str, str], float]
+    matrix: np.ndarray
+    intra: Optional[float] = None
+    order: Optional[np.ndarray] = None
+    #: Each PID's row and column.
+    index: Dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pid_set = set(self.pids)
-        for (src, dst), value in self.distances.items():
-            if src not in pid_set or dst not in pid_set:
+        pids = tuple(self.pids)
+        n = len(pids)
+        index = {pid: i for i, pid in enumerate(pids)}
+        if len(index) != n:
+            raise ValueError("a PID is listed twice")
+        matrix = np.array(self.matrix, dtype=np.float64)
+        if matrix.shape != (n, n):
+            raise ValueError(f"matrix of shape {matrix.shape} for {n} PIDs")
+        if self.intra is not None:
+            np.fill_diagonal(matrix, self.intra)
+        object.__setattr__(self, "pids", pids)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "index", index)
+        negative = self.first(matrix < 0)
+        if negative is not None:
+            raise ValueError(f"negative p-distance for ({negative[0]}, {negative[1]})")
+
+    @classmethod
+    def from_mesh(
+        cls, pids: Sequence[str], values: np.ndarray, intra: float = 0.0
+    ) -> "PDistanceMap":
+        """The full mesh over ``pids`` from :func:`mesh_values`' vector
+        (external-view order), with ``p_ii`` as configured."""
+        n = len(pids)
+        flat = np.empty(n * n)
+        flat[mesh_order(n)] = values
+        return cls(tuple(pids), flat.reshape(n, n), intra)
+
+    @classmethod
+    def from_entries(
+        cls, pids: Sequence[str], entries: Iterable[Tuple[str, str, float]]
+    ) -> "PDistanceMap":
+        """The map over ``pids`` holding ``(src, dst, value)`` entries;
+        every other pair is absent."""
+        pids = tuple(pids)
+        n = len(pids)
+        index = {pid: i for i, pid in enumerate(pids)}
+        positions: List[int] = []
+        values: List[float] = []
+        for src, dst, value in entries:
+            if src not in index or dst not in index:
                 raise ValueError(f"distance for unknown pair ({src}, {dst})")
-            if value < 0:
-                raise ValueError(f"negative p-distance for ({src}, {dst})")
+            if value != value:
+                raise ValueError(f"NaN p-distance for ({src}, {dst})")
+            positions.append(index[src] * n + index[dst])
+            values.append(value)
+        flat = np.full(n * n, np.nan)
+        flat[positions] = values
+        return cls(pids, flat.reshape(n, n))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PDistanceMap):
+            return NotImplemented
+        return self.pids == other.pids and np.array_equal(
+            self.matrix, other.matrix, equal_nan=True
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def first(self, mask: np.ndarray) -> Optional[Tuple[str, str]]:
+        """The first pair, in external-view order, where the ``n`` x ``n``
+        boolean ``mask`` holds; ``None`` when it holds nowhere."""
+        if not mask.any():
+            return None
+        n = len(self.pids)
+        order = mesh_order(n)
+        src, dst = divmod(int(order[np.argmax(mask.ravel()[order])]), n)
+        return self.pids[src], self.pids[dst]
+
+    def _given(self) -> np.ndarray:
+        """The flat positions of the given pairs, in iteration order."""
+        order = mesh_order(len(self.pids)) if self.order is None else self.order
+        return order[~np.isnan(self.matrix.ravel()[order])]
+
+    def entries(self) -> Iterator[Tuple[str, str, float]]:
+        """Every given ``(src, dst, p_ij)``, in iteration order."""
+        given = self._given()
+        src, dst = np.divmod(given, len(self.pids))
+        listed = self.matrix.ravel()[given].tolist()
+        if self.intra is not None:
+            for k in np.flatnonzero(src == dst).tolist():
+                listed[k] = self.intra
+        names = np.array(self.pids, dtype=object)
+        return zip(names[src].tolist(), names[dst].tolist(), listed)
 
     def distance(self, src: str, dst: str) -> float:
-        """``p_ij``; intra-PID distance defaults to 0 when unset."""
-        if src == dst:
-            return self.distances.get((src, dst), 0.0)
-        return self.distances[(src, dst)]
+        """``p_ij``; intra-PID distance defaults to 0 when absent."""
+        value = self.matrix.item(self.index[src], self.index[dst])
+        if value != value:
+            if src == dst:
+                return 0.0
+            raise KeyError((src, dst))
+        return value
 
     def row(self, src: str) -> Dict[str, float]:
-        """Distances from ``src`` to every other visible PID."""
+        """Distances from ``src`` to every other visible PID it has one to."""
+        i = self.index[src]
         return {
-            dst: self.distance(src, dst) for dst in self.pids if dst != src
+            dst: value
+            for j, (dst, value) in enumerate(zip(self.pids, self.matrix[i].tolist()))
+            if j != i and value == value
         }
 
     def to_ranks(self) -> "PDistanceMap":
@@ -71,47 +183,53 @@ class PDistanceMap:
 
         For every source PID the destinations are ranked by increasing
         p-distance: most preferred gets 1, next 2, and so on.  Equal
-        distances share a rank (competition ranking).
+        distances share a rank (competition ranking).  ``p_ii`` is absent.
         """
-        ranked: Dict[Tuple[str, str], float] = {}
-        for src in self.pids:
-            row = sorted(self.row(src).items(), key=lambda item: item[1])
-            rank = 0
+        n = len(self.pids)
+        ranked = np.full((n, n), np.nan)
+        order: List[int] = []
+        for i, row in enumerate(self.matrix.tolist()):
+            dsts = [j for j, value in enumerate(row) if j != i and value == value]
+            dsts.sort(key=row.__getitem__)  # stable: ties stay in PID order
+            ranks: List[int] = []
             previous: Optional[float] = None
-            for position, (dst, value) in enumerate(row, start=1):
+            for position, j in enumerate(dsts, start=1):
+                value = row[j]
                 if previous is None or value > previous + 1e-12:
-                    rank = position
                     previous = value
-                ranked[(src, dst)] = float(rank)
-        return PDistanceMap(pids=self.pids, distances=ranked)
+                    ranks.append(position)
+                else:
+                    ranks.append(ranks[-1])
+            ranked[i, dsts] = ranks
+            order += [i * n + j for j in dsts]
+        return PDistanceMap(self.pids, ranked, order=np.array(order, dtype=np.intp))
 
     def perturbed(self, relative_noise: float, seed: int = 0) -> "PDistanceMap":
         """Privacy perturbation: multiplicative uniform noise per pair.
 
         An iTracker "may perturb the distances to enhance privacy"; noise is
         bounded so preference ordering is mostly preserved for distances that
-        differ by more than ``2 * relative_noise``.
+        differ by more than ``2 * relative_noise``.  One draw per given
+        pair, in iteration order.
         """
         if not 0.0 <= relative_noise < 1.0:
             raise ValueError("relative_noise must be in [0, 1)")
         rng = random.Random(seed)
-        noisy = {
-            pair: value * (1.0 + rng.uniform(-relative_noise, relative_noise))
-            for pair, value in self.distances.items()
-        }
-        return PDistanceMap(pids=self.pids, distances=noisy)
+        given = self._given()
+        draws = np.array([rng.random() for _ in range(len(given))])
+        # ``rng.uniform(-r, r)`` per pair, the same float operations.
+        low, high = -relative_noise, relative_noise
+        flat = self.matrix.ravel().copy()
+        flat[given] *= 1.0 + (low + (high - low) * draws)
+        return PDistanceMap(self.pids, flat.reshape(self.matrix.shape), order=self.order)
 
     def restricted_to(self, pids: Sequence[str]) -> "PDistanceMap":
-        """Sub-map over a subset of PIDs (an application's swarm footprint)."""
+        """Sub-map over a subset of PIDs (an application's swarm footprint),
+        in this map's PID order and iterating in external-view order."""
         requested = set(pids)
-        keep = [pid for pid in self.pids if pid in requested]
-        kept = set(keep)
-        sub = {
-            pair: value
-            for pair, value in self.distances.items()
-            if pair[0] in kept and pair[1] in kept
-        }
-        return PDistanceMap(pids=tuple(keep), distances=sub)
+        keep = [i for i, pid in enumerate(self.pids) if pid in requested]
+        sub = self.matrix[np.ix_(keep, keep)]
+        return PDistanceMap(tuple(self.pids[i] for i in keep), sub, self.intra)
 
 
 def external_view(
@@ -131,8 +249,8 @@ def external_view(
             BDP objective, yielding ``p_e + d_e`` per eq. 15).
         intra_pid_distance: ``p_ii`` reported for every visible PID.
 
-    The :class:`PDistanceMap` form of :func:`mesh_values` over the
-    routing table's :meth:`~repro.network.routing.RoutingTable.hop_index`.
+    The :class:`PDistanceMap` of :func:`mesh_values` over the routing
+    table's :meth:`~repro.network.routing.RoutingTable.hop_index`.
     """
     offsets = cost_offsets or {}
     index = routing.hop_index(topology.aggregation_pids)
@@ -140,7 +258,7 @@ def external_view(
     prices = np.fromiter((link_prices.get(key, 0.0) for key in links), float, len(links))
     extra = np.fromiter((offsets.get(key, 0.0) for key in links), float, len(links))
     values = mesh_values(index, index.hops, prices + extra, intra_pid_distance)
-    return mesh_view(index.pids, index.pairs, values, intra_pid_distance)
+    return PDistanceMap.from_mesh(index.pids, values, intra_pid_distance)
 
 
 def link_hops(index: RouteHopIndex, link_order: Sequence[LinkKey]) -> np.ndarray:
@@ -181,22 +299,6 @@ def mesh_values(
         src, dst = index.pairs[negative[0]]
         raise ValueError(f"negative p-distance for ({src}, {dst})")
     return values
-
-
-def mesh_view(
-    pids: Sequence[str],
-    pairs: Sequence[Tuple[str, str]],
-    values: np.ndarray,
-    intra_pid_distance: float = 0.0,
-) -> PDistanceMap:
-    """:func:`mesh_values`' ``values`` over ``pairs`` as a
-    :class:`PDistanceMap`, with ``p_ii`` as configured (an int stays an
-    int)."""
-    listed = values.tolist()
-    n = len(pids)
-    if n:
-        listed[::n] = [intra_pid_distance] * n  # rows start at the diagonal
-    return PDistanceMap(pids=tuple(pids), distances=dict(zip(pairs, listed)))
 
 
 @dataclass

@@ -204,32 +204,6 @@ class RoutingTable:
         self._hop_index = index
         return index
 
-    def indicator_matrix(
-        self, pids: Optional[Sequence[str]] = None
-    ) -> Dict[LinkKey, Dict[Tuple[str, str], int]]:
-        """``I_e(i, j)`` for every link over the given PID pairs.
-
-        Args:
-            pids: PIDs to enumerate pairs over; defaults to all aggregation
-                PIDs of the topology.
-
-        Returns:
-            Mapping from link key to ``{(i, j): 1}`` for pairs whose route
-            traverses the link (absent pairs are 0).
-        """
-        if pids is None:
-            pids = self.topology.aggregation_pids
-        matrix: Dict[LinkKey, Dict[Tuple[str, str], int]] = {
-            key: {} for key in self.topology.links
-        }
-        for src in pids:
-            for dst in pids:
-                if src == dst:
-                    continue
-                for key in self.route(src, dst):
-                    matrix[key][(src, dst)] = 1
-        return matrix
-
     def pairs_using(self, link_key: LinkKey, pids: Optional[Sequence[str]] = None):
         """Ordered PID pairs whose route traverses ``link_key``."""
         if pids is None:

@@ -9,9 +9,7 @@ state interoperates with ALTO tooling:
 * :func:`network_map_document` -- ``application/alto-networkmap+json``;
 * :func:`cost_map_document` -- ``application/alto-costmap+json`` with the
   ``routingcost`` metric carrying p-distances (numerical mode) or ranks
-  (ordinal mode, the coarse interface of Sec. 4);
-* :func:`cost_map_from_document` -- parse a cost map back into a
-  :class:`~repro.core.pdistance.PDistanceMap`.
+  (ordinal mode, the coarse interface of Sec. 4).
 
 Only the media-type bodies are produced; HTTP transport is out of scope
 (the JSON-frame portal carries them fine).
@@ -19,17 +17,15 @@ Only the media-type bodies are produced; HTTP transport is out of scope
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping
+
+import numpy as np
 
 from repro.core.pdistance import PDistanceMap, PidMap
 
 #: Cost metric names defined by RFC 7285.
 NUMERICAL = "numerical"
 ORDINAL = "ordinal"
-
-
-class AltoFormatError(Exception):
-    """Malformed ALTO document."""
 
 
 def network_map_document(
@@ -77,18 +73,22 @@ def cost_map_document(
 
     ``mode=NUMERICAL`` exports raw p-distances; ``mode=ORDINAL`` exports
     the rank degradation (Sec. 4's coarse interface), which is exactly
-    ALTO's ordinal cost mode.
+    ALTO's ordinal cost mode.  Raises ``KeyError`` for a view that lacks
+    an inter-PID pair.
     """
     if mode not in (NUMERICAL, ORDINAL):
         raise ValueError(f"unsupported cost mode {mode!r}")
+    missing = view.first(np.isnan(view.matrix) & ~np.eye(len(view.pids), dtype=bool))
+    if missing is not None:
+        raise KeyError(missing)
     source = view.to_ranks() if mode == ORDINAL else view
+    pids = source.pids
     cost_map: Dict[str, Dict[str, float]] = {}
-    for src in source.pids:
-        row = {}
-        for dst in source.pids:
-            value = source.distance(src, dst)
-            row[dst] = int(value) if mode == ORDINAL and src != dst else value
-        cost_map[src] = row
+    for i, (src, row) in enumerate(zip(pids, source.matrix.tolist())):
+        if mode == ORDINAL:
+            row = [value if j == i else int(value) for j, value in enumerate(row)]
+        row[i] = source.distance(src, src) if source.intra is None else source.intra
+        cost_map[src] = dict(zip(pids, row))
     return {
         "meta": cost_map_meta(mode, map_vtag, dependent_resource_id),
         "cost-map": cost_map,
@@ -105,20 +105,6 @@ def cost_map_meta(
         ],
         "cost-type": {"cost-mode": mode, "cost-metric": "routingcost"},
     }
-
-
-def cost_map_from_document(document: Mapping[str, Any]) -> PDistanceMap:
-    """Parse an ALTO cost map body back into a :class:`PDistanceMap`."""
-    try:
-        cost_map = document["cost-map"]
-        pids = tuple(cost_map.keys())
-        distances: Dict[Tuple[str, str], float] = {}
-        for src, row in cost_map.items():
-            for dst, value in row.items():
-                distances[(src, dst)] = float(value)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise AltoFormatError(f"bad cost map: {exc}") from exc
-    return PDistanceMap(pids=pids, distances=distances)
 
 
 def endpoint_cost_document(

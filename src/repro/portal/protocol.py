@@ -230,21 +230,23 @@ def _read_exact(sock: socket.socket, n: int, allow_eof: bool) -> Optional[bytes]
 def pdistance_to_wire(view: PDistanceMap) -> Dict[str, Any]:
     return {
         "pids": list(view.pids),
-        "distances": [
-            [src, dst, value] for (src, dst), value in view.distances.items()
-        ],
+        "distances": [[src, dst, value] for src, dst, value in view.entries()],
     }
 
 
 def pdistance_from_wire(document: Dict[str, Any]) -> PDistanceMap:
+    """The document's view.  A malformed document, or one that lists a
+    PID twice, is a :class:`ProtocolError`; a NaN or negative distance,
+    or one for an unlisted PID, is the ``ValueError`` of
+    :meth:`PDistanceMap.from_entries`."""
     try:
         pids = tuple(document["pids"])
-        distances = {
-            (src, dst): float(value) for src, dst, value in document["distances"]
-        }
+        entries = [(src, dst, float(value)) for src, dst, value in document["distances"]]
+        if len(set(pids)) != len(pids):
+            raise ValueError("a PID is listed twice")
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad p-distance document: {exc}") from exc
-    return PDistanceMap(pids=pids, distances=distances)
+    return PDistanceMap.from_entries(pids, entries)
 
 
 # -- method schemas -------------------------------------------------------------

@@ -26,15 +26,17 @@ simulations and unit tests reproduce exactly (no wall-clock coupling).
 from __future__ import annotations
 
 import enum
-import math
 import random
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.pdistance import PDistanceMap
 from repro.observability import NULL_REGISTRY, ResilienceCounters
+from repro.portal.protocol import ProtocolError
 from repro.portal.client import (
     PortalBusyError,
     PortalClient,
@@ -241,47 +243,43 @@ def validate_view(
         problems.append(
             f"PID set mismatch (missing {sorted(missing)}, unexpected {sorted(extra)})"
         )
+    matrix = view.matrix
+    n = len(view.pids)
+    given = ~np.isnan(matrix)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    inter = given & off_diagonal
     if policy.require_finite:
-        for pair, value in view.distances.items():
-            if not math.isfinite(value) or value < 0:
-                problems.append(f"non-finite or negative distance {value!r} for {pair}")
-                break
-    if policy.require_full_mesh:
-        for src in view.pids:
-            for dst in view.pids:
-                if src != dst and (src, dst) not in view.distances:
-                    problems.append(f"missing distance row ({src}, {dst})")
-                    break
-            else:
-                continue
-            break
+        pair = view.first(given & ~(np.isfinite(matrix) & (matrix >= 0)))
+        if pair is not None:
+            value = view.distance(*pair)
+            problems.append(f"non-finite or negative distance {value!r} for {pair}")
+    holes = ~given & off_diagonal
+    if policy.require_full_mesh and holes.any():
+        src, dst = divmod(int(np.argmax(holes)), n)  # the first in PID order
+        problems.append(f"missing distance row ({view.pids[src]}, {view.pids[dst]})")
     if policy.require_intra_le_inter and not problems:
-        for src in view.pids:
-            inter = [
-                view.distances[(src, dst)]
-                for dst in view.pids
-                if dst != src and (src, dst) in view.distances
-            ]
-            if inter and view.distance(src, src) > min(inter) + 1e-12:
-                problems.append(
-                    f"intra-PID distance for {src} exceeds its cheapest inter-PID"
-                )
-                break
+        cheapest = np.where(inter, matrix, np.inf).min(axis=1, initial=np.inf)
+        intra = np.where(np.isnan(matrix.diagonal()), 0.0, matrix.diagonal())  # absent: 0
+        above = np.flatnonzero(intra > cheapest + 1e-12)
+        if len(above):
+            problems.append(
+                f"intra-PID distance for {view.pids[above[0]]} exceeds its cheapest inter-PID"
+            )
     if (
         policy.max_churn_factor is not None
         and previous is not None
         and not problems
     ):
         factor = policy.max_churn_factor
-        for pair, value in view.distances.items():
-            old = previous.distances.get(pair)
-            if old is None or old <= 0 or value <= 0:
-                continue
-            if value > old * factor or value < old / factor:
-                problems.append(
-                    f"churn for {pair}: {old:.6g} -> {value:.6g} exceeds x{factor:g}"
-                )
-                break
+        mine = [i for i, pid in enumerate(view.pids) if pid in previous.index]
+        theirs = [previous.index[view.pids[i]] for i in mine]
+        old = np.full_like(matrix, np.nan)  # ``previous`` over this view's PIDs
+        old[np.ix_(mine, mine)] = previous.matrix[np.ix_(theirs, theirs)]
+        compared = given & (old > 0) & (matrix > 0)
+        pair = view.first(compared & ((matrix > old * factor) | (matrix < old / factor)))
+        if pair is not None:
+            was, now = previous.distance(*pair), view.distance(*pair)
+            problems.append(f"churn for {pair}: {was:.6g} -> {now:.6g} exceeds x{factor:g}")
     if problems:
         raise ViewValidationError(problems)
 
@@ -556,9 +554,10 @@ class ResilientPortalClient:
                 version, epoch, staleness = client.get_version(), 0, None
             try:
                 view = client.get_pdistances()
-            except ValueError as exc:
-                # e.g. negative distances rejected by PDistanceMap itself:
-                # classify as a validation failure, not a crash.
+            except (ValueError, ProtocolError) as exc:
+                # e.g. negative distances rejected by PDistanceMap itself,
+                # or a document that lists a PID twice: classify as a
+                # validation failure, not a crash.
                 raise ViewValidationError([str(exc)]) from exc
             return view, version, epoch, staleness
 

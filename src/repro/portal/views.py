@@ -20,9 +20,9 @@ the serving plane's hot path:
 * A published snapshot *is* the p-distance vector
   (:meth:`~repro.core.itracker.ITracker.view_vector`: one float per
   full-mesh pair, in :class:`MeshLayout` order) and its
-  ``(epoch, version)`` key.  Publishing builds nothing per pair: no
-  :class:`~repro.core.pdistance.PDistanceMap`, no per-pair validation
-  (non-negativity is checked on the vector), no rows.
+  ``(epoch, version)`` key.  Publishing builds nothing else: not even
+  the dense :class:`~repro.core.pdistance.PDistanceMap` (non-negativity
+  is checked on the vector).
 
 * :class:`MeshLayout` -- what depends on the PID list alone: the
   external-view pair order, and the encoded text between the numbers of
@@ -49,21 +49,23 @@ it:
   whose view needs no degradation is its rows' cells, looked up and
   joined (:meth:`ViewPublisher.spliced_pdistances`,
   :meth:`~ViewPublisher.spliced_costmap`);
-* the :class:`~repro.core.pdistance.PDistanceMap` forms -- the raw
-  full view, its per-source rows (:class:`ShardedView`) and the
-  finished view -- for ``ViewPublisher.view`` and for degraded reads.
+* the dense :class:`~repro.core.pdistance.PDistanceMap` of the raw full
+  view (the vector un-rotated into its PID-by-PID matrix) and the
+  finished view, for ``ViewPublisher.view`` and for degraded reads: a
+  restriction is an index operation on the raw matrix.
 
 Degradations (privacy perturbation, rank coarsening) are applied per
 request *after* restriction via :meth:`~repro.core.itracker.ITracker.
 finish_view`, seeded by the snapshot's version -- the same order and
 seed the iTracker uses inline, which is what keeps the cached path
 bit-identical to the reference dispatcher's.  Perturbation and ranks
-are functions of the restricted *set* (noise is drawn in restricted
-iteration order, ranks are taken within the restricted row), so those
-configurations rebuild through :meth:`ViewPublisher.finish`.  Every
-memoised or spliced result is the document's compact-JSON ``bytes``,
-which :func:`~repro.portal.protocol.encode_frame` copies into the frame
-as they are.
+are functions of the restricted *set* (noise is drawn over the
+restricted matrix in external-view order, ranks are taken within the
+restricted row), so those configurations restrict the dense raw view
+and finish it through :meth:`ViewPublisher.finish`.  Every memoised or
+spliced result is the document's compact-JSON ``bytes``, which
+:func:`~repro.portal.protocol.encode_frame` copies into the frame as
+they are.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.itracker import ITracker
-from repro.core.pdistance import PDistanceMap, mesh_view
+from repro.core.pdistance import PDistanceMap, mesh_order
 from repro.observability import Telemetry
 from repro.portal import alto, protocol
 from repro.portal.protocol import encode_json
@@ -114,10 +116,9 @@ class MeshLayout:
         #: Each PID's position in :attr:`pids`.
         self.position = {pid: i for i, pid in enumerate(self.pids)}
         self._names = [encode_json(pid) for pid in self.pids]
+        order = mesh_order(n)
         # Each source row's destinations as PID positions: diagonal first.
-        self._order = [[i] + [j for j in range(n) if j != i] for i in range(n)]
-        #: Destinations of each source row, in view order.
-        self.rows = [tuple(self.pids[j] for j in row) for row in self._order]
+        self._order = (order % n).reshape(n, n).tolist()
         self.pairs = tuple(
             (self.pids[i], self.pids[j]) for i in range(n) for j in self._order[i]
         )
@@ -138,11 +139,7 @@ class MeshLayout:
         self._pdistances[-1] = b"]]}" if n else b"]}"
         # The cost map runs rows and members in PID order, so its k-th
         # value is the view's ``_costmap_order[k]``-th.
-        self._costmap_order = [
-            i * n + (0 if j == i else j + 1 if j < i else j)
-            for i in range(n)
-            for j in range(n)
-        ]
+        self._costmap_order = np.argsort(order).tolist()
         members = [b"," + name + b":" for name in names]
         self._costmap = [b""] * (2 * n * n + 2)  # the head carries the version
         self._costmap[1:-1:2] = members * n
@@ -151,10 +148,6 @@ class MeshLayout:
                 (b"}," if i else b"") + name + b":{" + members[0][1:]
             )
         self._costmap[-1] = b"}}}" if n else b"}}"
-
-    def ordered(self, view: PDistanceMap) -> bool:
-        """True when ``view``'s entries run exactly in :attr:`pairs` order."""
-        return tuple(view.pids) == self.pids and tuple(view.distances) == self.pairs
 
     def kept(self, pids: Sequence[str]) -> List[str]:
         """The PIDs of this layout among ``pids``, once each, in order."""
@@ -204,67 +197,22 @@ class MeshLayout:
         head = b"[" + self._names[i] + b","
         names = self._names
         return {
-            dst: (head + names[j] + b"," + number + b"]", names[j] + b":" + number)
-            for dst, j, number in zip(self.rows[i], self._order[i], numbers)
+            self.pids[j]: (head + names[j] + b"," + number + b"]", names[j] + b":" + number)
+            for j, number in zip(self._order[i], numbers)
         }
-
-
-class ShardedView:
-    """One immutable external view, split into one row per source PID.
-
-    ``src -> {dst: value}``.  The view must be a full mesh laid out the
-    way :func:`~repro.core.pdistance.external_view` lays it out (its
-    :class:`MeshLayout`), which is checked here once, so that a
-    restriction to k PIDs can be read off as k lookups per kept row (the
-    diagonal, then the other kept PIDs in order) and still be
-    byte-identical to ``view.restricted_to``.
-    """
-
-    def __init__(self, view: PDistanceMap, layout: Optional[MeshLayout] = None) -> None:
-        if layout is None or layout.pids != tuple(view.pids):
-            layout = MeshLayout(view.pids)
-        if not layout.ordered(view):
-            raise ValueError("view is not a full mesh in external-view order")
-        self.view = view
-        self.layout = layout
-        values = list(view.distances.values())
-        n = len(view.pids)
-        self._rows = {
-            src: dict(zip(dsts, values[i * n : (i + 1) * n]))
-            for i, (src, dsts) in enumerate(zip(view.pids, layout.rows))
-        }
-
-    def row(self, src: str) -> Dict[str, float]:
-        """``{dst: value}`` of one source, in the view's insertion order."""
-        return self._rows[src]
-
-    def restricted(self, pids: Sequence[str]) -> PDistanceMap:
-        """Sub-view over ``pids``, equal to ``view.restricted_to(pids)``
-        entry for entry and in the same order, so its JSON wire encoding
-        matches that restriction exactly."""
-        keep = self.layout.kept(pids)
-        distances: Dict[Tuple[str, str], float] = {}
-        for src in keep:
-            row = self.row(src)
-            distances[(src, src)] = row[src]  # rows start at the diagonal
-            for dst in keep:
-                if dst != src:
-                    distances[(src, dst)] = row[dst]
-        return PDistanceMap(pids=tuple(keep), distances=distances)
 
 
 class _Snapshot:
     """One published generation: the raw p-distance vector in its
     layout's order, and what has been derived from it so far -- the
-    full-mesh wire documents, the per-source rows of cells, and the
-    :class:`PDistanceMap` forms (:attr:`raw`, :attr:`sharded`,
-    :attr:`full`).  Each is built on first use, without a lock: two
-    readers missing at once build the same thing and one assignment
-    wins."""
+    full-mesh wire documents, the per-source rows of cells, the dense
+    raw view (:attr:`view`) and the finished one (:attr:`full`).  Each
+    is built on first use, without a lock: two readers missing at once
+    build the same thing and one assignment wins."""
 
     __slots__ = (
         "key", "layout", "values", "intra", "diagonal", "documents", "cells",
-        "_itracker", "_raw", "_sharded", "_full",
+        "_itracker", "_view", "_full",
     )
 
     def __init__(
@@ -283,35 +231,25 @@ class _Snapshot:
         self.documents: Dict[str, bytes] = {}
         self.cells: Dict[str, Dict[str, Cell]] = {}
         self._itracker = itracker
-        self._raw: Optional[PDistanceMap] = None
-        self._sharded: Optional[ShardedView] = None
+        self._view: Optional[PDistanceMap] = None
         self._full: Optional[PDistanceMap] = None
 
     @property
-    def raw(self) -> PDistanceMap:
+    def view(self) -> PDistanceMap:
         """The raw full view, as ``itracker.view_snapshot()`` gives it."""
-        raw = self._raw
-        if raw is None:
-            layout = self.layout
-            raw = mesh_view(layout.pids, layout.pairs, self.values, self.intra)
-            self._raw = raw
-        return raw
-
-    @property
-    def sharded(self) -> ShardedView:
-        """:attr:`raw` split into rows, for restrictions that are degraded."""
-        sharded = self._sharded
-        if sharded is None:
-            sharded = self._sharded = ShardedView(self.raw, self.layout)
-        return sharded
+        view = self._view
+        if view is None:
+            view = PDistanceMap.from_mesh(self.layout.pids, self.values, self.intra)
+            self._view = view
+        return view
 
     @property
     def full(self) -> PDistanceMap:
-        """The finished full view: :attr:`raw` with the configured
+        """The finished full view: :attr:`view` with the configured
         degradations, seeded by this snapshot's version."""
         full = self._full
         if full is None:
-            full = self._itracker.finish_view(self.raw, version=self.key[1])
+            full = self._itracker.finish_view(self.view, version=self.key[1])
             self._full = full
         return full
 
@@ -468,7 +406,7 @@ class ViewPublisher:
         """``snapshot``'s view over ``pids`` (the full view for ``None``)."""
         if pids is None:
             return snapshot.full
-        restricted = snapshot.sharded.restricted(pids)
+        restricted = snapshot.view.restricted_to(pids)
         return self.itracker.finish_view(restricted, version=snapshot.key[1])
 
     def pdistances_document(self, snapshot: _Snapshot) -> bytes:

@@ -16,6 +16,7 @@ import signal
 
 import pytest
 
+from repro.core.pdistance import PDistanceMap
 from repro.observability import NULL_TELEMETRY
 from repro.portal import protocol
 from repro.portal.dispatch import PortalDispatcher
@@ -32,6 +33,18 @@ def reference_frame(itracker, message):
     """
     dispatcher = PortalDispatcher(itracker, telemetry=NULL_TELEMETRY)
     return protocol.encode_frame(dispatcher.dispatch(message))
+
+
+def view_of(pids, distances):
+    """The :class:`PDistanceMap` over ``pids`` holding ``{(src, dst): value}``."""
+    return PDistanceMap.from_entries(
+        pids, [(src, dst, value) for (src, dst), value in distances.items()]
+    )
+
+
+def view_pairs(view):
+    """``{(src, dst): value}`` of a view's given pairs, in external-view order."""
+    return {(src, dst): value for src, dst, value in view.entries()}
 
 
 def pytest_addoption(parser):

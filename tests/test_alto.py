@@ -10,9 +10,7 @@ from repro.network.library import abilene
 from repro.portal.alto import (
     NUMERICAL,
     ORDINAL,
-    AltoFormatError,
     cost_map_document,
-    cost_map_from_document,
     endpoint_cost_document,
     network_map_document,
     network_map_from_pidmap,
@@ -20,19 +18,19 @@ from repro.portal.alto import (
 
 
 def sample_view():
-    return PDistanceMap(
-        pids=("PID-A", "PID-B", "PID-C"),
-        distances={
-            ("PID-A", "PID-A"): 0.0,
-            ("PID-B", "PID-B"): 0.0,
-            ("PID-C", "PID-C"): 0.0,
-            ("PID-A", "PID-B"): 2.0,
-            ("PID-A", "PID-C"): 7.5,
-            ("PID-B", "PID-A"): 2.0,
-            ("PID-B", "PID-C"): 4.0,
-            ("PID-C", "PID-A"): 7.5,
-            ("PID-C", "PID-B"): 4.0,
-        },
+    return PDistanceMap.from_entries(
+        ("PID-A", "PID-B", "PID-C"),
+        [
+            ("PID-A", "PID-A", 0.0),
+            ("PID-B", "PID-B", 0.0),
+            ("PID-C", "PID-C", 0.0),
+            ("PID-A", "PID-B", 2.0),
+            ("PID-A", "PID-C", 7.5),
+            ("PID-B", "PID-A", 2.0),
+            ("PID-B", "PID-C", 4.0),
+            ("PID-C", "PID-A", 7.5),
+            ("PID-C", "PID-B", 4.0),
+        ],
     )
 
 
@@ -61,10 +59,9 @@ class TestCostMap:
     def test_numerical_round_trip(self):
         view = sample_view()
         document = cost_map_document(view, mode=NUMERICAL)
-        restored = cost_map_from_document(document)
         for src in view.pids:
             for dst in view.pids:
-                assert restored.distance(src, dst) == pytest.approx(
+                assert document["cost-map"][src][dst] == pytest.approx(
                     view.distance(src, dst)
                 )
 
@@ -83,20 +80,13 @@ class TestCostMap:
         with pytest.raises(ValueError):
             cost_map_document(sample_view(), mode="hopcount")
 
-    def test_malformed_document_rejected(self):
-        with pytest.raises(AltoFormatError):
-            cost_map_from_document({"meta": {}})
-        with pytest.raises(AltoFormatError):
-            cost_map_from_document({"cost-map": {"A": {"B": "not-a-number"}}})
-
     def test_live_itracker_export(self):
         itracker = ITracker(
             topology=abilene(), config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
         )
         view = itracker.get_pdistances()
         document = cost_map_document(view)
-        restored = cost_map_from_document(document)
-        assert restored.distance("SEAT", "NYCM") == pytest.approx(
+        assert document["cost-map"]["SEAT"]["NYCM"] == pytest.approx(
             view.distance("SEAT", "NYCM")
         )
         json.dumps(document)
@@ -138,8 +128,7 @@ class TestAltoOverTheWire:
             with PortalClient(*server.address) as client:
                 cost_doc = client.get_alto_costmap()
                 net_doc = client.get_alto_networkmap()
-        restored = cost_map_from_document(cost_doc)
-        assert restored.distance("SEAT", "NYCM") > 0
+        assert cost_doc["cost-map"]["SEAT"]["NYCM"] > 0
         assert set(net_doc["network-map"]) == set(abilene().aggregation_pids)
         assert cost_doc["meta"]["cost-type"]["cost-mode"] == "numerical"
 

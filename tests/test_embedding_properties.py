@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.embedding import embed_pdistances, embedding_quality
 from repro.core.pdistance import PDistanceMap
+from tests.conftest import view_of, view_pairs
 
 
 def euclidean_view(points: np.ndarray) -> PDistanceMap:
@@ -15,7 +16,7 @@ def euclidean_view(points: np.ndarray) -> PDistanceMap:
     for i, a in enumerate(pids):
         for j, b in enumerate(pids):
             distances[(a, b)] = float(np.linalg.norm(points[i] - points[j]))
-    return PDistanceMap(pids=pids, distances=distances)
+    return view_of(pids, distances)
 
 
 class TestEmbeddingProperties:
@@ -55,13 +56,13 @@ class TestEmbeddingProperties:
         view_base = euclidean_view(points)
         noisy = {
             pair: value * float(rng.uniform(0.8, 1.2)) if pair[0] != pair[1] else 0.0
-            for pair, value in view_base.distances.items()
+            for pair, value in view_pairs(view_base).items()
         }
         # Re-symmetrize so the map is a valid dissimilarity.
         for (a, b) in list(noisy):
             mean = 0.5 * (noisy[(a, b)] + noisy[(b, a)])
             noisy[(a, b)] = noisy[(b, a)] = mean
-        view = PDistanceMap(pids=view_base.pids, distances=noisy)
+        view = view_of(view_base.pids, noisy)
         raw = embedding_quality(view, embed_pdistances(view, 2, smacof_iterations=0))
         refined = embedding_quality(view, embed_pdistances(view, 2, smacof_iterations=60))
         assert refined.stress <= raw.stress + 1e-6

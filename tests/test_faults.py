@@ -31,6 +31,7 @@ from repro.portal.resilience import (
     RetryPolicy,
 )
 from repro.portal.aserver import AsyncPortalServer
+from tests.conftest import view_pairs
 
 
 class FakeClock:
@@ -182,6 +183,14 @@ class TestByzantineViews:
 
     def test_high_churn_rejected(self, stack):
         client, good, snapshot = self._fetch_then_mutate(stack, churn_values(1000.0))
+        assert snapshot.stale and snapshot.view is good.view
+        assert client.counters.validation_rejections >= 1
+
+    def test_a_pid_listed_twice_is_rejected_not_raised(self, stack):
+        def duplicate_pid(result):
+            return {"pids": result["pids"] + result["pids"][:1], "distances": result["distances"]}
+
+        client, good, snapshot = self._fetch_then_mutate(stack, duplicate_pid)
         assert snapshot.stale and snapshot.view is good.view
         assert client.counters.validation_rejections >= 1
 
@@ -364,7 +373,7 @@ class TestDualServerClients:
             assert client.get_version() == itracker.version
             view = client.get_pdistances()
             local = itracker.get_pdistances()
-            assert view.distances == local.distances
+            assert view_pairs(view) == view_pairs(local)
 
     @pytest.mark.timeout(30)
     def test_one_reset_absorbed_by_one_resend(self, dual_stack):
@@ -390,7 +399,7 @@ class TestDualServerClients:
         client = resilient(proxy, clock)
         try:
             view = client.get_pdistances()
-            assert view.distances == itracker.get_pdistances().distances
+            assert view_pairs(view) == view_pairs(itracker.get_pdistances())
         finally:
             client.close()
 
@@ -408,8 +417,8 @@ class TestDualServerClients:
             server = self.make_server(itracker, host=host, port=port)
             # the old socket is dead; the next call reconnects and resends
             assert client.get_version() == itracker.version
-            assert client.get_pdistances().distances == (
-                itracker.get_pdistances().distances
+            assert view_pairs(client.get_pdistances()) == (
+                view_pairs(itracker.get_pdistances())
             )
         finally:
             client.close()

@@ -17,6 +17,7 @@ from repro.network.library import abilene
 from repro.network.routing import NoRouteError, RoutingTable
 from repro.network.topology import NodeKind, Topology
 from repro.portal.protocol import encode_json
+from tests.conftest import view_of, view_pairs
 
 
 def square_topology():
@@ -32,9 +33,9 @@ def square_topology():
 
 class TestPDistanceMap:
     def make_map(self):
-        return PDistanceMap(
-            pids=("A", "B", "C"),
-            distances={
+        return view_of(
+            ("A", "B", "C"),
+            {
                 ("A", "B"): 1.0,
                 ("A", "C"): 3.0,
                 ("B", "A"): 1.0,
@@ -51,7 +52,7 @@ class TestPDistanceMap:
         assert self.make_map().distance("A", "A") == 0.0
 
     def test_explicit_intra_pid(self):
-        pmap = PDistanceMap(pids=("A",), distances={("A", "A"): 5.0})
+        pmap = view_of(("A",), {("A", "A"): 5.0})
         assert pmap.distance("A", "A") == 5.0
 
     def test_row(self):
@@ -59,11 +60,11 @@ class TestPDistanceMap:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            PDistanceMap(pids=("A", "B"), distances={("A", "B"): -1.0})
+            view_of(("A", "B"), {("A", "B"): -1.0})
 
     def test_unknown_pair_rejected(self):
         with pytest.raises(ValueError):
-            PDistanceMap(pids=("A",), distances={("A", "Z"): 1.0})
+            view_of(("A",), {("A", "Z"): 1.0})
 
     def test_to_ranks(self):
         ranks = self.make_map().to_ranks()
@@ -71,9 +72,9 @@ class TestPDistanceMap:
         assert ranks.distance("A", "C") == 2.0
 
     def test_to_ranks_ties_share_rank(self):
-        pmap = PDistanceMap(
-            pids=("A", "B", "C"),
-            distances={
+        pmap = view_of(
+            ("A", "B", "C"),
+            {
                 ("A", "B"): 2.0,
                 ("A", "C"): 2.0,
                 ("B", "A"): 1.0,
@@ -86,11 +87,18 @@ class TestPDistanceMap:
         assert ranks.distance("A", "B") == 1.0
         assert ranks.distance("A", "C") == 1.0
 
+    def test_ranked_rows_list_most_preferred_first(self):
+        pmap = view_of(("A", "B", "C"), {("A", "B"): 3.0, ("A", "C"): 1.0, ("C", "A"): 1.0})
+        assert list(pmap.entries()) == [("A", "B", 3.0), ("A", "C", 1.0), ("C", "A", 1.0)]
+        assert list(pmap.to_ranks().entries()) == [
+            ("A", "C", 1.0), ("A", "B", 2.0), ("C", "A", 1.0)
+        ]
+
     def test_perturbed_bounded(self):
         pmap = self.make_map()
         noisy = pmap.perturbed(0.1, seed=3)
-        for pair, value in pmap.distances.items():
-            assert abs(noisy.distances[pair] - value) <= 0.1 * value + 1e-12
+        for pair, value in view_pairs(pmap).items():
+            assert abs(view_pairs(noisy)[pair] - value) <= 0.1 * value + 1e-12
 
     def test_perturbed_rejects_bad_noise(self):
         with pytest.raises(ValueError):
@@ -99,7 +107,7 @@ class TestPDistanceMap:
     def test_restricted_to(self):
         sub = self.make_map().restricted_to(["A", "B"])
         assert sub.pids == ("A", "B")
-        assert ("A", "C") not in sub.distances
+        assert ("A", "C") not in view_pairs(sub)
 
 
 class TestExternalView:
@@ -139,7 +147,7 @@ class TestExternalView:
         routing = RoutingTable.build(topo)
         view = external_view(topo, routing, {key: 1.0 for key in topo.links})
         n = len(topo.aggregation_pids)
-        assert len(view.distances) == n * n  # includes p_ii entries
+        assert len(view_pairs(view)) == n * n  # includes p_ii entries
         # p-distance equals hop count when every link is priced 1.
         assert view.distance("SEAT", "NYCM") == routing.hop_count("SEAT", "NYCM")
 
@@ -209,12 +217,12 @@ class TestExternalViewBitIdentity:
         offsets = objective().cost_offsets(topology)
         view = external_view(topology, routing, link_prices, offsets, intra)
         reference = loop_external_view(topology, routing, link_prices, offsets, intra)
-        assert list(view.distances) == list(reference)
-        assert [float(value).hex() for value in view.distances.values()] == [
+        assert list(view_pairs(view)) == list(reference)
+        assert [float(value).hex() for value in view_pairs(view).values()] == [
             float(value).hex() for value in reference.values()
         ]
         # The wire form too: an int diagonal stays an int.
-        assert encode_json(list(view.distances.values())) == encode_json(
+        assert encode_json(list(view_pairs(view).values())) == encode_json(
             list(reference.values())
         )
         if objective is BandwidthDistanceProduct:
@@ -248,7 +256,7 @@ class TestExternalViewBitIdentity:
         assert ("WASH", "NYCM") not in after.links
         view = tracker.view_snapshot()
         reference = loop_external_view(topology, tracker.routing, tracker.link_prices)
-        assert [float(value).hex() for value in view.distances.values()] == [
+        assert [float(value).hex() for value in view_pairs(view).values()] == [
             float(value).hex() for value in reference.values()
         ]
         assert view.distance("WASH", "NYCM") > 1.0

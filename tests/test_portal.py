@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.capability import Capability, CapabilityKind
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
-from repro.core.pdistance import PDistanceMap, uniform_pid_map
+from repro.core.pdistance import uniform_pid_map
 from repro.core.policy import NetworkPolicy, TimeOfDayPolicy
 from repro.network.library import abilene
 from repro.portal import protocol
@@ -22,6 +22,7 @@ from repro.portal.client import (
     discover_itracker,
     register_itracker,
 )
+from tests.conftest import view_of, view_pairs
 
 
 @pytest.fixture
@@ -80,9 +81,9 @@ class TestProtocol:
             protocol.encode_frame({"blob": "x" * (protocol.MAX_FRAME_BYTES + 1)})
 
     def test_pdistance_round_trip(self):
-        view = PDistanceMap(
-            pids=("A", "B"),
-            distances={("A", "B"): 1.5, ("B", "A"): 2.5, ("A", "A"): 0.0, ("B", "B"): 0.0},
+        view = view_of(
+            ("A", "B"),
+            {("A", "B"): 1.5, ("B", "A"): 2.5, ("A", "A"): 0.0, ("B", "B"): 0.0},
         )
         wire = protocol.pdistance_to_wire(view)
         restored = protocol.pdistance_from_wire(wire)
@@ -242,8 +243,8 @@ class TestPortalEndToEnd:
             # The old socket is dead: this call reconnects transparently.
             served = client.get_pdistances()
             assert served is not dead
-            assert served.distances == replacement.get_pdistances().distances
-            assert served.distances != dead.distances
+            assert view_pairs(served) == view_pairs(replacement.get_pdistances())
+            assert view_pairs(served) != view_pairs(dead)
             cache = telemetry.registry.get("p4p_client_view_cache_total")
             assert cache.labels(outcome="miss").value == 2
             assert cache.labels(outcome="hit").value == 0
@@ -262,7 +263,7 @@ class TestPortalEndToEnd:
             partial_2 = client.get_pdistances(pids=["SEAT", "NYCM"])
             # Fresh RPC each time: distinct objects, equal content.
             assert partial_1 is not partial_2
-            assert partial_1.distances == partial_2.distances
+            assert view_pairs(partial_1) == view_pairs(partial_2)
             # The full-view cache is untouched by partial fetches.
             assert client.get_pdistances() is full
 

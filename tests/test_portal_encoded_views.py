@@ -32,7 +32,7 @@ from repro.observability import NULL_TELEMETRY, Telemetry, flatten_snapshot
 from repro.portal import alto, protocol, views
 from repro.portal.aserver import AsyncPortalServer
 from repro.portal.overload import OverloadConfig
-from tests.conftest import reference_frame
+from tests.conftest import reference_frame, view_pairs
 from tests.test_portal_conformance import exchange
 
 #: The three memoised documents: (memo name, request message).
@@ -141,7 +141,7 @@ class TestByteIdentity:
     def test_the_bdp80_views_are_varied(self):
         view = make_itracker("bdp80").view_snapshot()
         off_diagonal = [
-            value for (src, dst), value in view.distances.items() if src != dst
+            value for (src, dst), value in view_pairs(view).items() if src != dst
         ]
         assert len(off_diagonal) == 80 * 79
         assert min(off_diagonal) > 0.0

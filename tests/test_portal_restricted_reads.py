@@ -25,7 +25,6 @@ import pytest
 
 from repro.observability import Telemetry, flatten_snapshot
 from repro.portal import protocol
-from repro.portal.views import ShardedView
 from tests.conftest import reference_frame
 from tests.test_portal_conformance import exchange
 from tests.test_portal_encoded_views import (
@@ -130,27 +129,6 @@ class TestByteIdentity:
                         server.address, [protocol.encode_frame(message)]
                     ) == [frame]
             assert len(cells_of(server)) == 80
-
-    def test_sharded_restriction_is_the_unsharded_one_in_order(self):
-        raw = make_itracker().view_snapshot()
-        sharded = ShardedView(raw)
-        assert sum(len(sharded.row(src)) for src in raw.pids) == len(raw.distances)
-        for pids in PID_LISTS + (list(raw.pids), list(raw.pids)[::-1]):
-            mine, reference = sharded.restricted(pids), raw.restricted_to(pids)
-            assert mine == reference
-            assert list(mine.distances.items()) == list(reference.distances.items())
-
-    def test_a_view_in_another_layout_is_refused_not_reordered(self):
-        raw = make_itracker().view_snapshot()
-        backwards = type(raw)(
-            pids=raw.pids, distances=dict(reversed(list(raw.distances.items())))
-        )
-        with pytest.raises(ValueError, match="external-view order"):
-            ShardedView(backwards)
-        holed = dict(raw.distances)
-        del holed[(raw.pids[0], raw.pids[1])]
-        with pytest.raises(ValueError, match="external-view order"):
-            ShardedView(type(raw)(pids=raw.pids, distances=holed))
 
 
 @pytest.mark.timeout(60)

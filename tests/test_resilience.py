@@ -11,7 +11,6 @@ from collections import deque
 import pytest
 
 from repro.apptracker.selection import P4PSelection, PeerInfo, RandomSelection
-from repro.core.pdistance import PDistanceMap
 from repro.observability import ResilienceCounters
 from repro.portal.client import (
     DiscoveryError,
@@ -32,6 +31,7 @@ from repro.portal.resilience import (
     ViewValidationError,
     validate_view,
 )
+from tests.conftest import view_of
 
 
 def make_view(scale=1.0, pids=("A", "B", "C"), intra=0.0):
@@ -41,7 +41,7 @@ def make_view(scale=1.0, pids=("A", "B", "C"), intra=0.0):
         for j, dst in enumerate(pids):
             if src != dst:
                 distances[(src, dst)] = scale * (1.0 + abs(i - j))
-    return PDistanceMap(pids=tuple(pids), distances=distances)
+    return view_of(tuple(pids), distances)
 
 
 class FakeClock:
@@ -212,9 +212,9 @@ class TestValidateView:
         validate_view(make_view())
 
     def test_rejects_non_finite(self):
-        view = PDistanceMap(
-            pids=("A", "B"),
-            distances={
+        view = view_of(
+            ("A", "B"),
+            {
                 ("A", "B"): float("inf"),
                 ("B", "A"): 1.0,
                 ("A", "A"): 0.0,
@@ -225,9 +225,7 @@ class TestValidateView:
             validate_view(view)
 
     def test_rejects_missing_rows(self):
-        view = PDistanceMap(
-            pids=("A", "B"), distances={("A", "B"): 1.0}
-        )
+        view = view_of(("A", "B"), {("A", "B"): 1.0})
         with pytest.raises(ViewValidationError, match="missing distance row"):
             validate_view(view)
 
@@ -246,7 +244,7 @@ class TestValidateView:
             validate_view(make_view(), policy)
 
     def test_rejects_empty_pid_set_unconditionally(self):
-        empty = PDistanceMap(pids=(), distances={})
+        empty = view_of((), {})
         with pytest.raises(ViewValidationError, match="empty PID set"):
             validate_view(empty)
         # Even with every optional check disabled: an empty view can only
@@ -262,10 +260,10 @@ class TestValidateView:
 
     def test_rejects_negative_distance(self):
         # PDistanceMap itself refuses negatives at construction, so build
-        # a valid view and scribble the shared distances dict afterwards
+        # a valid view and scribble the shared distance matrix afterwards
         # (what a byzantine wire payload smuggled past parsing looks like).
         view = make_view()
-        view.distances[("A", "B")] = -3.0
+        view.matrix[view.index["A"], view.index["B"]] = -3.0
         with pytest.raises(ViewValidationError, match="negative"):
             validate_view(view)
 
@@ -407,7 +405,7 @@ class TestResilientPortalClient:
         clock = FakeClock()
         client = make_client(portal, clock)
         good = client.get_view()
-        bad = PDistanceMap(pids=("A", "B"), distances={("A", "B"): 1.0})
+        bad = view_of(("A", "B"), {("A", "B"): 1.0})
         portal.push(("ok", bad, 2), ("transport", "down"))
         snapshot = client.get_view()
         assert snapshot.stale and snapshot.view is good.view

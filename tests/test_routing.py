@@ -84,17 +84,6 @@ class TestRoutingTable:
         assert table.on_route(("N1", "N2"), "N0", "N3")
         assert not table.on_route(("N2", "N1"), "N0", "N3")
 
-    def test_indicator_matrix_consistent_with_routes(self):
-        topo = abilene()
-        table = RoutingTable.build(topo)
-        matrix = table.indicator_matrix()
-        for src in topo.pids:
-            for dst in topo.pids:
-                if src == dst:
-                    continue
-                for key in table.route(src, dst):
-                    assert matrix[key].get((src, dst)) == 1
-
     def test_pairs_using(self):
         table = RoutingTable.build(line_topology(3))
         pairs = table.pairs_using(("N0", "N1"))

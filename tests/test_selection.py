@@ -14,7 +14,7 @@ from repro.apptracker.selection import (
     concave_transform,
     pdistance_weights,
 )
-from repro.core.pdistance import PDistanceMap
+from tests.conftest import view_of
 
 
 def make_peers(spec):
@@ -35,7 +35,7 @@ def flat_pdistance(pids, intra=0.0, inter=1.0, overrides=None):
             distances[(a, b)] = intra if a == b else inter
     for pair, value in (overrides or {}).items():
         distances[pair] = value
-    return PDistanceMap(pids=tuple(pids), distances=distances)
+    return view_of(tuple(pids), distances)
 
 
 class TestRandomSelection:

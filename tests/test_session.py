@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pdistance import PDistanceMap
 from repro.core.session import (
     SessionDemand,
     TrafficPattern,
@@ -14,6 +13,7 @@ from repro.core.session import (
 )
 from repro.network.library import abilene
 from repro.network.routing import RoutingTable
+from tests.conftest import view_of
 
 
 def two_pid_session(u1=10.0, d1=10.0, u2=10.0, d2=10.0, rho=None):
@@ -26,9 +26,7 @@ def two_pid_session(u1=10.0, d1=10.0, u2=10.0, d2=10.0, rho=None):
 
 
 def pdistances(pab=1.0, pba=1.0):
-    return PDistanceMap(
-        pids=("A", "B"), distances={("A", "B"): pab, ("B", "A"): pba}
-    )
+    return view_of(("A", "B"), {("A", "B"): pab, ("B", "A"): pba})
 
 
 class TestTrafficPattern:
@@ -158,9 +156,9 @@ class TestMinCostLp:
             uploads={"A": 10.0, "B": 10.0, "C": 10.0},
             downloads={"A": 10.0, "B": 10.0, "C": 10.0},
         )
-        pmap = PDistanceMap(
-            pids=("A", "B", "C"),
-            distances={
+        pmap = view_of(
+            ("A", "B", "C"),
+            {
                 ("A", "B"): 1.0, ("B", "A"): 1.0,
                 ("A", "C"): 100.0, ("C", "A"): 100.0,
                 ("B", "C"): 100.0, ("C", "B"): 100.0,
@@ -188,9 +186,9 @@ class TestMinCostLp:
             downloads={"A": 10.0, "B": 10.0, "C": 10.0},
             rho={("A", "C"): 0.3},
         )
-        pmap = PDistanceMap(
-            pids=("A", "B", "C"),
-            distances={
+        pmap = view_of(
+            ("A", "B", "C"),
+            {
                 ("A", "B"): 1.0, ("B", "A"): 1.0,
                 ("A", "C"): 100.0, ("C", "A"): 100.0,
                 ("B", "C"): 1.0, ("C", "B"): 1.0,
@@ -255,7 +253,7 @@ class TestSessionLpProperties:
             for j, b in enumerate(pids)
             if a != b
         }
-        pmap = PDistanceMap(pids=tuple(pids), distances=distances)
+        pmap = view_of(tuple(pids), distances)
         opt, _ = max_matching_throughput(session)
         pattern = min_cost_traffic(session, pmap, beta=beta, opt=opt)
         for pid in pids:

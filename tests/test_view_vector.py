@@ -35,7 +35,7 @@ from repro.observability import NULL_TELEMETRY, Telemetry, flatten_snapshot
 from repro.portal import alto, protocol
 from repro.portal.aserver import AsyncPortalServer
 from repro.portal.views import ViewPublisher
-from tests.conftest import reference_frame
+from tests.conftest import reference_frame, view_pairs
 
 FOOTPRINTS = (["NYCM", "CHIN", "WASH"], ["SEAT"], ["LOSA", "NYCM", "HSTN", "KSCY"])
 
@@ -139,10 +139,10 @@ class TestViewVector:
             tracker.link_prices,
             tracker.objective.cost_offsets(topology),
         )
-        assert list(view.distances) == list(index.pairs) == list(reference.distances)
-        assert values.tolist() == list(view.distances.values())
-        assert protocol.encode_json(list(view.distances.values())) == (
-            protocol.encode_json(list(reference.distances.values()))
+        assert list(view_pairs(view)) == list(index.pairs) == list(view_pairs(reference))
+        assert values.tolist() == list(view_pairs(view).values())
+        assert protocol.encode_json(list(view_pairs(view).values())) == (
+            protocol.encode_json(list(view_pairs(reference).values()))
         )
 
     def test_a_negative_p_distance_is_refused_on_the_vector(self):
@@ -234,7 +234,7 @@ class TestDiversePrices:
         raw = external_view(
             topology, routing, tracker.link_prices, objective().cost_offsets(topology)
         )
-        off_diagonal = [value for (src, dst), value in raw.distances.items() if src != dst]
+        off_diagonal = [value for (src, dst), value in view_pairs(raw).items() if src != dst]
         assert len(set(off_diagonal)) > 0.4 * len(off_diagonal)
         version = tracker.version
         publisher = ViewPublisher(tracker, NULL_TELEMETRY)
@@ -277,7 +277,7 @@ class TestNoPerPairObjects:
         real = PDistanceMap.__post_init__
 
         def counting(self):
-            built.append(len(self.distances))
+            built.append(len(self.pids))
             real(self)
 
         monkeypatch.setattr(PDistanceMap, "__post_init__", counting)
@@ -296,6 +296,6 @@ class TestNoPerPairObjects:
                     assert type(server.dispatch(message)["result"]) is bytes
             assert server.publisher.current().key == (0, tracker.version)
         assert built == []
-        # The dict form is still there for whoever asks for one.
+        # The dense form is still there for whoever asks for one.
         tracker.get_pdistances()
         assert built
