@@ -110,12 +110,6 @@ class Baseline:
             json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
-    def by_rule(self) -> Dict[str, List[BaselineEntry]]:
-        grouped: Dict[str, List[BaselineEntry]] = {}
-        for entry in self.entries:
-            grouped.setdefault(entry.rule, []).append(entry)
-        return grouped
-
     def restricted_to(self, rule_ids: Set[str]) -> "Baseline":
         """The baseline as seen by a run of only ``rule_ids``.
 

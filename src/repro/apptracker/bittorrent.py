@@ -14,14 +14,12 @@ cached views.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.apptracker.selection import (
     DelayLocalizedSelection,
     P4PSelection,
-    PeerInfo,
     PeerSelector,
     RandomSelection,
 )
@@ -60,16 +58,6 @@ class P4PBitTorrentTracker:
         """Re-query every iTracker's external view (cache refresh)."""
         for as_number, itracker in self.itrackers.items():
             self._views[as_number] = itracker.get_pdistances()
-
-    def select_peers(
-        self,
-        client: PeerInfo,
-        candidates: Sequence[PeerInfo],
-        m: int,
-        rng: random.Random,
-    ) -> List[PeerInfo]:
-        """Answer a client's request for ``m`` neighbors."""
-        return self.selector.select(client, candidates, m, rng)
 
     def tracker_hook(
         self,

@@ -3,16 +3,13 @@
 Two ASes may disagree on cross-AS traffic: a provider prefers sending to
 its customer, who prefers sending to *its* customers.  The paper's
 implementation sidesteps the conflict by using the joining client's AS
-view; it names the **Nash Bargaining Solution** as the principled
-alternative.  This module implements both:
-
-* :func:`client_view_weights` -- the deployed behaviour: weights from the
-  client AS's own p-distances (more clients => more influence).
-* :func:`nash_bargaining_weights` -- the NBS over inter-AS traffic splits:
-  choose the allocation ``w`` (a distribution over cross-AS PID pairs)
-  maximizing ``(U_A(w)) * (U_B(w))`` where each ISP's utility is its cost
-  saving relative to the disagreement point (the uniform split both would
-  face without cooperation).
+view (the inter-PID weights of :func:`repro.apptracker.selection.pdistance_weights`
+on that view); it names the **Nash Bargaining Solution** as the principled
+alternative, which :func:`nash_bargaining_weights` implements: choose the
+allocation ``w`` (a distribution over cross-AS PID pairs) maximizing
+``(U_A(w)) * (U_B(w))`` where each ISP's utility is its cost saving
+relative to the disagreement point (the uniform split both would face
+without cooperation).
 """
 
 from __future__ import annotations
@@ -27,19 +24,6 @@ from scipy.optimize import minimize
 from repro.core.pdistance import PDistanceMap
 
 PidPair = Tuple[str, str]
-
-
-def client_view_weights(
-    view: PDistanceMap, src_pid: str, dst_pids: Sequence[str], gamma: float = 0.5
-) -> Dict[str, float]:
-    """The paper's deployed rule: the joining client's AS view decides.
-
-    Identical in spirit to the inter-PID weights: inverse p-distance from
-    the client's AS's perspective, concave-boosted.
-    """
-    from repro.apptracker.selection import pdistance_weights
-
-    return pdistance_weights(view, src_pid, dst_pids, gamma)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ rather than enforcing per-connection rate limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
-from repro.apptracker.selection import PeerInfo, WeightedSelection, concave_transform
+from repro.apptracker.selection import WeightedSelection, concave_transform
 from repro.core.itracker import ITracker
 from repro.core.session import SessionDemand, TrafficPattern, min_cost_traffic
 
@@ -158,6 +158,3 @@ class PandoTracker:
         for pid in {pid for pid, _ in new_weights} | {pid for _, pid in new_weights}:
             self._weights.setdefault((pid, pid), self.intra_pid_weight)
         return dict(self._weights)
-
-    def select_peers(self, client, candidates, m, rng) -> List[PeerInfo]:
-        return self.selector.select(client, candidates, m, rng)

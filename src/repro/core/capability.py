@@ -61,12 +61,6 @@ class CapabilityRegistry:
     def add(self, capability: Capability) -> None:
         self.capabilities.append(capability)
 
-    def trust(self, requester: str) -> None:
-        self.trusted_requesters.add(requester)
-
-    def block_content(self, content_id: str) -> None:
-        self.blocked_content.add(content_id)
-
     def _check_access(self, requester: str, content_id: Optional[str]) -> None:
         if self.trusted_requesters and requester not in self.trusted_requesters:
             raise AccessDeniedError(f"requester {requester!r} is not trusted")

@@ -53,17 +53,6 @@ class DecompositionResult:
     final_pdistance: PDistanceMap
     link_order: Tuple[LinkKey, ...]
 
-    @property
-    def best_objective(self) -> float:
-        """Minimum over the trajectory.
-
-        Early iterates carry less than the full throughput floor (the
-        damped patterns are still ramping up), so this can undershoot any
-        feasible steady state; prefer :meth:`settled_objective` when
-        comparing against the centralized optimum.
-        """
-        return min(self.objective_history)
-
     def settled_objective(self, window: int = 5) -> float:
         """Mean objective over the last ``window`` iterations.
 
@@ -77,13 +66,6 @@ class DecompositionResult:
     @property
     def iterations(self) -> int:
         return len(self.objective_history)
-
-    def converged(self, tolerance: float = 1e-3, window: int = 5) -> bool:
-        """True when the last ``window`` objective values are within tolerance."""
-        if len(self.objective_history) < window:
-            return False
-        tail = self.objective_history[-window:]
-        return max(tail) - min(tail) <= tolerance * max(abs(max(tail)), 1e-12)
 
 
 @dataclass

@@ -63,11 +63,6 @@ class EmbeddingQuality:
     max_relative_error: float
     compression_ratio: float  # full-mesh floats / embedding floats
 
-    @property
-    def acceptable(self) -> bool:
-        """A loose default gate: under 15% RMS error."""
-        return self.stress < 0.15
-
 
 def _symmetric_distance_matrix(view: PDistanceMap) -> Tuple[Tuple[str, ...], np.ndarray]:
     matrix = 0.5 * (view.matrix + view.matrix.T)
@@ -166,22 +161,3 @@ def embedding_quality(
         max_relative_error=max_rel,
         compression_ratio=full_mesh_floats / max(1, embedding.state_size()),
     )
-
-
-def embed_with_target_stress(
-    view: PDistanceMap,
-    target_stress: float = 0.1,
-    max_dimensions: int = 16,
-) -> Tuple[CoordinateEmbedding, EmbeddingQuality]:
-    """Smallest dimensionality meeting a stress target (or the max tried)."""
-    if not 0 < target_stress < 1:
-        raise ValueError("target_stress must be in (0, 1)")
-    best = None
-    for dimensions in range(1, max_dimensions + 1):
-        embedding = embed_pdistances(view, dimensions=dimensions)
-        quality = embedding_quality(view, embedding)
-        best = (embedding, quality)
-        if quality.stress <= target_stress:
-            break
-    assert best is not None
-    return best

@@ -350,29 +350,6 @@ class ITracker:
             )
             telemetry.traces.finish(span)
 
-    def refresh_topology(self) -> None:
-        """Re-derive routing and price state after a topology change.
-
-        Operators add/remove links for maintenance and failures; the portal
-        must re-route and re-dimension its price simplex.  Dynamic prices
-        restart from the projected previous vector where links survive.
-        """
-        self.routing = RoutingTable.build(self.topology)
-        old_prices = dict(zip(self._link_order, self._prices))
-        self._link_order = tuple(self.topology.links)
-        self._capacities = np.array(
-            [effective_capacity(self.topology.links[key]) for key in self._link_order]
-        )
-        if self.config.mode is PriceMode.DYNAMIC:
-            carried = np.array(
-                [old_prices.get(key, 0.0) for key in self._link_order]
-            )
-            self._prices = project_weighted_simplex(carried, self._capacities)
-        else:
-            self._prices = self._initial_prices()
-        self._version += 1
-        self._log_update()
-
     def warm_start(self, iterations: int = 30) -> None:
         """Pre-converge dynamic prices against background traffic only.
 
@@ -514,8 +491,7 @@ class ITracker:
 
         When the link set matches exactly the vector is installed
         verbatim (bit-identical resume); otherwise surviving links carry
-        their price and the result is re-projected, mirroring
-        :meth:`refresh_topology`.
+        their price and the result is re-projected.
         """
         table = {(src, dst): float(value) for src, dst, value in entries}
         if set(table) == set(self._link_order):

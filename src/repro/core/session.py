@@ -46,12 +46,6 @@ class TrafficPattern:
     def flow(self, src: str, dst: str) -> float:
         return self.flows.get((src, dst), 0.0)
 
-    def outgoing(self, pid: str) -> float:
-        return sum(v for (src, _), v in self.flows.items() if src == pid)
-
-    def incoming(self, pid: str) -> float:
-        return sum(v for (_, dst), v in self.flows.items() if dst == pid)
-
     def cost(self, pdistance: PDistanceMap) -> float:
         """``sum p_ij * t_ij`` under a p-distance map."""
         return sum(

@@ -102,9 +102,6 @@ class DhtNetwork:
             raise ValueError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
 
-    def unregister(self, node_id: int) -> None:
-        self._nodes.pop(node_id, None)
-
     def node(self, node_id: int) -> Optional["DhtNode"]:
         return self._nodes.get(node_id)
 
@@ -243,10 +240,6 @@ class DhtNode:
             remote = self.network.node(contact.node_id)
             if remote is not None:
                 remote.rpc_forget(self.as_contact(), key, peer_id)
-
-    def leave(self) -> None:
-        """Drop off the network (crash-style: no notifications)."""
-        self.network.unregister(self.node_id)
 
 
 def infohash(content_name: str) -> int:

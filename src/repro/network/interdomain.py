@@ -39,13 +39,6 @@ class VirtualIspPartition:
     components: Tuple[FrozenSet[str], FrozenSet[str]]
     cut_links: Tuple[Tuple[str, str], ...]
 
-    def as_of(self, pid: str) -> int:
-        """AS number of the virtual ISP hosting ``pid``."""
-        return self.topology.node(pid).as_number
-
-    def same_side(self, a: str, b: str) -> bool:
-        return (a in self.components[0]) == (b in self.components[0])
-
 
 def partition_virtual_isps(
     topology: Topology,

@@ -141,10 +141,6 @@ class RoutingTable:
     def has_route(self, src: str, dst: str) -> bool:
         return (src, dst) in self._routes
 
-    def on_route(self, link_key: LinkKey, src: str, dst: str) -> bool:
-        """The route indicator ``I_e(i, j)``."""
-        return link_key in self.route(src, dst)
-
     def distance(self, src: str, dst: str) -> float:
         """End-to-end distance ``d_ij`` (sum of link distances on the route)."""
         try:
@@ -203,14 +199,3 @@ class RoutingTable:
         index = RouteHopIndex(pids=pids, pairs=tuple(pairs), links=links, hops=hops)
         self._hop_index = index
         return index
-
-    def pairs_using(self, link_key: LinkKey, pids: Optional[Sequence[str]] = None):
-        """Ordered PID pairs whose route traverses ``link_key``."""
-        if pids is None:
-            pids = self.topology.aggregation_pids
-        return [
-            (src, dst)
-            for src in pids
-            for dst in pids
-            if src != dst and link_key in self.route(src, dst)
-        ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class NodeKind(enum.Enum):
@@ -168,19 +168,6 @@ class Topology:
         reverse = self.add_link(Link(src=dst, dst=src, capacity=capacity, **kwargs))
         return forward, reverse
 
-    def remove_link(self, src: str, dst: str) -> Link:
-        """Remove one directed link (maintenance / failure modelling)."""
-        key = (src, dst)
-        link = self.links.pop(key, None)
-        if link is None:
-            raise KeyError(f"no link {key}")
-        self._out[src] = [k for k in self._out[src] if k != key]
-        return link
-
-    def remove_edge(self, src: str, dst: str) -> Tuple[Link, Link]:
-        """Remove both directions of an edge."""
-        return self.remove_link(src, dst), self.remove_link(dst, src)
-
     # -- queries -----------------------------------------------------------
 
     def node(self, pid: str) -> Node:
@@ -211,10 +198,6 @@ class Topology:
     @property
     def interdomain_links(self) -> List[Link]:
         return [link for link in self.links.values() if link.interdomain]
-
-    @property
-    def intradomain_links(self) -> List[Link]:
-        return [link for link in self.links.values() if not link.interdomain]
 
     def metro_of(self, pid: str) -> str:
         return self.nodes[pid].metro
@@ -271,8 +254,3 @@ class Topology:
                 )
             )
         return dup
-
-
-def total_capacity(links: Iterable[Link]) -> float:
-    """Total capacity across a set of links (Mbps)."""
-    return sum(link.capacity for link in links)

@@ -44,8 +44,6 @@ from repro.observability.export import (
     PROMETHEUS_CONTENT_TYPE,
     flatten_snapshot,
     json_snapshot,
-    json_text,
-    parse_prometheus_text,
     prometheus_text,
 )
 from repro.observability.telemetry import (
@@ -90,8 +88,6 @@ __all__ = [
     "TraceBuffer",
     "flatten_snapshot",
     "json_snapshot",
-    "json_text",
-    "parse_prometheus_text",
     "percentile_from_buckets",
     "prometheus_text",
     "render_dashboard",

@@ -3,14 +3,13 @@
 Both exporters walk the registry in deterministic order (metrics sorted
 by name, series sorted by label values) so identical registry state
 always produces byte-identical output -- the property the golden-file
-tests pin.  :func:`parse_prometheus_text` is a minimal reader for the
-subset this module emits, used to prove the two exporters round-trip the
-same state.
+tests pin.  :func:`flatten_snapshot` keys a JSON snapshot's series exactly
+as the text exposition writes them, so the two exporters can be compared
+series by series.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Dict, List, Mapping, Tuple
 
@@ -117,11 +116,6 @@ def json_snapshot(registry: MetricsRegistry) -> Dict[str, Any]:
     return {"uptime_seconds": registry.uptime(), "metrics": metrics}
 
 
-def json_text(registry: MetricsRegistry) -> str:
-    """The JSON snapshot serialized with stable key order."""
-    return json.dumps(json_snapshot(registry), sort_keys=True, indent=2) + "\n"
-
-
 # -- round-trip support ----------------------------------------------------------
 
 
@@ -158,20 +152,3 @@ def flatten_snapshot(snapshot: Mapping[str, Any]) -> Dict[str, float]:
                 )
     return flat
 
-
-def parse_prometheus_text(text: str) -> Dict[str, float]:
-    """Parse the exposition subset :func:`prometheus_text` emits.
-
-    Returns ``{series_with_labels: value}`` keyed identically to
-    :func:`flatten_snapshot`, so equality between the two proves the
-    exporters describe the same registry state.
-    """
-    series: Dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.rpartition(" ")
-        value = float("inf") if raw == "+Inf" else float(raw)
-        series[key] = value
-    return series

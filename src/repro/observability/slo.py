@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.observability.registry import MetricsRegistry
 
@@ -142,10 +142,6 @@ class SLOTracker:
             is_bad = slo.is_bad(duration, error)
             window.push(is_bad)
             (bad if is_bad else good).inc()
-
-    def burn_rates(self) -> Dict[str, float]:
-        """Current burn rate per SLO name (for tests and the dashboard)."""
-        return {slo.name: _burn_rate(slo, window) for slo, window, *_ in self._tracked}
 
 
 def _burn_rate(slo: SLO, window: _Window) -> float:

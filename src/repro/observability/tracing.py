@@ -116,18 +116,9 @@ def active_span(buffer: Optional[Any] = None) -> Optional[Span]:
     return current[1]
 
 
-@contextmanager
-def activate(buffer: Any, span: Span) -> Iterator[Span]:
-    """Make ``span`` the active span for the dynamic extent of the block."""
-    token = _ACTIVE.set((buffer, span))
-    try:
-        yield span
-    finally:
-        _ACTIVE.reset(token)
-
-
 def push_active(buffer: Any, span: Span):
-    """Non-contextmanager form of :func:`activate`; returns the reset token."""
+    """Make ``span`` the active span until :func:`reset_active` is called
+    with the returned token."""
     return _ACTIVE.set((buffer, span))
 
 

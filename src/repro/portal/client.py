@@ -440,8 +440,3 @@ def discover_itracker(domain: str) -> Tuple[str, int]:
         raise DiscoveryError(
             f"no iTracker registered for domain {domain!r}"
         ) from None
-
-
-def clear_registry() -> None:
-    """Testing helper: drop all registered SRV records."""
-    _SRV_REGISTRY.clear()

@@ -6,8 +6,7 @@ per-request on a deterministic schedule: connection refusal, mid-frame
 resets, added latency, corrupted or truncated JSON frames, error
 responses, and *byzantine* p-distance payloads (negative distances,
 missing PID rows, wildly churning values).  It drives both the unit tests
-and the simulator's scripted-outage scenario
-(:mod:`repro.simulator.outage`).
+and the simulator's chaos harness (:mod:`repro.simulator.chaos`).
 
 The schedule is indexed by request ordinal, so a test that performs a
 known sequence of RPCs sees exactly the faults it scripted -- no timing
@@ -70,11 +69,6 @@ class FaultSchedule:
         self.default = default
         self._counter = 0
         self._lock = threading.Lock()
-
-    @property
-    def requests_seen(self) -> int:
-        with self._lock:
-            return self._counter
 
     def next_fault(self) -> Fault:
         with self._lock:

@@ -1,8 +1,6 @@
 """Deterministic chaos harness: crash, restart, partition, corrupt -- and prove recovery.
 
-:mod:`repro.simulator.outage` scripts one fault (a portal going dark) and
-shows the client-side degradation ladder.  This module generalizes it into
-a *chaos schedule*: a seeded sequence of server-side events driven off
+A *chaos schedule* is a seeded sequence of server-side events driven off
 simulation time --
 
 * ``CRASH`` -- the primary portal process dies (server closed, proxy
@@ -53,7 +51,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.apptracker.selection import P4PSelection
+from repro.apptracker.selection import P4PSelection, PeerInfo, PeerSelector
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
 from repro.core.objectives import effective_capacity
 from repro.core.pdistance import PDistanceMap
@@ -73,8 +71,8 @@ from repro.portal.client import Integrator
 from repro.portal.faults import FaultSchedule, FaultyPortal
 from repro.portal.replication import FailoverPortalClient, StandbyReplica
 from repro.portal.resilience import CircuitBreaker, RetryPolicy
-from repro.simulator.outage import _default_config, _run_one
-from repro.simulator.swarm import SwarmResult
+from repro.simulator.swarm import SwarmConfig, SwarmResult, SwarmSimulation
+from repro.workloads.placement import place_peers
 
 
 class ChaosEventKind(enum.Enum):
@@ -380,6 +378,40 @@ class _Cluster:
                 closable.close()
 
 
+def _default_config(**overrides) -> SwarmConfig:
+    defaults = dict(
+        file_mbit=16.0,
+        block_mbit=2.0,
+        neighbors=6,
+        join_window=100.0,
+        access_up_mbps=2.0,
+        access_down_mbps=4.0,
+        seed_up_mbps=10.0,
+        completion_quantum=0.05,
+        tracker_update_interval=5.0,
+        reannounce_interval=10.0,
+        rng_seed=5,
+    )
+    defaults.update(overrides)
+    return SwarmConfig(**defaults)
+
+
+def _run_one(
+    topology: Topology,
+    routing: RoutingTable,
+    config: SwarmConfig,
+    selector: PeerSelector,
+    n_peers: int,
+    placement_seed: int,
+) -> SwarmSimulation:
+    peers = place_peers(topology, n_peers, random.Random(placement_seed), first_id=1)
+    seed_pid = topology.aggregation_pids[0]
+    seed = PeerInfo(
+        peer_id=0, pid=seed_pid, as_number=topology.node(seed_pid).as_number
+    )
+    return SwarmSimulation(topology, routing, config, selector, peers, [seed])
+
+
 def run_chaos(
     topology: Optional[Topology] = None,
     n_peers: int = 12,
@@ -439,9 +471,7 @@ def run_chaos(
         views: Dict[int, PDistanceMap] = {}
         health: Dict[int, str] = {}
         selector = P4PSelection(pdistances=views, portal_health=health)
-        sim = _run_one(
-            topo, routing, config, selector, n_peers, placement_seed, until
-        )
+        sim = _run_one(topo, routing, config, selector, n_peers, placement_seed)
         engine = sim.engine
         clock = lambda: engine.now
         # One big ring for the whole cluster (client + replicas + servers

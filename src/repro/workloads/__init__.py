@@ -1,10 +1,9 @@
 """Workload generators: peer placement and swarm populations."""
 
-from repro.workloads.placement import peers_per_pid, place_peers
+from repro.workloads.placement import place_peers
 from repro.workloads.swarms import SwarmPopulationModel, fraction_above
 
 __all__ = [
-    "peers_per_pid",
     "place_peers",
     "SwarmPopulationModel",
     "fraction_above",

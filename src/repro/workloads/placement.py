@@ -8,7 +8,7 @@ weighted placement.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.apptracker.selection import PeerInfo
 from repro.network.topology import Topology
@@ -62,11 +62,3 @@ def place_peers(
             )
         )
     return peers
-
-
-def peers_per_pid(peers: Sequence[PeerInfo]) -> Dict[str, int]:
-    """Histogram of peers by PID."""
-    counts: Dict[str, int] = {}
-    for peer in peers:
-        counts[peer.pid] = counts.get(peer.pid, 0) + 1
-    return counts

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.pdistance import PDistanceMap
 from repro.observability import NULL_TELEMETRY
+from repro.portal import client as portal_client
 from repro.portal import protocol
 from repro.portal.dispatch import PortalDispatcher
 
@@ -45,6 +46,28 @@ def view_of(pids, distances):
 def view_pairs(view):
     """``{(src, dst): value}`` of a view's given pairs, in external-view order."""
     return {(src, dst): value for src, dst, value in view.entries()}
+
+
+def parse_prometheus_text(text):
+    """``{series_with_labels: value}`` of a Prometheus text exposition,
+    keyed as :func:`repro.observability.flatten_snapshot` keys a JSON
+    snapshot, so equality of the two shows both exporters describe the
+    same registry state."""
+    series = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, raw = line.rpartition(" ")
+        series[key] = float("inf") if raw == "+Inf" else float(raw)
+    return series
+
+
+@pytest.fixture
+def empty_srv_registry(monkeypatch):
+    """An empty ``p4p`` SRV registry for one test; the module's own
+    registry is put back afterwards."""
+    monkeypatch.setattr(portal_client, "_SRV_REGISTRY", {})
 
 
 def pytest_addoption(parser):

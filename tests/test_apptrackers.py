@@ -48,7 +48,7 @@ class TestP4PBitTorrentTracker:
             PeerInfo(peer_id=i, pid=pid, as_number=as_number)
             for i, pid in enumerate(["SEAT", "SEAT", "NYCM", "CHIN", "LOSA"], start=1)
         ]
-        chosen = tracker.select_peers(client, candidates, 4, random.Random(0))
+        chosen = tracker.selector.select(client, candidates, 4, random.Random(0))
         assert len(chosen) == 4
 
     def test_hook_updates_views(self):
@@ -162,7 +162,7 @@ class TestPandoTracker:
             PeerInfo(peer_id=1, pid="SNVA", as_number=1),
             PeerInfo(peer_id=2, pid="NYCM", as_number=1),
         ]
-        chosen = tracker.select_peers(client, candidates, 1, random.Random(1))
+        chosen = tracker.selector.select(client, candidates, 1, random.Random(1))
         assert len(chosen) == 1
 
 

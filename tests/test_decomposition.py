@@ -135,12 +135,13 @@ class TestConvergence:
         sessions = [swarm(pids, cap=500.0)]
         loop = make_loop(topo, sessions, step_size=0.001, beta=0.9)
         result = loop.run(n_iterations=30)
-        assert result.best_objective <= result.objective_history[0] + 1e-9
+        assert min(result.objective_history) <= result.objective_history[0] + 1e-9
 
     def test_converged_detection(self):
         loop = make_loop(diamond_topology(), [swarm("ABCD", cap=1.0)], step_size=0.01)
         result = loop.run(n_iterations=40)
-        assert result.converged(tolerance=0.2, window=5)
+        tail = result.objective_history[-5:]
+        assert max(tail) - min(tail) <= 0.2 * max(tail)
 
     def test_damped_response_moves_gradually(self):
         loop = make_loop(
@@ -162,4 +163,4 @@ class TestConvergence:
             topo, sessions, objective=BandwidthDistanceProduct(), step_size=1e-5, beta=0.8
         )
         result = loop.run(n_iterations=10)
-        assert result.best_objective <= result.objective_history[0] + 1e-9
+        assert min(result.objective_history) <= result.objective_history[0] + 1e-9

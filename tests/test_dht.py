@@ -115,12 +115,12 @@ class TestDhtNetwork:
         assert values == {"record-2", "record-9"}
 
     def test_records_survive_some_churn(self):
-        _, nodes = build_network([f"n{i}" for i in range(30)], k=8)
+        network, nodes = build_network([f"n{i}" for i in range(30)], k=8)
         key = infohash("resilient")
         nodes[1].announce(key, 1, "the-record")
         # Kill a third of the network (not the announcer).
         for node in nodes[10:20]:
-            node.leave()
+            del network._nodes[node.node_id]
         assert "the-record" in nodes[25].get_peers(key)
 
     def test_forget_withdraws_record(self):

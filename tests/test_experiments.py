@@ -15,7 +15,6 @@ from repro.experiments.comparison import (
 from repro.experiments.fig6_internet import (
     ABILENE_POPULATION,
     abilene_internet_topology,
-    default_config,
     run_fig6,
 )
 from repro.experiments.fig7_fig8_sweep import run_sweep, sweep_config

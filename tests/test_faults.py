@@ -7,18 +7,24 @@ healthy -> retry -> stale -> unavailable + native selection -> recovery.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.apptracker.selection import P4PSelection, PeerInfo, RandomSelection
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
-from repro.observability import ResilienceCounters
+from repro.observability import ResilienceCounters, Telemetry
 from repro.network.library import abilene
-from repro.portal.client import PortalClient, PortalClientError, PortalTransportError
+from repro.network.routing import RoutingTable
+from repro.portal.client import (
+    Integrator,
+    PortalClient,
+    PortalClientError,
+    PortalTransportError,
+)
 from repro.portal.faults import (
     Fault,
     FaultKind,
-    FaultSchedule,
     FaultyPortal,
     churn_values,
     drop_rows,
@@ -31,6 +37,7 @@ from repro.portal.resilience import (
     RetryPolicy,
 )
 from repro.portal.aserver import AsyncPortalServer
+from repro.simulator.chaos import _default_config, _run_one
 from tests.conftest import view_pairs
 
 
@@ -164,8 +171,13 @@ class TestByzantineViews:
             good = client.get_view()
             assert not good.stale
             # A new version forces a real re-fetch (the version cache would
-            # otherwise shield the client from the mutated payload).
-            itracker.refresh_topology()
+            # otherwise shield the client from the mutated payload): replay
+            # the current prices one version ahead, as a replica would.
+            version = itracker.version
+            delta = itracker.state_delta()
+            delta["records"][-1]["version"] = version + 1
+            assert itracker.apply_state_delta(delta)
+            assert itracker.version == version + 1
             proxy.schedule.default = Fault(FaultKind.BYZANTINE, mutate=mutator)
             snapshot = client.get_view()
             proxy.schedule.default = Fault(FaultKind.PASS)
@@ -223,7 +235,7 @@ class TestDegradationLadder:
             # by the transport's reconnect-and-resend before the resilience
             # layer even notices; two consecutive resets exhaust the resend
             # and surface as one transport failure, consumed by one retry.
-            seen = proxy.schedule.requests_seen
+            seen = proxy.schedule._counter
             proxy.schedule.script[seen] = Fault(FaultKind.RESET_MID_FRAME)
             proxy.schedule.script[seen + 1] = Fault(FaultKind.RESET_MID_FRAME)
             snapshot = client.get_view()
@@ -244,9 +256,9 @@ class TestDegradationLadder:
             assert client.breaker_state == "open"
             assert counters.breaker_trips == 1
             # While open the stale view is served without touching the network.
-            seen = proxy.schedule.requests_seen
+            seen = proxy.schedule._counter
             assert client.get_view().stale
-            assert proxy.schedule.requests_seen == seen
+            assert proxy.schedule._counter == seen
 
             # Stage 4: stale TTL expires -> explicit PortalUnavailable, and
             # selection for that AS degrades to native.
@@ -286,12 +298,106 @@ class TestDegradationLadder:
             assert counters.snapshot()["unavailable"] == 1
 
 
+def _portal_outage(n_peers=12, start=20.0, end=90.0, stale_ttl=20.0, cooldown=15.0):
+    """One swarm three ways over Abilene and the same seeds: P4P with a live
+    portal (healthy), P4P through a resilient client whose portal goes dark
+    for ``[start, end)`` of simulation time (degraded), and random
+    selection (native).  The degraded run's clocks are the simulation
+    clock and its backoff sleeps no-ops, so reruns are bit-identical."""
+    topo = abilene()
+    routing = RoutingTable.build(topo)
+    config = _default_config()
+    as_number = topo.node(topo.aggregation_pids[0]).as_number
+    until, placement_seed = 5000.0, 3
+
+    def run(selector):
+        return _run_one(topo, routing, config, selector, n_peers, placement_seed)
+
+    live = ITracker(topology=topo, config=ITrackerConfig(mode=PriceMode.HOP_COUNT))
+    healthy = run(P4PSelection(pdistances={as_number: live.get_pdistances()})).run(until=until)
+    native = run(RandomSelection()).run(until=until)
+
+    itracker = ITracker(topology=topo, config=ITrackerConfig(mode=PriceMode.HOP_COUNT))
+    timeline = []
+    views, health = {}, {}
+    selector = P4PSelection(pdistances=views, portal_health=health)
+    sim = run(selector)
+    engine = sim.engine
+    # Sim-clock telemetry: histograms and gauges measure *simulated*
+    # seconds, so the stale-age distribution is deterministic across runs.
+    telemetry = Telemetry(clock=lambda: engine.now)
+    sim.telemetry = telemetry
+    counters = ResilienceCounters(telemetry.registry)
+    stale_age_hist = telemetry.registry.histogram(
+        "p4p_sim_stale_age_seconds",
+        "Age of stale views served during the outage (simulated seconds).",
+        buckets=(1.0, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0),
+    )
+    health_gauge = telemetry.registry.gauge(
+        "p4p_sim_portal_health",
+        "Portal health at the last refresh (0 ok, 1 stale, 2 unavailable).",
+    )
+    levels = {"ok": 0, "stale": 1, "unavailable": 2}
+
+    with AsyncPortalServer(itracker) as server, FaultyPortal(server.address) as proxy:
+        client = ResilientPortalClient(
+            *proxy.address,
+            retry=RetryPolicy(
+                max_attempts=2, base_delay=0.0, max_delay=0.0, attempt_timeout=2.0
+            ),
+            breaker=CircuitBreaker(
+                failure_threshold=3, cooldown=cooldown, clock=lambda: engine.now
+            ),
+            stale_ttl=stale_ttl,
+            clock=lambda: engine.now,
+            sleep=lambda _delay: None,
+            rng=random.Random(config.rng_seed),
+            counters=counters,
+        )
+        integrator = Integrator(telemetry=telemetry)
+        integrator.add(as_number, client)
+
+        def refresh(now):
+            proxy.down = start <= now < end
+            fetched = integrator.views()
+            views.clear()
+            views.update(fetched)
+            health.clear()
+            health.update(integrator.status_map())
+            status = health.get(as_number, "unavailable")
+            timeline.append((now, status))
+            health_gauge.set(levels.get(status, 2))
+            record = integrator.health.get(as_number)
+            if status == "stale" and record is not None and record.stale_age:
+                stale_age_hist.observe(record.stale_age)
+
+        refresh(0.0)
+        sim.tracker_hook = lambda now, traffic, rates: refresh(now)
+        degraded = sim.run(until=until)
+        # The appTracker keeps polling after the swarm drains; if the run
+        # ended before the breaker's recovery probe fired, record the
+        # post-outage recovery so the timeline shows the full ladder.
+        if timeline and timeline[-1][1] != "ok" and engine.now >= end:
+            engine.advance_to(engine.now + cooldown + 1.0)
+            refresh(engine.now)
+        integrator.close()
+
+    counters.native_fallbacks = selector.native_fallbacks
+    return SimpleNamespace(
+        healthy=healthy,
+        degraded=degraded,
+        native=native,
+        health_timeline=timeline,
+        counters=counters.snapshot(),
+        native_fallbacks=selector.native_fallbacks,
+        telemetry=telemetry,
+    )
+
+
 @pytest.mark.timeout(120)
 class TestOutageScenario:
     def test_swarm_degrades_toward_native_and_recovers(self):
-        from repro.simulator.outage import OutageScenarioResult, run_portal_outage
-
-        result = run_portal_outage()
+        result = _portal_outage()
         # Everyone completes in all three runs: the outage never blocks the
         # swarm (iTrackers are off the critical path).
         for run in (result.healthy, result.degraded, result.native):
@@ -299,7 +405,8 @@ class TestOutageScenario:
 
         # The health ladder appears in order: ok -> stale -> unavailable ->
         # ok (recovery).
-        statuses = result.statuses()
+        statuses = [status for _, status in result.health_timeline]
+        statuses = [s for i, s in enumerate(statuses) if i == 0 or statuses[i - 1] != s]
         assert statuses[0] == "ok"
         assert "stale" in statuses
         assert "unavailable" in statuses[statuses.index("stale"):]
@@ -322,9 +429,10 @@ class TestOutageScenario:
         assert degraded_t <= max(native_t, healthy_t) * 1.25
 
         # Localization (backbone traffic) degrades the same way.
-        healthy_bb = OutageScenarioResult.backbone_mbit(result.healthy)
-        degraded_bb = OutageScenarioResult.backbone_mbit(result.degraded)
-        native_bb = OutageScenarioResult.backbone_mbit(result.native)
+        healthy_bb, degraded_bb, native_bb = (
+            sum(run.link_traffic_mbit.values())
+            for run in (result.healthy, result.degraded, result.native)
+        )
         assert healthy_bb < native_bb
         assert healthy_bb * 0.95 <= degraded_bb <= native_bb * 1.1
 
@@ -338,7 +446,7 @@ class TestOutageScenario:
         assert stale_age.labels().count > 0
         assert stale_age.labels().sum > 0
         # The registry-backed resilience gauges are the same numbers the
-        # result reports through the dataclass-compatible snapshot.
+        # counters' snapshot reports.
         resilience = {
             name: telemetry.registry.get(f"p4p_resilience_{name}").labels().value
             for name in ("stale_serves", "breaker_trips", "unavailable")

@@ -251,42 +251,3 @@ class TestWarmStart:
         tracker = make_itracker(mode=PriceMode.DYNAMIC)
         with pytest.raises(ValueError):
             tracker.warm_start(iterations=-1)
-
-
-class TestTopologyRefresh:
-    def test_link_failure_reroutes_pdistances(self):
-        topo = abilene()
-        tracker = ITracker(
-            topology=topo, config=ITrackerConfig(mode=PriceMode.HOP_COUNT)
-        )
-        direct_hops = tracker.get_pdistances().distance("WASH", "NYCM")
-        assert direct_hops == 1.0
-        topo.remove_edge("WASH", "NYCM")
-        tracker.refresh_topology()
-        detour = tracker.get_pdistances().distance("WASH", "NYCM")
-        assert detour > direct_hops  # rerouted the long way
-
-    def test_dynamic_prices_survive_refresh(self):
-        topo = abilene()
-        tracker = ITracker(
-            topology=topo, config=ITrackerConfig(mode=PriceMode.DYNAMIC, step_size=0.001)
-        )
-        tracker.observe_loads({("WASH", "NYCM"): 8000.0})
-        hot_before = tracker.link_prices[("WASH", "NYCM")]
-        topo.remove_edge("SEAT", "SNVA")  # unrelated link fails
-        tracker.refresh_topology()
-        prices = tracker.link_prices
-        assert ("SEAT", "SNVA") not in prices
-        assert prices[("WASH", "NYCM")] > 0
-        assert prices[("WASH", "NYCM")] == pytest.approx(hot_before, rel=0.05)
-
-    def test_refresh_bumps_version(self):
-        tracker = make_itracker(mode=PriceMode.DYNAMIC)
-        version = tracker.version
-        tracker.refresh_topology()
-        assert tracker.version == version + 1
-
-    def test_remove_unknown_link_raises(self):
-        topo = abilene()
-        with pytest.raises(KeyError):
-            topo.remove_link("SEAT", "NYCM")

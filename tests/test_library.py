@@ -1,7 +1,5 @@
 """Tests for the Abilene topology (Table 1 row: 11 nodes, 28 links)."""
 
-import pytest
-
 from repro.network.library import (
     ABILENE_CAPACITY_MBPS,
     PROTECTED_LINK,

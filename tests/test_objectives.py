@@ -1,6 +1,5 @@
 """Tests for provider objectives and the centralized LP benchmarks."""
 
-import numpy as np
 import pytest
 
 from repro.core.objectives import (

@@ -16,12 +16,11 @@ from repro.observability import (
     TraceBuffer,
     flatten_snapshot,
     json_snapshot,
-    json_text,
-    parse_prometheus_text,
     percentile_from_buckets,
     prometheus_text,
     render_dashboard,
 )
+from tests.conftest import parse_prometheus_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -209,7 +208,8 @@ class TestExporters:
         assert text == (GOLDEN / "telemetry.prom").read_text()
 
     def test_json_golden(self):
-        text = json_text(build_reference_registry())
+        snapshot = json_snapshot(build_reference_registry())
+        text = json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
         assert text == (GOLDEN / "telemetry.json").read_text()
 
     def test_exporters_round_trip_same_state(self):

@@ -104,14 +104,14 @@ class TestCapabilityRegistry:
 
     def test_trusted_only(self):
         registry = self.make_registry()
-        registry.trust("pando")
+        registry.trusted_requesters.add("pando")
         assert registry.query("pando")
         with pytest.raises(AccessDeniedError):
             registry.query("stranger")
 
     def test_blocked_content(self):
         registry = self.make_registry()
-        registry.block_content("bad-content")
+        registry.blocked_content.add("bad-content")
         with pytest.raises(AccessDeniedError):
             registry.query("anyone", content_id="bad-content")
         assert registry.query("anyone", content_id="fine-content")

@@ -9,7 +9,7 @@ import pytest
 from repro.core.capability import Capability, CapabilityKind
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
 from repro.core.pdistance import uniform_pid_map
-from repro.core.policy import NetworkPolicy, TimeOfDayPolicy
+from repro.core.policy import TimeOfDayPolicy
 from repro.network.library import abilene
 from repro.portal import protocol
 from repro.portal.aserver import AsyncPortalServer
@@ -18,11 +18,10 @@ from repro.portal.client import (
     Integrator,
     PortalClient,
     PortalClientError,
-    clear_registry,
     discover_itracker,
     register_itracker,
 )
-from tests.conftest import view_of, view_pairs
+from tests.conftest import parse_prometheus_text, view_of, view_pairs
 
 
 @pytest.fixture
@@ -365,7 +364,7 @@ class TestPortalTelemetry:
         assert inflight["samples"][0]["value"] == 1
 
     def test_get_metrics_prometheus_round_trips_json(self, portal):
-        from repro.observability import flatten_snapshot, parse_prometheus_text
+        from repro.observability import flatten_snapshot
 
         host, port = portal.address
         with PortalClient(host, port) as client:
@@ -559,13 +558,11 @@ class TestIntegrator:
 
 
 class TestDiscovery:
-    def test_register_and_discover(self):
-        clear_registry()
+    def test_register_and_discover(self, empty_srv_registry):
         register_itracker("isp-b.example", "127.0.0.1", 4444)
         assert discover_itracker("isp-b.example") == ("127.0.0.1", 4444)
 
-    def test_unknown_domain_raises_discovery_error(self):
-        clear_registry()
+    def test_unknown_domain_raises_discovery_error(self, empty_srv_registry):
         with pytest.raises(DiscoveryError, match="nowhere.example"):
             discover_itracker("nowhere.example")
 

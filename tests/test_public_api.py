@@ -1,6 +1,8 @@
 """Public-API surface tests: imports, exports, and basic composition."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -19,6 +21,102 @@ def _module_file(name: str) -> Optional[Path]:
         if path.is_file():
             return path
     return None
+
+
+def _non_test_files() -> Iterator[Path]:
+    """Every Python file a program runs from: ``src/`` and the harness
+    roots ``benchmarks/``, ``examples/`` and ``bench/``."""
+    for directory in ("src", "benchmarks", "examples", "bench"):
+        yield from (REPO / directory).rglob("*.py")
+
+
+# Names no program calls that stay anyway: reference oracles tests compare
+# against, and scaffolding tests build their inputs with.
+_KEEP = {
+    "maxmin_rates_reference": "oracle: the flow engine's max-min fill is checked against it",
+    "verify_maxmin": "oracle: checks a rate vector against the max-min definition",
+    "Topology.add_pid": "scaffolding: tests build small topologies with it",
+    "RoutingTable.path_pids": "scaffolding: routing tests walk every route with it",
+}
+
+# Names only tests reach whose deletion takes whole tests with it: they go a
+# few tests at a time, in later changes, and each leaves this map as it goes.
+_DEFERRED = {
+    "endpoint_cost_document": "tests/test_alto.py::TestEndpointCost (3 tests)",
+    "TrackerlessSwarm.leave": "test_leave_withdraws; orphans DhtNode.forget and its test",
+    "set_virtual_capacities": "tests/test_interdomain.py::TestVirtualCapacities (4 tests)",
+    "LinearProgram.add_eq": "test_eq_constraint; orphans the LP's equality rows",
+    "LinearProgram.has_var": "test_has_var",
+    "simulate": "two tests/test_loadgen.py tests",
+    "weighted_unit_bdp": "test_weighted_unit_bdp",
+    "high_load_duration": "test_high_load_duration",
+    "UsageThresholds.link_state": "test_link_state",
+    "UsageThresholds.is_heavy_user": "test_heavy_user",
+    "graceful_handoff": "tests/test_portal_overload.py::TestGracefulHandoff (2 tests)",
+}
+
+
+_DOCS = (
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "docs/THEORY.md",
+    ".claude/skills/verify/SKILL.md",
+    "bench/README.md",
+)
+
+
+def _definitions() -> dict:
+    """Qualified name -> ``path:line`` of every public module-level function
+    and class, and every public method of a class, under ``src/repro``.
+    ``visit_*`` methods of ``ast.NodeVisitor`` subclasses are left out:
+    the visitor dispatches them by name."""
+    found = {}
+    for path in SRC.rglob("*.py"):
+        where = path.relative_to(REPO)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    found[node.name] = f"{where}:{node.lineno}"
+            if not isinstance(node, ast.ClassDef):
+                continue
+            visitor = any(
+                getattr(base, "attr", getattr(base, "id", None)) == "NodeVisitor"
+                for base in node.bases
+            )
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if item.name.startswith("_") or (visitor and item.name.startswith("visit_")):
+                    continue
+                found[f"{node.name}.{item.name}"] = f"{where}:{item.lineno}"
+    return found
+
+
+def _uses(path: Path) -> Iterator[str]:
+    """Every identifier ``path`` uses: names, attributes, import aliases and
+    identifier-shaped strings (``getattr`` dispatch).  An ``__init__.py``
+    re-export and an ``__all__`` entry are not uses."""
+    tree = ast.parse(path.read_text(), str(path))
+    exports = set()
+    for node in ast.walk(tree):
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        if any(getattr(target, "id", None) == "__all__" for target in targets):
+            exports.update(map(id, ast.walk(node.value)))
+        if path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
+            exports.update(map(id, node.names))
+    for node in ast.walk(tree):
+        if id(node) in exports:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
 
 
 def _imports(path: Path) -> Iterator[str]:
@@ -92,8 +190,41 @@ class TestPublicApi:
         unreached = sorted(modules - reached)
         assert not unreached, f"modules nothing runs: {unreached}"
 
+    def test_public_names_used(self):
+        """Every public function, class and method under ``src/repro`` is
+        used by name somewhere outside ``tests/`` -- a name only tests
+        reach is surface nothing runs.  ``_KEEP`` and ``_DEFERRED`` hold the
+        exceptions, and each of their entries must still be defined and
+        still unused."""
+        defined = _definitions()
+        used = {name for path in _non_test_files() for name in _uses(path)}
+        unused = {q for q in defined if q.rsplit(".", 1)[-1] not in used}
+        excused = _KEEP.keys() | _DEFERRED.keys()
+        dead = sorted(f"{q} ({defined[q]})" for q in unused - excused)
+        assert not dead, f"public names only tests use: {dead}"
+        stale = sorted(excused - unused)
+        assert not stale, f"exceptions undefined or used outside tests: {stale}"
+
+    def test_doc_dotted_names_resolve(self):
+        """Every backticked ``repro.``-dotted name in the documentation is
+        a module, or an attribute reached from one by ``getattr``."""
+        fence = re.compile(r"^```.*?^```", re.S | re.M)
+        span = re.compile(r"`([^`\n]+)`")
+        dotted = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+        unresolved = []
+        for doc in _DOCS:
+            text = fence.sub("", (REPO / doc).read_text())
+            for name in {n for s in span.findall(text) for n in dotted.findall(s)}:
+                parts = name.split(".")
+                cut = max(i for i in range(1, len(parts) + 1) if _module_file(".".join(parts[:i])))
+                target = importlib.import_module(".".join(parts[:cut]))
+                for attribute in parts[cut:]:
+                    target = getattr(target, attribute, None)
+                if target is None:
+                    unresolved.append(f"{doc}: {name}")
+        assert not unresolved, f"doc names that do not resolve: {sorted(unresolved)}"
+
     def test_every_public_module_has_docstring(self):
-        import importlib
         import pkgutil
 
         for module_info in pkgutil.walk_packages(

@@ -18,7 +18,6 @@ from repro.portal.client import (
     PortalClientError,
     PortalStatus,
     PortalTransportError,
-    clear_registry,
     discover_itracker,
 )
 from repro.portal.resilience import (
@@ -570,8 +569,7 @@ class TestCounters:
 
 
 class TestDiscovery:
-    def test_unknown_domain_raises_named_error(self):
-        clear_registry()
+    def test_unknown_domain_raises_named_error(self, empty_srv_registry):
         with pytest.raises(DiscoveryError, match="nowhere.example"):
             discover_itracker("nowhere.example")
         # Still a PortalClientError, so existing handlers keep working.

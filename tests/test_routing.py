@@ -80,16 +80,21 @@ class TestRoutingTable:
         assert len(routes) == 1
 
     def test_on_route_indicator(self):
-        table = RoutingTable.build(line_topology(4))
-        assert table.on_route(("N1", "N2"), "N0", "N3")
-        assert not table.on_route(("N2", "N1"), "N0", "N3")
+        # The indicator I_e(i, j) is membership of e in the route i -> j.
+        route = RoutingTable.build(line_topology(4)).route("N0", "N3")
+        assert ("N1", "N2") in route
+        assert ("N2", "N1") not in route
 
     def test_pairs_using(self):
         table = RoutingTable.build(line_topology(3))
-        pairs = table.pairs_using(("N0", "N1"))
-        assert ("N0", "N1") in pairs
-        assert ("N0", "N2") in pairs
-        assert ("N2", "N0") not in pairs
+        pids = ("N0", "N1", "N2")
+        pairs = [
+            (src, dst)
+            for src in pids
+            for dst in pids
+            if src != dst and ("N0", "N1") in table.route(src, dst)
+        ]
+        assert pairs == [("N0", "N1"), ("N0", "N2")]
 
 
 class TestAbileneRouting:

@@ -25,6 +25,14 @@ def two_pid_session(u1=10.0, d1=10.0, u2=10.0, d2=10.0, rho=None):
     )
 
 
+def outgoing(pattern, pid):
+    return sum(v for (src, _), v in pattern.flows.items() if src == pid)
+
+
+def incoming(pattern, pid):
+    return sum(v for (_, dst), v in pattern.flows.items() if dst == pid)
+
+
 def pdistances(pab=1.0, pba=1.0):
     return view_of(("A", "B"), {("A", "B"): pab, ("B", "A"): pba})
 
@@ -37,9 +45,10 @@ class TestTrafficPattern:
         assert pattern.flow("B", "C") == 0.0
 
     def test_incoming_outgoing(self):
+        # The per-PID sums the LP bound checks below rely on.
         pattern = TrafficPattern(flows={("A", "B"): 3.0, ("C", "B"): 2.0})
-        assert pattern.incoming("B") == 5.0
-        assert pattern.outgoing("A") == 3.0
+        assert incoming(pattern, "B") == 5.0
+        assert outgoing(pattern, "A") == 3.0
 
     def test_self_flow_rejected(self):
         with pytest.raises(ValueError):
@@ -145,8 +154,8 @@ class TestMatchingLp:
         )
         _, pattern = max_matching_throughput(session)
         for pid in session.pids:
-            assert pattern.outgoing(pid) <= session.uploads[pid] + 1e-6
-            assert pattern.incoming(pid) <= session.downloads[pid] + 1e-6
+            assert outgoing(pattern, pid) <= session.uploads[pid] + 1e-6
+            assert incoming(pattern, pid) <= session.downloads[pid] + 1e-6
 
 
 class TestMinCostLp:
@@ -195,7 +204,7 @@ class TestMinCostLp:
             },
         )
         pattern = min_cost_traffic(session, pmap, beta=0.8)
-        out_a = pattern.outgoing("A")
+        out_a = outgoing(pattern, "A")
         if out_a > 1e-6:
             assert pattern.flow("A", "C") >= 0.3 * out_a - 1e-6
 
@@ -257,8 +266,8 @@ class TestSessionLpProperties:
         opt, _ = max_matching_throughput(session)
         pattern = min_cost_traffic(session, pmap, beta=beta, opt=opt)
         for pid in pids:
-            assert pattern.outgoing(pid) <= session.uploads[pid] + 1e-6
-            assert pattern.incoming(pid) <= session.downloads[pid] + 1e-6
+            assert outgoing(pattern, pid) <= session.uploads[pid] + 1e-6
+            assert incoming(pattern, pid) <= session.downloads[pid] + 1e-6
         assert pattern.total() >= beta * opt - 1e-6
 
     @settings(max_examples=40, deadline=None)

@@ -2,8 +2,6 @@
 simulator: interest detection, rarest-first piece choice, tit-for-tat
 recipient choice, slot management, and TCP rate caps."""
 
-import random
-
 import pytest
 
 from repro.apptracker.selection import PeerInfo, RandomSelection

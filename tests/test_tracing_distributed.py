@@ -417,14 +417,15 @@ class TestSLO:
         tracker = SLOTracker(
             registry, [SLO(name="avail", method="*", objective=0.9, window=4)]
         )
+        burn = registry.get("p4p_slo_burn_rate").labels(slo="avail")
         for error in (False, False, False, True):
             tracker.observe("get_view", 0.0, error)
         # 1 bad of 4 with a 10% budget: burning 2.5x the budget.
-        assert tracker.burn_rates() == {"avail": pytest.approx(2.5)}
+        assert burn.value == pytest.approx(2.5)
         # The window rolls: four clean requests push the bad one out.
         for _ in range(4):
             tracker.observe("get_view", 0.0, False)
-        assert tracker.burn_rates() == {"avail": 0.0}
+        assert burn.value == 0.0
 
     def test_method_scoped_slo_ignores_other_methods(self):
         registry = MetricsRegistry(clock=FakeClock())
@@ -432,10 +433,11 @@ class TestSLO:
             registry,
             [SLO(name="views", method="get_view", objective=0.5, window=8)],
         )
+        burn = registry.get("p4p_slo_burn_rate").labels(slo="views")
         tracker.observe("get_version", 0.0, error=True)
-        assert tracker.burn_rates() == {"views": 0.0}
+        assert burn.value == 0.0
         tracker.observe("get_view", 0.0, error=True)
-        assert tracker.burn_rates()["views"] > 0.0
+        assert burn.value > 0.0
 
     def test_registry_series_track_observations(self):
         clock = FakeClock()
@@ -473,7 +475,6 @@ class TestSLO:
         bad = protocol.request("get_version", bogus=1)
 
         def scrape():
-            expected = dispatcher._slo.burn_rates()["avail"]
             snapshot = dispatcher.dispatch(protocol.request("get_metrics"))["result"]
             gauges = {
                 metric["name"]: metric["samples"][0]["value"]
@@ -489,24 +490,24 @@ class TestSLO:
                 if line.startswith(("p4p_slo_burn_rate{", "p4p_slo_error_budget"))
             }
             assert gauges == exposed
-            return expected, gauges["p4p_slo_burn_rate"], gauges[
+            return gauges["p4p_slo_burn_rate"], gauges[
                 "p4p_slo_error_budget_remaining"
             ]
 
         for message in (good, good, bad, good):
             dispatcher.dispatch(message)
-        burn_expected, burn, budget = scrape()
-        assert burn == burn_expected == pytest.approx(1.0)
+        burn, budget = scrape()
+        assert burn == pytest.approx(1.0)
         assert budget == pytest.approx(0.0)
         for message in (good, good, good, good):
             dispatcher.dispatch(message)
-        burn_expected, burn, budget = scrape()
-        assert burn == burn_expected == pytest.approx(0.5)
+        burn, budget = scrape()
+        assert burn == pytest.approx(0.5)
         assert budget == pytest.approx(0.5)
         for message in (bad, bad, bad, bad, bad):
             dispatcher.dispatch(message)
-        burn_expected, burn, budget = scrape()
-        assert burn == burn_expected == pytest.approx(2.5)
+        burn, budget = scrape()
+        assert burn == pytest.approx(2.5)
         assert budget == 0.0
 
     def test_dashboard_renders_slo_section(self):

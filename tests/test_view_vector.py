@@ -156,17 +156,6 @@ class TestViewVector:
         with pytest.raises(ValueError, match="negative p-distance"):
             tracker.view_vector()
 
-    def test_the_route_gather_follows_a_topology_refresh(self):
-        topology = abilene()
-        tracker = ITracker(topology=topology)
-        tracker.observe_loads(seeded_loads(topology, random.Random(2)))
-        tracker.view_vector()
-        topology.remove_edge("WASH", "NYCM")
-        tracker.refresh_topology()
-        view = tracker.view_snapshot()
-        reference = external_view(topology, tracker.routing, tracker.link_prices)
-        assert view == reference
-
 
 def serve(tracker):
     return AsyncPortalServer(tracker, workers=1, telemetry=NULL_TELEMETRY)

@@ -1,13 +1,14 @@
 """Tests for workload generators: placement and swarm populations."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.library import abilene
-from repro.workloads.placement import peers_per_pid, place_peers
+from repro.workloads.placement import place_peers
 from repro.workloads.swarms import SwarmPopulationModel, fraction_above
 
 
@@ -52,7 +53,7 @@ class TestPlacement:
 
     def test_histogram(self):
         peers = place_peers(abilene(), 40, random.Random(1))
-        histogram = peers_per_pid(peers)
+        histogram = Counter(peer.pid for peer in peers)
         assert sum(histogram.values()) == 40
 
 
