@@ -10,7 +10,6 @@ from conftest import print_rows
 
 from repro.apptracker.interas import bargaining_from_views
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
-from repro.core.objectives import BandwidthDistanceProduct
 from repro.network.interdomain import partition_virtual_isps
 from repro.network.library import abilene
 

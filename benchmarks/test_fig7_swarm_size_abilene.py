@@ -7,7 +7,6 @@ and cuts bottleneck utilization by ~4x at the largest size (7b).
 from conftest import print_rows
 
 from repro.experiments.fig7_fig8_sweep import run_fig7
-from repro.metrics.bottleneck import peak_utilization
 
 
 def test_fig7_swarm_size_abilene(benchmark, bench_scale):

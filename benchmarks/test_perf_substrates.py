@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.session import SessionDemand, max_matching_throughput, min_cost_traffic
+from repro.core.session import SessionDemand, max_matching_throughput
 from repro.network.generators import isp_b
 from repro.network.routing import RoutingTable
 from repro.optimization.maxmin import maxmin_rates

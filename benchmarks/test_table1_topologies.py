@@ -1,7 +1,5 @@
 """Table 1: the networks evaluated (node/link counts)."""
 
-from conftest import print_rows
-
 from repro.experiments.table1_topologies import format_table1, run_table1
 
 

@@ -210,7 +210,8 @@ class P4PSelection(PeerSelector):
         intra_quota = min(len(same_pid), int(math.floor(self.upper_intra * m)))
         picked = rng.sample(same_pid, intra_quota)
         chosen.extend(picked)
-        remaining = [peer for peer in remaining if peer not in picked]
+        picked_ids = {peer.peer_id for peer in picked}
+        remaining = [peer for peer in remaining if peer.peer_id not in picked_ids]
 
         # Stage 2: inter-PID within the client's AS, up to upper_inter * m
         # total, allocated across PIDs by 1/p_ij weights.

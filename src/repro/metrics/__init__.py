@@ -6,7 +6,6 @@ from repro.metrics.bottleneck import (
     bottleneck_traffic,
     high_load_duration,
     most_utilized_link,
-    peak_utilization,
     utilization_timeline,
 )
 from repro.metrics.charging import charging_volumes_from_samples, volumes_per_interval
@@ -26,7 +25,6 @@ __all__ = [
     "bottleneck_traffic",
     "high_load_duration",
     "most_utilized_link",
-    "peak_utilization",
     "utilization_timeline",
     "charging_volumes_from_samples",
     "volumes_per_interval",

@@ -56,12 +56,6 @@ def utilization_timeline(
     return series
 
 
-def peak_utilization(samples: Sequence, link: Optional[LinkKey] = None) -> float:
-    """Maximum of a utilization timeline (0 when no samples)."""
-    series = utilization_timeline(samples, link)
-    return max((value for _, value in series), default=0.0)
-
-
 def high_load_duration(
     samples: Sequence, threshold: float, link: Optional[LinkKey] = None
 ) -> float:

@@ -44,6 +44,7 @@ identical event timelines, observations, and violations.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import random
@@ -432,7 +433,8 @@ def run_chaos(
     The twin (baseline) run uses identical seeds, the same dynamic
     iTracker feedback loop, and the same portal machinery -- just an
     empty schedule -- so the MLU comparison isolates the *faults*, not
-    the plumbing.  ``state_dir`` defaults to a fresh temporary directory.
+    the plumbing.  ``state_dir`` defaults to a temporary directory that
+    is removed on return.
 
     ``fault_schedule_factory`` builds a per-request
     :class:`~repro.portal.faults.FaultSchedule` for the chaotic run's
@@ -686,17 +688,22 @@ def run_chaos(
         extras["native_fallbacks"] = selector.native_fallbacks
         return result, observations, violations, extras
 
-    baseline_dir = state_dir or tempfile.mkdtemp(prefix="p4p-chaos-")
-    base_result, base_obs, base_violations, _base_extras = run_once(
-        [], baseline_dir + "/baseline"
+    directory = (
+        contextlib.nullcontext(state_dir)
+        if state_dir
+        else tempfile.TemporaryDirectory(prefix="p4p-chaos-")
     )
-    chaos_result, chaos_obs, chaos_violations, extras = run_once(
-        list(plan),
-        baseline_dir + "/chaotic",
-        fault_schedule=(
-            fault_schedule_factory() if fault_schedule_factory is not None else None
-        ),
-    )
+    with directory as baseline_dir:
+        base_result, base_obs, base_violations, _base_extras = run_once(
+            [], baseline_dir + "/baseline"
+        )
+        chaos_result, chaos_obs, chaos_violations, extras = run_once(
+            list(plan),
+            baseline_dir + "/chaotic",
+            fault_schedule=(
+                fault_schedule_factory() if fault_schedule_factory is not None else None
+            ),
+        )
     counters: ResilienceCounters = extras["counters"]
     counters.native_fallbacks = extras["native_fallbacks"]
     chaos_telemetry: Telemetry = extras["telemetry"]

@@ -80,17 +80,26 @@ class SwarmConfig:
         return max(1, round(self.file_mbit / self.block_mbit))
 
 
-@dataclass
+@dataclass(slots=True)
 class _SimPeer:
-    """Internal per-peer protocol state."""
+    """Internal per-peer protocol state.
+
+    ``rarity[b]`` counts the current neighbours holding block ``b``;
+    ``have`` and ``pending`` are bitmasks of ``blocks`` and ``in_progress``.
+    The simulation keeps all three exact: they change only in
+    ``_connect``, ``_receive``, ``depart`` and ``reserve`` / ``release``.
+    """
 
     info: PeerInfo
     is_seed: bool
     up_link: int
     down_link: int
+    rarity: List[int]
     blocks: Set[int] = field(default_factory=set)
+    have: int = 0
     neighbors: Set[int] = field(default_factory=set)
     in_progress: Set[int] = field(default_factory=set)
+    pending: int = 0
     active_uploads: Set[int] = field(default_factory=set)  # peer ids served
     received_from: Dict[int, float] = field(default_factory=dict)
     joined_at: float = 0.0
@@ -103,6 +112,16 @@ class _SimPeer:
 
     def has_all(self, n_blocks: int) -> bool:
         return len(self.blocks) >= n_blocks
+
+    def reserve(self, block: int) -> None:
+        """Mark ``block`` as being downloaded."""
+        self.in_progress.add(block)
+        self.pending |= 1 << block
+
+    def release(self, block: int) -> None:
+        """Unmark ``block`` (its transfer finished or was aborted)."""
+        self.in_progress.discard(block)
+        self.pending &= ~(1 << block)
 
 
 @dataclass
@@ -238,9 +257,16 @@ class SwarmSimulation:
             down_mbps = self.config.access_down_mbps
         up = self.net.add_link(("up", self.swarm_id, info.peer_id), up_mbps)
         down = self.net.add_link(("down", self.swarm_id, info.peer_id), down_mbps)
-        peer = _SimPeer(info=info, is_seed=is_seed, up_link=up, down_link=down)
+        peer = _SimPeer(
+            info=info,
+            is_seed=is_seed,
+            up_link=up,
+            down_link=down,
+            rarity=[0] * self._n_blocks,
+        )
         if is_seed:
             peer.blocks = set(range(self._n_blocks))
+            peer.have = (1 << self._n_blocks) - 1
             peer.completed_at = 0.0
         self.peers[info.peer_id] = peer
         self._pending.append(peer)
@@ -287,9 +313,7 @@ class SwarmSimulation:
             peer.info, candidates, self.config.neighbors, self.rng
         )
         for other_info in chosen:
-            other = self.peers[other_info.peer_id]
-            peer.neighbors.add(other.peer_id)
-            other.neighbors.add(peer.peer_id)
+            self._connect(peer, self.peers[other_info.peer_id])
         self._members.append(peer.info)
         if not peer.is_seed:
             self._active_downloaders += 1
@@ -298,21 +322,35 @@ class SwarmSimulation:
         for peer_id in refill:
             self._fill_slots(self.peers[peer_id])
 
+    def _connect(self, a: _SimPeer, b: _SimPeer) -> None:
+        """Make ``a`` and ``b`` neighbours and count each one's blocks."""
+        if b.peer_id in a.neighbors:
+            return  # a pluggable selector may name a peer twice
+        a.neighbors.add(b.peer_id)
+        b.neighbors.add(a.peer_id)
+        for block in b.blocks:
+            a.rarity[block] += 1
+        for block in a.blocks:
+            b.rarity[block] += 1
+
     # -- protocol -------------------------------------------------------------
 
     def _interested_neighbors(self, uploader: _SimPeer) -> List[_SimPeer]:
         """Neighbors that want a block the uploader has and aren't served."""
         interested = []
+        peers = self.peers
+        now = self.engine.now
+        serving = uploader.active_uploads
+        have = uploader.have
         for peer_id in uploader.neighbors:
-            if peer_id in uploader.active_uploads:
+            if peer_id in serving:
                 continue
-            other = self.peers[peer_id]
+            other = peers[peer_id]
             if other.departed or other.is_seed or other.completed_at is not None:
                 continue
-            if other.joined_at > self.engine.now:
+            if other.joined_at > now:
                 continue
-            wanted = uploader.blocks - other.blocks - other.in_progress
-            if wanted:
+            if have & ~(other.have | other.pending):
                 interested.append(other)
         return interested
 
@@ -331,20 +369,17 @@ class SwarmSimulation:
         )
 
     def _choose_block(self, uploader: _SimPeer, downloader: _SimPeer) -> Optional[int]:
-        """Rarest-first among the blocks the uploader can offer."""
+        """Rarest-first among the blocks the uploader can offer.
+
+        The pool keeps ``wanted``'s set iteration order: ``rng.choice``
+        over it is what makes a run repeat exactly.
+        """
         wanted = uploader.blocks - downloader.blocks - downloader.in_progress
         if not wanted:
             return None
-        counts: Dict[int, int] = {}
-        for block in wanted:
-            counts[block] = 0
-        for peer_id in downloader.neighbors:
-            other_blocks = self.peers[peer_id].blocks
-            for block in wanted:
-                if block in other_blocks:
-                    counts[block] += 1
-        rarest = min(counts.values())
-        pool = [block for block, count in counts.items() if count == rarest]
+        rarity = downloader.rarity
+        rarest = min(rarity[block] for block in wanted)
+        pool = [block for block in wanted if rarity[block] == rarest]
         return self.rng.choice(pool)
 
     def _fill_slots(self, uploader: _SimPeer) -> None:
@@ -370,7 +405,15 @@ class SwarmSimulation:
                 rate_cap=self._rate_cap(uploader.info.pid, downloader.info.pid),
             )
             uploader.active_uploads.add(downloader.peer_id)
-            downloader.in_progress.add(block)
+            downloader.reserve(block)
+
+    def _receive(self, peer: _SimPeer, block: int) -> None:
+        """``peer`` now holds ``block``; its neighbours count one more copy."""
+        peer.blocks.add(block)
+        peer.have |= 1 << block
+        peers = self.peers
+        for other_id in peer.neighbors:
+            peers[other_id].rarity[block] += 1
 
     def _on_transfer_done(self, flow: Flow) -> None:
         owner, uploader_id, downloader_id, block = flow.meta
@@ -378,14 +421,16 @@ class SwarmSimulation:
         uploader = self.peers[uploader_id]
         downloader = self.peers[downloader_id]
         uploader.active_uploads.discard(downloader_id)
-        downloader.in_progress.discard(block)
-        for key in self.routing.route(uploader.info.pid, downloader.info.pid):
-            if key in self._backbone_index:
-                self._attributed_mbit[key] = (
-                    self._attributed_mbit.get(key, 0.0) + self.config.block_mbit
-                )
+        downloader.release(block)
+        if self._shared:
+            # Only the shared-network result reads the attribution.
+            for key in self.routing.route(uploader.info.pid, downloader.info.pid):
+                if key in self._backbone_index:
+                    self._attributed_mbit[key] = (
+                        self._attributed_mbit.get(key, 0.0) + self.config.block_mbit
+                    )
         if not downloader.departed:
-            downloader.blocks.add(block)
+            self._receive(downloader, block)
             downloader.received_from[uploader_id] = (
                 downloader.received_from.get(uploader_id, 0.0) + self.config.block_mbit
             )
@@ -419,9 +464,12 @@ class SwarmSimulation:
             if src == peer_id or dst == peer_id:
                 self.net.abort_flow(flow.flow_id)
                 self.peers[src].active_uploads.discard(dst)
-                self.peers[dst].in_progress.discard(block)
+                self.peers[dst].release(block)
         for other_id in peer.neighbors:
-            self.peers[other_id].neighbors.discard(peer_id)
+            other = self.peers[other_id]
+            other.neighbors.discard(peer_id)
+            for held in peer.blocks:
+                other.rarity[held] -= 1
         self._members = [info for info in self._members if info.peer_id != peer_id]
 
     # -- periodic bookkeeping --------------------------------------------------
@@ -525,8 +573,7 @@ class SwarmSimulation:
             for chosen in self.selector.select(info, candidates, deficit, self.rng):
                 if chosen.peer_id not in member_ids:
                     continue
-                peer.neighbors.add(chosen.peer_id)
-                self.peers[chosen.peer_id].neighbors.add(peer.peer_id)
+                self._connect(peer, self.peers[chosen.peer_id])
             self._fill_slots(peer)
 
     def _reset_tit_for_tat(self) -> None:

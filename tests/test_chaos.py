@@ -16,6 +16,7 @@ timeout so a hung socket can never stall the suite.
 """
 
 import io
+import tempfile
 
 import pytest
 
@@ -176,3 +177,10 @@ class TestCli:
         out = io.StringIO()
         assert cli_main(["chaos", "--seed", str(SEED), "--no-state"], out=out) == 1
         assert "INVARIANT VIOLATIONS" in out.getvalue()
+
+
+class TestStateDir:
+    def test_default_state_dir_is_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        run_chaos()
+        assert list(tmp_path.iterdir()) == []

@@ -9,7 +9,6 @@ from repro.metrics.bottleneck import (
     bottleneck_traffic,
     high_load_duration,
     most_utilized_link,
-    peak_utilization,
     utilization_timeline,
 )
 from repro.metrics.charging import charging_volumes_from_samples, volumes_per_interval
@@ -128,10 +127,6 @@ class TestBottleneck:
     def test_timeline_specific_link(self):
         series = utilization_timeline(self.make_samples(), link=("A", "B"))
         assert series[1] == (10.0, 0.25)
-
-    def test_peak(self):
-        assert peak_utilization(self.make_samples()) == 0.5
-        assert peak_utilization([]) == 0.0
 
     def test_high_load_duration(self):
         assert high_load_duration(self.make_samples(), threshold=0.25) == pytest.approx(20.0)

@@ -96,8 +96,14 @@ def _definitions() -> dict:
 def _uses(path: Path) -> Iterator[str]:
     """Every identifier ``path`` uses: names, attributes, import aliases and
     identifier-shaped strings (``getattr`` dispatch).  An ``__init__.py``
-    re-export and an ``__all__`` entry are not uses."""
+    re-export, an ``__all__`` entry and an import whose bound name is never
+    read are not uses."""
     tree = ast.parse(path.read_text(), str(path))
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     exports = set()
     for node in ast.walk(tree):
         targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
@@ -113,7 +119,8 @@ def _uses(path: Path) -> Iterator[str]:
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
+            if (node.asname or node.name.split(".", 1)[0]) in loaded:
+                yield node.name.rsplit(".", 1)[-1]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 yield node.value

@@ -1,13 +1,21 @@
 """White-box tests of the BitTorrent protocol mechanics inside the swarm
 simulator: interest detection, rarest-first piece choice, tit-for-tat
-recipient choice, slot management, and TCP rate caps."""
+recipient choice, slot management, TCP rate caps, and the per-peer state
+(rarity counts, block masks) the protocol reads."""
+
+import hashlib
+import json
+import random
 
 import pytest
 
 from repro.apptracker.selection import PeerInfo, RandomSelection
+from repro.experiments.comparison import ComparisonConfig, run_comparison
+from repro.network.library import abilene
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
 from repro.simulator.swarm import SwarmConfig, SwarmSimulation
+from repro.workloads.placement import place_peers
 
 
 def pair_topology():
@@ -52,6 +60,12 @@ def make_sim(n_peers=4, n_blocks=4, **config_kwargs):
     return sim
 
 
+def give_blocks(sim, peer_id, blocks):
+    """Hand ``peer_id`` blocks through the simulation's receive step."""
+    for block in blocks:
+        sim._receive(sim.peers[peer_id], block)
+
+
 class TestInterest:
     def test_seed_interested_in_empty_peers(self):
         sim = make_sim()
@@ -63,14 +77,14 @@ class TestInterest:
     def test_no_interest_when_peer_has_all(self):
         sim = make_sim()
         seed = sim.peers[0]
-        sim.peers[1].blocks = set(range(sim._n_blocks))
+        give_blocks(sim, 1, range(sim._n_blocks))
         interested = sim._interested_neighbors(seed)
         assert all(p.peer_id != 1 for p in interested)
 
     def test_in_progress_blocks_suppress_interest(self):
         sim = make_sim(n_blocks=1)
         seed = sim.peers[0]
-        sim.peers[1].in_progress = {0}
+        sim.peers[1].reserve(0)
         interested = sim._interested_neighbors(seed)
         assert all(p.peer_id != 1 for p in interested)
 
@@ -94,7 +108,7 @@ class TestRarestFirst:
         downloader = sim.peers[1]
         # Blocks 0 and 1 are widely replicated; block 2 is rare.
         for peer_id in (2, 3, 4):
-            sim.peers[peer_id].blocks = {0, 1}
+            give_blocks(sim, peer_id, {0, 1})
         chosen = sim._choose_block(uploader, downloader)
         assert chosen == 2
 
@@ -102,8 +116,8 @@ class TestRarestFirst:
         sim = make_sim(n_blocks=2)
         uploader = sim.peers[0]
         downloader = sim.peers[1]
-        downloader.blocks = {0}
-        downloader.in_progress = {1}
+        give_blocks(sim, 1, {0})
+        downloader.reserve(1)
         assert sim._choose_block(uploader, downloader) is None
 
     def test_ties_broken_among_rarest(self):
@@ -120,7 +134,7 @@ class TestTitForTat:
     def test_best_reciprocator_preferred(self):
         sim = make_sim(n_peers=3, optimistic_probability=0.0)
         uploader = sim.peers[1]
-        uploader.blocks = {0, 1}
+        give_blocks(sim, 1, {0, 1})
         uploader.received_from = {2: 100.0, 3: 1.0}
         interested = [sim.peers[2], sim.peers[3]]
         choice = sim._choose_recipient(uploader, interested)
@@ -200,3 +214,72 @@ class TestRateCaps:
         sim = SwarmSimulation(topo, routing, config, RandomSelection(), peers, seeds)
         result = sim.run(until=100.0)
         assert result.completion_times[1] == pytest.approx(0.08, rel=0.05)
+
+
+def _mask(blocks):
+    return sum(1 << block for block in blocks)
+
+
+def _check_peer_state(sim):
+    """Every live peer's counts and masks equal a recount from the sets."""
+    for peer in sim.peers.values():
+        if peer.departed:
+            continue
+        recount = [0] * sim._n_blocks
+        for other_id in peer.neighbors:
+            for block in sim.peers[other_id].blocks:
+                recount[block] += 1
+        assert peer.rarity == recount, peer.peer_id
+        assert peer.have == _mask(peer.blocks), peer.peer_id
+        assert peer.pending == _mask(peer.in_progress), peer.peer_id
+
+
+class TestMaintainedState:
+    def test_counts_and_masks_stay_exact_under_churn(self):
+        topo = abilene()
+        routing = RoutingTable.build(topo)
+        config = SwarmConfig(
+            file_mbit=16.0, block_mbit=2.0, neighbors=6, join_window=120.0,
+            access_up_mbps=0.5, access_down_mbps=8.0, seed_up_mbps=8.0,
+            reannounce_interval=10.0, rng_seed=5,
+        )
+        peers = place_peers(topo, 60, random.Random(5), first_id=1)
+        seed_pid = topo.aggregation_pids[0]
+        seeds = [PeerInfo(0, seed_pid, topo.node(seed_pid).as_number)]
+        sim = SwarmSimulation(
+            topo, routing, config, RandomSelection(), peers, seeds,
+            linger_time=10.0,
+        )
+        on_done = sim._on_transfer_done
+        transfers = []
+
+        def checked(flow):
+            on_done(flow)
+            transfers.append(flow.meta)
+            _check_peer_state(sim)
+
+        sim._on_transfer_done = checked
+        result = sim.run(until=5000.0)
+        assert len(result.completion_times) == 60
+        assert sum(peer.departed for peer in sim.peers.values()) == 60
+        assert len(transfers) >= 60 * config.n_blocks
+
+
+def test_comparison_digest_is_pinned():
+    """Three-way comparison at 30 peers: completion times and link traffic
+    repeat bit for bit, so any change to the RNG draw order shows here."""
+    outcomes = run_comparison(abilene(), ComparisonConfig(n_peers=30))
+    doc = {
+        scheme: [
+            sorted(outcome.result.completion_times.items()),
+            sorted(
+                (list(key), value)
+                for key, value in outcome.result.link_traffic_mbit.items()
+            ),
+        ]
+        for scheme, outcome in outcomes.items()
+    }
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == (
+        "b4c5a0b909ebb62173246c9fd50e4311cd305898cc013068f212a95a3af10d99"
+    )
