@@ -10,6 +10,7 @@ peak background.
 from conftest import print_rows
 
 from repro.core.decomposition import DecompositionLoop
+from repro.core.itracker import ITracker, ITrackerConfig
 from repro.core.objectives import MinMaxUtilization, apply_peak_background
 from repro.core.session import SessionDemand
 from repro.network.library import abilene
@@ -55,15 +56,13 @@ def test_ablation_peak_bandwidth(benchmark):
     def run_both():
         results = {}
         for label, topo in (("mean", base), ("peak", peak)):
-            loop = DecompositionLoop(
+            itracker = ITracker(
                 topology=topo,
-                routing=routing,
+                config=ITrackerConfig(step_size=0.01, step_decay=0.1),
                 objective=MinMaxUtilization(),
-                sessions=_sessions(),
-                step_size=0.01,
-                damping=0.5,
-                step_decay=0.1,
-                beta=1.0,
+            )
+            loop = DecompositionLoop(
+                itracker=itracker, sessions=_sessions(), damping=0.5, beta=1.0
             )
             outcome = loop.run(n_iterations=40)
             # Evaluate BOTH plans at peak-hour background: the metric the

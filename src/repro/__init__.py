@@ -10,7 +10,7 @@ from repro.core.charging import ChargingVolumePredictor, charging_volume
 from repro.core.decomposition import DecompositionLoop, DecompositionResult
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
 from repro.core.objectives import BandwidthDistanceProduct, MinMaxUtilization
-from repro.core.pdistance import PDistanceMap, PidMap, external_view
+from repro.core.pdistance import PDistanceMap, PidMap
 from repro.core.policy import NetworkPolicy
 from repro.core.session import (
     SessionDemand,
@@ -37,7 +37,6 @@ __all__ = [
     "MinMaxUtilization",
     "PDistanceMap",
     "PidMap",
-    "external_view",
     "NetworkPolicy",
     "SessionDemand",
     "TrafficPattern",

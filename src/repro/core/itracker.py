@@ -68,6 +68,10 @@ class ITrackerConfig:
         mode: Price assignment mode.
         update_period: Seconds between dynamic price updates (``T``).
         step_size: ``mu`` of the super-gradient update in dynamic mode.
+        step_decay: When > 0, the ``tau``-th step is ``mu / (1 + decay *
+            tau)`` -- the diminishing schedule that convergence theory asks
+            for; 0 keeps the constant step the paper uses in practice,
+            because network and applications keep evolving anyway.
         perturbation: Relative privacy noise applied to the external view,
             in ``[0, 1)`` (0 disables).
         serve_ranks: Serve the coarse rank degradation instead of raw
@@ -80,6 +84,7 @@ class ITrackerConfig:
     mode: PriceMode = PriceMode.DYNAMIC
     update_period: float = 30.0
     step_size: float = 0.05
+    step_decay: float = field(default=0.0, kw_only=True)
     perturbation: float = 0.0
     serve_ranks: bool = False
     intra_pid_distance: float = 0.0
@@ -90,6 +95,8 @@ class ITrackerConfig:
             raise ValueError("update_period must be positive")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
+        if self.step_decay < 0:
+            raise ValueError("step_decay must be >= 0")
         if not 0 <= self.perturbation < 1:
             raise ValueError("perturbation must be in [0, 1)")
         if not (math.isfinite(self.intra_pid_distance) and self.intra_pid_distance >= 0):
@@ -135,6 +142,7 @@ class ITracker:
             [effective_capacity(self.topology.links[key]) for key in self._link_order]
         )
         self._prices = self._initial_prices()
+        self._steps = 0
         self._version = 0
         self._epoch = 0
         self._last_update_time = 0.0
@@ -295,10 +303,7 @@ class ITracker:
             if telemetry is not None
             else None
         )
-        xi = self.objective.supergradient(self.topology, self._link_order, loads)
-        self._prices = project_weighted_simplex(
-            self._prices + self.config.step_size * xi, self._capacities
-        )
+        xi = self._step(loads)
         self._version += 1
         self._log_update()
         debug = logger.isEnabledFor(logging.DEBUG)
@@ -314,6 +319,20 @@ class ITracker:
                     loaded,
                 )
         return True
+
+    def _step(self, loads: Mapping[LinkKey, float]) -> np.ndarray:
+        """One projected super-gradient step on the weighted price simplex
+        (eq. 14); returns the super-gradient ``xi``.
+
+        ``tau`` counts the steps this object has taken, warm start
+        included, so the ``tau``-th step is ``mu / (1 + decay * tau)``;
+        it is not persisted, so a restored iTracker counts from 0 again.
+        """
+        self._steps += 1
+        xi = self.objective.supergradient(self.topology, self._link_order, loads)
+        mu = self.config.step_size / (1.0 + self.config.step_decay * self._steps)
+        self._prices = project_weighted_simplex(self._prices + mu * xi, self._capacities)
+        return xi
 
     def _record_price_update(self, telemetry, span, xi, loads, loaded) -> None:
         """Set the ``p4p_core_*`` gauges and finish the update span."""
@@ -363,10 +382,7 @@ class ITracker:
         if iterations < 0:
             raise ValueError("iterations must be >= 0")
         for _ in range(iterations):
-            xi = self.objective.supergradient(self.topology, self._link_order, {})
-            self._prices = project_weighted_simplex(
-                self._prices + self.config.step_size * xi, self._capacities
-            )
+            self._step({})
         self._version += 1
         self._log_update()
 

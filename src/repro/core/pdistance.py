@@ -28,11 +28,11 @@ import functools
 import ipaddress
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.routing import RouteHopIndex, RoutingTable
+from repro.network.routing import RouteHopIndex
 from repro.network.topology import Topology
 
 LinkKey = Tuple[str, str]
@@ -230,35 +230,6 @@ class PDistanceMap:
         keep = [i for i, pid in enumerate(self.pids) if pid in requested]
         sub = self.matrix[np.ix_(keep, keep)]
         return PDistanceMap(tuple(self.pids[i] for i in keep), sub, self.intra)
-
-
-def external_view(
-    topology: Topology,
-    routing: RoutingTable,
-    link_prices: Mapping[LinkKey, float],
-    cost_offsets: Optional[Mapping[LinkKey, float]] = None,
-    intra_pid_distance: float = 0.0,
-) -> PDistanceMap:
-    """Aggregate per-link prices into the full-mesh external view.
-
-    Args:
-        topology: The internal view.
-        routing: Routing table for the topology snapshot.
-        link_prices: ``p_e`` per link key; missing links price 0.
-        cost_offsets: Optional additive per-link costs (e.g. ``d_e`` for the
-            BDP objective, yielding ``p_e + d_e`` per eq. 15).
-        intra_pid_distance: ``p_ii`` reported for every visible PID.
-
-    The :class:`PDistanceMap` of :func:`mesh_values` over the routing
-    table's :meth:`~repro.network.routing.RoutingTable.hop_index`.
-    """
-    offsets = cost_offsets or {}
-    index = routing.hop_index(topology.aggregation_pids)
-    links = index.links
-    prices = np.fromiter((link_prices.get(key, 0.0) for key in links), float, len(links))
-    extra = np.fromiter((offsets.get(key, 0.0) for key in links), float, len(links))
-    values = mesh_values(index, index.hops, prices + extra, intra_pid_distance)
-    return PDistanceMap.from_mesh(index.pids, values, intra_pid_distance)
 
 
 def link_hops(index: RouteHopIndex, link_order: Sequence[LinkKey]) -> np.ndarray:

@@ -71,7 +71,9 @@ class TrafficPattern:
         """
         if not 0.0 <= theta <= 1.0:
             raise ValueError("theta must be in [0, 1]")
-        pairs = set(self.flows) | set(target.flows)
+        # Insertion order, not set order: the link-load sums downstream
+        # follow this order, so it must not depend on ``PYTHONHASHSEED``.
+        pairs = dict.fromkeys([*self.flows, *target.flows])
         blended = {
             pair: (1 - theta) * self.flows.get(pair, 0.0)
             + theta * target.flows.get(pair, 0.0)

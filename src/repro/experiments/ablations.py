@@ -76,17 +76,17 @@ def run_ablation_decomposition(
 ) -> List[DecompositionAblation]:
     """The super-gradient loop vs the centralized LP on Abilene."""
     topo = abilene()
-    routing = RoutingTable.build(topo)
     results = []
     for step_size, damping, decay in settings:
-        loop = DecompositionLoop(
+        itracker = ITracker(
             topology=topo,
-            routing=routing,
+            config=ITrackerConfig(step_size=step_size, step_decay=decay),
             objective=MinMaxUtilization(),
+        )
+        loop = DecompositionLoop(
+            itracker=itracker,
             sessions=_abilene_sessions(),
-            step_size=step_size,
             damping=damping,
-            step_decay=decay,
             beta=1.0,
         )
         outcome = loop.run(n_iterations=n_iterations)

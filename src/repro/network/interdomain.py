@@ -16,7 +16,7 @@ the same east/west split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
 from repro.network.topology import Topology
 
@@ -104,21 +104,3 @@ def _components_without(
         seen |= component
         components.append(component)
     return components
-
-
-def set_virtual_capacities(
-    topology: Topology, capacities: Dict[Tuple[str, str], float]
-) -> None:
-    """Install per-link virtual capacities ``v_e`` on interdomain links.
-
-    Raises ``KeyError`` for unknown links and ``ValueError`` when a target
-    link is not marked interdomain (a virtual capacity is only meaningful on
-    a charged link).
-    """
-    for key, v_e in capacities.items():
-        link = topology.links[key]
-        if not link.interdomain:
-            raise ValueError(f"link {key} is not interdomain")
-        if v_e < 0:
-            raise ValueError(f"virtual capacity for {key} must be >= 0")
-        link.virtual_capacity = v_e

@@ -27,7 +27,6 @@ class LpSolution:
     objective: float
     values: Dict[str, float]
     dual_ub: Optional[np.ndarray] = None
-    dual_eq: Optional[np.ndarray] = None
 
     def value(self, name: str) -> float:
         return self.values[name]
@@ -44,7 +43,7 @@ class _Constraint:
 
 @dataclass
 class LinearProgram:
-    """Incrementally-built LP: named variables, <= and == constraints.
+    """Incrementally-built LP: named variables, <= and >= constraints.
 
     Internally the objective is always minimized; ``set_objective`` with
     ``maximize=True`` negates coefficients and flips the reported optimum
@@ -59,7 +58,6 @@ class LinearProgram:
     _objective: Dict[int, float] = field(default_factory=dict)
     _maximize: bool = False
     _le: List[_Constraint] = field(default_factory=list)
-    _eq: List[_Constraint] = field(default_factory=list)
 
     # -- model building ------------------------------------------------------
 
@@ -74,9 +72,6 @@ class LinearProgram:
         self._lb.append(lb)
         self._ub.append(np.inf if ub is None else ub)
         return name
-
-    def has_var(self, name: str) -> bool:
-        return name in self._index
 
     def _row(self, coeffs: Mapping[str, float]) -> Dict[int, float]:
         row: Dict[int, float] = {}
@@ -96,10 +91,6 @@ class LinearProgram:
         row = self._row(coeffs)
         self._le.append(_Constraint({k: -v for k, v in row.items()}, -rhs))
 
-    def add_eq(self, coeffs: Mapping[str, float], rhs: float) -> None:
-        """Add ``sum coeffs * vars == rhs``."""
-        self._eq.append(_Constraint(self._row(coeffs), rhs))
-
     def set_objective(self, coeffs: Mapping[str, float], maximize: bool = False) -> None:
         self._objective = self._row(coeffs)
         self._maximize = maximize
@@ -118,15 +109,12 @@ class LinearProgram:
             c = -c
 
         a_ub, b_ub = _assemble(self._le, n)
-        a_eq, b_eq = _assemble(self._eq, n)
         bounds = list(zip(self._lb, self._ub))
 
         result = linprog(
             c,
             A_ub=a_ub,
             b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
             bounds=bounds,
             method="highs",
         )
@@ -137,12 +125,9 @@ class LinearProgram:
             objective = -objective
         values = {name: float(result.x[index]) for name, index in self._index.items()}
         dual_ub = None
-        dual_eq = None
         if result.ineqlin is not None and a_ub is not None:
             dual_ub = np.asarray(result.ineqlin.marginals)
-        if result.eqlin is not None and a_eq is not None:
-            dual_eq = np.asarray(result.eqlin.marginals)
-        return LpSolution(objective=objective, values=values, dual_ub=dual_ub, dual_eq=dual_eq)
+        return LpSolution(objective=objective, values=values, dual_ub=dual_ub)
 
 
 def _assemble(

@@ -14,9 +14,10 @@ reference every byte-identity test compares the server's wire bytes to.
 
 import signal
 
+import numpy as np
 import pytest
 
-from repro.core.pdistance import PDistanceMap
+from repro.core.pdistance import PDistanceMap, mesh_values
 from repro.observability import NULL_TELEMETRY
 from repro.portal import client as portal_client
 from repro.portal import protocol
@@ -41,6 +42,19 @@ def view_of(pids, distances):
     return PDistanceMap.from_entries(
         pids, [(src, dst, value) for (src, dst), value in distances.items()]
     )
+
+
+def mesh_view(topology, routing, link_prices, cost_offsets=None, intra_pid_distance=0.0):
+    """The full-mesh view of ``{link: p_e}`` (missing links price 0) plus
+    any per-link ``cost_offsets``: :func:`mesh_values` over the routing
+    table's hop index, as :class:`PDistanceMap`."""
+    offsets = cost_offsets or {}
+    index = routing.hop_index(topology.aggregation_pids)
+    cost = np.array(
+        [link_prices.get(key, 0.0) + offsets.get(key, 0.0) for key in index.links], float
+    )
+    values = mesh_values(index, index.hops, cost, intra_pid_distance)
+    return PDistanceMap.from_mesh(index.pids, values, intra_pid_distance)
 
 
 def view_pairs(view):

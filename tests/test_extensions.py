@@ -20,7 +20,7 @@ from repro.core.embedding import (
     embedding_quality,
 )
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
-from repro.core.pdistance import PDistanceMap, external_view
+from repro.core.pdistance import PDistanceMap
 from repro.network.library import abilene
 from repro.network.routing import RoutingTable
 from tests.conftest import view_of
@@ -29,9 +29,11 @@ from tests.conftest import view_of
 def abilene_mileage_view() -> PDistanceMap:
     """A p-distance view from link miles (embeddable: near-metric)."""
     topo = abilene()
-    routing = RoutingTable.build(topo)
     prices = {key: link.distance for key, link in topo.links.items()}
-    return external_view(topo, routing, prices)
+    tracker = ITracker(
+        topology=topo, config=ITrackerConfig(mode=PriceMode.EXPLICIT), explicit_prices=prices
+    )
+    return tracker.view_snapshot()
 
 
 class TestEmbedding:

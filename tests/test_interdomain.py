@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.network.interdomain import (
-    ABILENE_CUT,
-    partition_virtual_isps,
-    set_virtual_capacities,
-)
+from repro.network.interdomain import ABILENE_CUT, partition_virtual_isps
 from repro.network.library import abilene
 
 
@@ -49,28 +45,3 @@ class TestPartition:
     def test_first_component_holds_first_cut_src(self):
         partition = partition_virtual_isps(abilene())
         assert ABILENE_CUT[0][0] in partition.components[0]
-
-
-class TestVirtualCapacities:
-    def test_set_on_interdomain_links(self):
-        partition = partition_virtual_isps(abilene())
-        key = partition.cut_links[0]
-        set_virtual_capacities(partition.topology, {key: 123.0})
-        assert partition.topology.links[key].virtual_capacity == 123.0
-
-    def test_rejects_intradomain_target(self):
-        topo = abilene()
-        partition_virtual_isps(topo)
-        with pytest.raises(ValueError):
-            set_virtual_capacities(topo, {("SEAT", "SNVA"): 10.0})
-
-    def test_rejects_negative(self):
-        partition = partition_virtual_isps(abilene())
-        key = partition.cut_links[0]
-        with pytest.raises(ValueError):
-            set_virtual_capacities(partition.topology, {key: -1.0})
-
-    def test_unknown_link_raises(self):
-        partition = partition_virtual_isps(abilene())
-        with pytest.raises(KeyError):
-            set_virtual_capacities(partition.topology, {("X", "Y"): 1.0})

@@ -1,5 +1,10 @@
 """Tests for the iTracker portal."""
 
+import hashlib
+import json
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.capability import Capability, CapabilityKind
@@ -8,6 +13,7 @@ from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
 from repro.core.objectives import BandwidthDistanceProduct
 from repro.core.pdistance import uniform_pid_map
 from repro.network.library import abilene
+from repro.optimization.projection import project_weighted_simplex
 from tests.conftest import view_pairs
 
 
@@ -88,6 +94,53 @@ class TestDynamicMode:
             tracker.observe_loads({("WASH", "NYCM"): 8000.0})
         after = tracker.get_pdistances().distance("WASH", "NYCM")
         assert after > before
+
+
+    def test_step_decay_shrinks_the_tau_th_step(self):
+        """The ``tau``-th step (warm start included) is ``step_size / (1 +
+        step_decay * tau)``, projected back onto the simplex."""
+        tracker = make_itracker(step_size=0.01, step_decay=0.5)
+        tracker.warm_start(iterations=1)
+        before = np.array(list(tracker.link_prices.values()))
+        loads = {("WASH", "NYCM"): 5000.0}
+        links = list(tracker.topology.links)
+        xi = tracker.objective.supergradient(tracker.topology, links, loads)
+        capacity = np.array([tracker.topology.links[key].capacity for key in links])
+        tracker.observe_loads(loads)
+        expected = project_weighted_simplex(before + 0.01 / (1.0 + 0.5 * 2) * xi, capacity)
+        assert list(tracker.link_prices.values()) == expected.tolist()
+
+    def test_price_and_view_trajectory_is_pinned(self):
+        """Default config on a loaded Abilene: the warm start and 50 seeded
+        load observations give these prices and views, bit for bit."""
+        from repro.network.routing import RoutingTable
+        from repro.network.traffic import (
+            TrafficMatrix,
+            apply_background,
+            scale_background_to_utilization,
+        )
+
+        topo = abilene()
+        apply_background(topo, TrafficMatrix.gravity(topo, 10_000.0, seed=4), RoutingTable.build(topo))
+        scale_background_to_utilization(topo, 0.8)
+        tracker = ITracker(topology=topo)
+        tracker.warm_start()
+        rng = random.Random(0)
+        trajectory = []
+        for _ in range(50):
+            loads = {
+                key: rng.uniform(0.0, link.capacity)
+                for key, link in topo.links.items()
+                if rng.random() < 0.5
+            }
+            assert tracker.observe_loads(loads)
+            trajectory.append(
+                [list(tracker.link_prices.values()), tracker.view_vector()[1].tolist()]
+            )
+        digest = hashlib.sha256(json.dumps(trajectory).encode()).hexdigest()
+        assert digest == (
+            "f6308c7c096012e63797124dfa835279ca381f98f72793d26b4ad91bf2216dcb"
+        )
 
 
 class TestViews:

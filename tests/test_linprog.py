@@ -38,16 +38,6 @@ class TestLinearProgram:
         lp.set_objective({"x": 1.0})
         assert lp.solve().objective == pytest.approx(5.0)
 
-    def test_eq_constraint(self):
-        lp = LinearProgram()
-        lp.add_var("x")
-        lp.add_var("y")
-        lp.add_eq({"x": 1.0, "y": 1.0}, 7.0)
-        lp.set_objective({"x": 1.0})
-        solution = lp.solve()
-        assert solution["x"] == pytest.approx(0.0)
-        assert solution["y"] == pytest.approx(7.0)
-
     def test_infeasible_raises(self):
         lp = LinearProgram(name="bad")
         lp.add_var("x", lb=0.0, ub=1.0)
@@ -106,14 +96,8 @@ class TestLinearProgram:
             lp.add_var(f"f_{key[0]}_{key[1]}")
         lp.add_le({"f_s1_d1": 1.0, "f_s1_d2": 1.0}, 10.0)
         lp.add_le({"f_s2_d1": 1.0, "f_s2_d2": 1.0}, 20.0)
-        lp.add_eq({"f_s1_d1": 1.0, "f_s2_d1": 1.0}, 15.0)
-        lp.add_eq({"f_s1_d2": 1.0, "f_s2_d2": 1.0}, 15.0)
+        lp.add_ge({"f_s1_d1": 1.0, "f_s2_d1": 1.0}, 15.0)
+        lp.add_ge({"f_s1_d2": 1.0, "f_s2_d2": 1.0}, 15.0)
         lp.set_objective({f"f_{a}_{b}": cost for (a, b), cost in costs.items()})
         solution = lp.solve()
         assert solution.objective == pytest.approx(10 * 1 + 5 * 2 + 15 * 1)
-
-    def test_has_var(self):
-        lp = LinearProgram()
-        lp.add_var("x")
-        assert lp.has_var("x")
-        assert not lp.has_var("y")

@@ -6,17 +6,13 @@ import pytest
 
 from repro.core.itracker import ITracker, ITrackerConfig
 from repro.core.objectives import BandwidthDistanceProduct, MinMaxUtilization
-from repro.core.pdistance import (
-    PidMap,
-    external_view,
-    uniform_pid_map,
-)
+from repro.core.pdistance import PidMap, uniform_pid_map
 from repro.network.generators import US_METROS, synthetic_isp
 from repro.network.library import abilene
 from repro.network.routing import NoRouteError, RoutingTable
 from repro.network.topology import NodeKind, Topology
 from repro.portal.protocol import encode_json
-from tests.conftest import view_of, view_pairs
+from tests.conftest import mesh_view, view_of, view_pairs
 
 
 def square_topology():
@@ -114,7 +110,7 @@ class TestExternalView:
         topo = square_topology()
         routing = RoutingTable.build(topo)
         prices = {key: 1.0 for key in topo.links}
-        view = external_view(topo, routing, prices)
+        view = mesh_view(topo, routing, prices)
         # A -> C is two hops either way.
         assert view.distance("A", "C") == pytest.approx(2.0)
         assert view.distance("A", "B") == pytest.approx(1.0)
@@ -124,13 +120,13 @@ class TestExternalView:
         routing = RoutingTable.build(topo)
         prices = {key: 0.0 for key in topo.links}
         offsets = {key: 5.0 for key in topo.links}
-        view = external_view(topo, routing, prices, offsets)
+        view = mesh_view(topo, routing, prices, offsets)
         assert view.distance("A", "B") == pytest.approx(5.0)
 
     def test_missing_prices_default_zero(self):
         topo = square_topology()
         routing = RoutingTable.build(topo)
-        view = external_view(topo, routing, {})
+        view = mesh_view(topo, routing, {})
         assert view.distance("A", "C") == 0.0
 
     def test_core_pids_hidden(self):
@@ -138,13 +134,13 @@ class TestExternalView:
         topo.add_pid("core1", kind=NodeKind.CORE)
         topo.add_edge("core1", "A", capacity=10.0)
         routing = RoutingTable.build(topo)
-        view = external_view(topo, routing, {})
+        view = mesh_view(topo, routing, {})
         assert "core1" not in view.pids
 
     def test_full_mesh_on_abilene(self):
         topo = abilene()
         routing = RoutingTable.build(topo)
-        view = external_view(topo, routing, {key: 1.0 for key in topo.links})
+        view = mesh_view(topo, routing, {key: 1.0 for key in topo.links})
         n = len(topo.aggregation_pids)
         assert len(view_pairs(view)) == n * n  # includes p_ii entries
         # p-distance equals hop count when every link is priced 1.
@@ -154,7 +150,7 @@ class TestExternalView:
 def loop_external_view(
     topology, routing, link_prices, cost_offsets=None, intra_pid_distance=0.0
 ):
-    """The per-pair loop ``external_view`` replaced, kept as the reference:
+    """The per-pair loop the vectorised view replaced, kept as the reference:
     every route summed hop by hop from 0.0."""
     offsets = cost_offsets or {}
     pids = tuple(topology.aggregation_pids)
@@ -214,7 +210,7 @@ class TestExternalViewBitIdentity:
         routing = RoutingTable.build(topology)
         link_prices = prices(topology)
         offsets = objective().cost_offsets(topology)
-        view = external_view(topology, routing, link_prices, offsets, intra)
+        view = mesh_view(topology, routing, link_prices, offsets, intra)
         reference = loop_external_view(topology, routing, link_prices, offsets, intra)
         assert list(view_pairs(view)) == list(reference)
         assert [float(value).hex() for value in view_pairs(view).values()] == [
@@ -232,7 +228,7 @@ class TestExternalViewBitIdentity:
         routing = RoutingTable.build(topology)
         pids = topology.aggregation_pids
         index = routing.hop_index(pids)
-        external_view(topology, routing, {})
+        mesh_view(topology, routing, {})
         assert routing.hop_index(pids) is index
         assert len(index.pairs) == len(pids) ** 2
         assert index.hops.shape[1] == len(index.pairs)
@@ -249,7 +245,7 @@ class TestExternalViewBitIdentity:
         routing = RoutingTable.build(topology)
         for _ in range(2):
             with pytest.raises(NoRouteError):
-                external_view(topology, routing, {})
+                mesh_view(topology, routing, {})
 
 
 class TestPidMap:

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import inspect
 import re
+import textwrap
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -44,9 +46,6 @@ _KEEP = {
 _DEFERRED = {
     "endpoint_cost_document": "tests/test_alto.py::TestEndpointCost (3 tests)",
     "TrackerlessSwarm.leave": "test_leave_withdraws; orphans DhtNode.forget and its test",
-    "set_virtual_capacities": "tests/test_interdomain.py::TestVirtualCapacities (4 tests)",
-    "LinearProgram.add_eq": "test_eq_constraint; orphans the LP's equality rows",
-    "LinearProgram.has_var": "test_has_var",
     "simulate": "two tests/test_loadgen.py tests",
     "weighted_unit_bdp": "test_weighted_unit_bdp",
     "high_load_duration": "test_high_load_duration",
@@ -138,6 +137,45 @@ def _imports(path: Path) -> Iterator[str]:
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
+def _public_classes() -> dict:
+    """Class name -> the public classes of that name under ``src/repro``."""
+    found: dict = {}
+    for path in SRC.rglob("*.py"):
+        module = importlib.import_module(
+            ".".join(("repro",) + path.relative_to(SRC).with_suffix("").parts)
+            .removesuffix(".__init__")
+        )
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found.setdefault(node.name, []).append(getattr(module, node.name))
+    return found
+
+
+def _self_assigned(cls) -> set:
+    """The attributes ``cls``'s own methods assign on ``self``."""
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    except (OSError, TypeError):
+        return set()
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == "self"
+    }
+
+
+def _has_member(cls, attribute: str) -> bool:
+    """``attribute`` is a class attribute, a dataclass field, or assigned
+    on ``self`` by ``cls`` or one of its bases."""
+    return (
+        hasattr(cls, attribute)
+        or attribute in getattr(cls, "__dataclass_fields__", {})
+        or any(attribute in _self_assigned(base) for base in cls.__mro__)
+    )
+
+
 class TestPublicApi:
     def test_version(self):
         assert repro.__version__
@@ -214,14 +252,20 @@ class TestPublicApi:
 
     def test_doc_dotted_names_resolve(self):
         """Every backticked ``repro.``-dotted name in the documentation is
-        a module, or an attribute reached from one by ``getattr``."""
+        a module, or an attribute reached from one by ``getattr``; every
+        backticked ``Class.attr`` whose ``Class`` is a public class under
+        ``src/repro`` names one of its attributes, dataclass fields or
+        ``self.<attr>`` assignments (its bases' included)."""
         fence = re.compile(r"^```.*?^```", re.S | re.M)
         span = re.compile(r"`([^`\n]+)`")
         dotted = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+        member = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)")
+        classes = _public_classes()
         unresolved = []
         for doc in _DOCS:
             text = fence.sub("", (REPO / doc).read_text())
-            for name in {n for s in span.findall(text) for n in dotted.findall(s)}:
+            spans = span.findall(text)
+            for name in {n for s in spans for n in dotted.findall(s)}:
                 parts = name.split(".")
                 cut = max(i for i in range(1, len(parts) + 1) if _module_file(".".join(parts[:i])))
                 target = importlib.import_module(".".join(parts[:cut]))
@@ -229,6 +273,11 @@ class TestPublicApi:
                     target = getattr(target, attribute, None)
                 if target is None:
                     unresolved.append(f"{doc}: {name}")
+            for owner, attribute in {m for s in spans for m in member.findall(s)}:
+                if owner in classes and not any(
+                    _has_member(cls, attribute) for cls in classes[owner]
+                ):
+                    unresolved.append(f"{doc}: {owner}.{attribute}")
         assert not unresolved, f"doc names that do not resolve: {sorted(unresolved)}"
 
     def test_every_public_module_has_docstring(self):

@@ -14,7 +14,7 @@ documents and every restricted splice straight from it.  Pinned here:
   ``1``) in full-mesh documents and splices;
 * with diverse prices -- the benchmark's are degenerate, two distinct
   values -- every served document is byte-identical to the reference
-  builders over ``external_view``;
+  builders over the :func:`~tests.conftest.mesh_view` of its prices;
 * publishing and serving a raw view builds no ``PDistanceMap`` at all.
 """
 
@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.itracker import ITracker, ITrackerConfig, PriceMode
 from repro.core.objectives import BandwidthDistanceProduct, MinMaxUtilization
-from repro.core.pdistance import PDistanceMap, external_view, uniform_pid_map
+from repro.core.pdistance import PDistanceMap, uniform_pid_map
 from repro.network.generators import US_METROS, synthetic_isp
 from repro.network.library import abilene
 from repro.network.routing import RoutingTable
@@ -35,7 +35,7 @@ from repro.observability import NULL_TELEMETRY, Telemetry, flatten_snapshot
 from repro.portal import alto, protocol
 from repro.portal.aserver import AsyncPortalServer
 from repro.portal.views import ViewPublisher
-from tests.conftest import reference_frame, view_pairs
+from tests.conftest import mesh_view, reference_frame, view_pairs
 
 FOOTPRINTS = (["NYCM", "CHIN", "WASH"], ["SEAT"], ["LOSA", "NYCM", "HSTN", "KSCY"])
 
@@ -133,7 +133,7 @@ class TestViewVector:
         index, values = tracker.view_vector()
         assert values.dtype == np.float64 and len(values) == len(index.pairs)
         view = tracker.view_snapshot()
-        reference = external_view(
+        reference = mesh_view(
             topology,
             tracker.routing,
             tracker.link_prices,
@@ -220,7 +220,7 @@ class TestDiversePrices:
         )
         install_diverse_prices(tracker, seed=11)
         routing = RoutingTable.build(topology)
-        raw = external_view(
+        raw = mesh_view(
             topology, routing, tracker.link_prices, objective().cost_offsets(topology)
         )
         off_diagonal = [value for (src, dst), value in view_pairs(raw).items() if src != dst]
