@@ -1,10 +1,9 @@
 """Evaluation metrics (Sec. 7.1): completion time, unit BDP, bottleneck
 traffic, charging volume, and localization ratios."""
 
-from repro.metrics.bdp import mean_pid_pair_hops, unit_bdp, weighted_unit_bdp
+from repro.metrics.bdp import mean_pid_pair_hops, unit_bdp
 from repro.metrics.bottleneck import (
     bottleneck_traffic,
-    high_load_duration,
     most_utilized_link,
     utilization_timeline,
 )
@@ -21,9 +20,7 @@ from repro.metrics.localization import TrafficLedger, localization_ratio
 __all__ = [
     "mean_pid_pair_hops",
     "unit_bdp",
-    "weighted_unit_bdp",
     "bottleneck_traffic",
-    "high_load_duration",
     "most_utilized_link",
     "utilization_timeline",
     "charging_volumes_from_samples",

@@ -2,15 +2,12 @@
 
 Unit BDP is "the average number of backbone links that a unit of P2P
 traffic traverses in an ISP's network": total backbone link-Mbit divided by
-total payload Mbit delivered.  ``weighted_unit_bdp`` generalizes to the
-distance-weighted version (link miles instead of link count).
+total payload Mbit delivered.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Tuple
-
-from repro.network.topology import Topology
 
 LinkKey = Tuple[str, str]
 
@@ -24,20 +21,6 @@ def unit_bdp(
     total = sum(link_traffic_mbit.values())
     if total < 0:
         raise ValueError("negative link traffic")
-    return total / payload_mbit
-
-
-def weighted_unit_bdp(
-    link_traffic_mbit: Mapping[LinkKey, float],
-    payload_mbit: float,
-    topology: Topology,
-) -> float:
-    """Distance-weighted unit BDP (e.g. miles per delivered Mbit)."""
-    if payload_mbit <= 0:
-        raise ValueError("payload must be positive")
-    total = 0.0
-    for key, mbit in link_traffic_mbit.items():
-        total += mbit * topology.links[key].distance
     return total / payload_mbit
 
 

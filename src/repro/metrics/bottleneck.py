@@ -54,19 +54,3 @@ def utilization_timeline(
             value = sample.max_utilization
         series.append((sample.time, value))
     return series
-
-
-def high_load_duration(
-    samples: Sequence, threshold: float, link: Optional[LinkKey] = None
-) -> float:
-    """Total sampled time the (bottleneck) utilization exceeds ``threshold``.
-
-    Approximated as sample spacing times the count of samples above the
-    threshold -- the "duration of high traffic load" the paper reports P4P
-    cutting roughly in half.
-    """
-    series = utilization_timeline(samples, link)
-    if len(series) < 2:
-        return 0.0
-    spacing = series[1][0] - series[0][0]
-    return spacing * sum(1 for _, value in series if value > threshold)

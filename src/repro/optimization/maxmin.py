@@ -47,7 +47,7 @@ def maxmin_rates(
     caps = _normalize_caps(rate_caps, n_flows)
 
     link_of, flow_of = _build_entries(flow_links, n_links)
-    return _progressive_fill(link_of, flow_of, capacities, n_flows, caps)
+    return _progressive_fill_fast(link_of, flow_of, capacities, n_flows, caps)
 
 
 def _normalize_caps(
@@ -90,7 +90,10 @@ def _progressive_fill(
     n_flows: int,
     caps: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Water-filling with optional per-flow ceilings.
+    """Water-filling with optional per-flow ceilings: the reference fill.
+
+    Only the ``FlowNetwork`` oracle runs it; :func:`maxmin_rates` and the
+    engine run :func:`_progressive_fill_fast`, which returns the same bits.
 
     All active flows rise together from the current ``level``; the next
     event is either a link saturating (freeze its flows at the level) or a
@@ -160,6 +163,7 @@ def _runs(
     return positions
 
 
+@np.errstate(divide="ignore")  # positive / 0 on an idle link is inf
 def _progressive_fill_fast(
     link_of: np.ndarray,
     flow_of: np.ndarray,
@@ -180,6 +184,26 @@ def _progressive_fill_fast(
     the scalar one.  The *order* in which a level's frozen flows are listed
     is free: each rate is set elementwise and the count update is an
     integer ``bincount``.
+
+    Each (link, flow) pair must appear at most once in the entries
+    (:func:`_build_entries` and the engine's ``start_flow`` both dedupe a
+    flow's links): a lone bottleneck link's flows are its run of entries
+    as they stand, and a flow listed twice would be frozen twice.
+
+    Idle links hold infinite headroom, so a level is one unmasked divide.
+    Links no flow crosses start at ``remaining = inf``; a bottleneck link
+    gets ``inf`` in the level it saturates, where every active flow on it
+    freezes and its count falls to exactly 0.0.  This keeps the bits:
+
+    * a loaded link's ``remaining`` sees the same operations on the same
+      operands as in the reference, which never reads an idle link's;
+    * an idle link's level is ``inf`` in both kernels: ``inf / 0`` here,
+      the ``loaded`` mask there (``positive / 0`` is ``inf`` too, for a
+      link whose flows all froze elsewhere);
+    * ``0 / 0`` does not occur.  A link drains to 0.0 only at a level no
+      higher than the next one, and whenever the saturation branch runs
+      that makes it a bottleneck; a cap-only level stops at least ``_EPS``
+      below every link's level, so no link drains to zero there.
     """
     if caps is None:
         caps = np.full(n_flows, np.inf)
@@ -198,8 +222,8 @@ def _progressive_fill_fast(
     ramp = np.arange(link_of.size)
 
     remaining = capacities.astype(float)
+    remaining[link_len == 0] = np.inf
     counts = link_len.astype(float)
-    loaded = counts > 0
     cap_order = (np.isfinite(caps) & active).nonzero()[0]
     cap_order = cap_order[caps[cap_order].argsort(kind="stable")]
     sorted_caps = np.append(caps[cap_order], np.inf)  # sentinel: never binds
@@ -210,8 +234,7 @@ def _progressive_fill_fast(
     scratch = np.zeros(n_flows, dtype=bool)  # dedups saturated flows
 
     while n_active > 0:
-        link_levels.fill(np.inf)
-        np.divide(remaining, counts, out=link_levels, where=loaded)
+        np.divide(remaining, counts, out=link_levels)
         link_levels += level
         saturation_level = float(link_levels.min())
         # The lowest *active* cap matters only once a cap can bind at this
@@ -239,11 +262,18 @@ def _progressive_fill_fast(
             active[frozen] = False
         if saturation_level <= cap_level + _EPS:
             bottleneck = (link_levels <= level + _EPS).nonzero()[0]
-            hits = link_flows[_runs(link_end, link_len, bottleneck, ramp)]
-            scratch[hits] = active[hits]
-            saturated = scratch.nonzero()[0]
-            scratch[saturated] = False
+            if bottleneck.size == 1:
+                link = bottleneck[0]
+                end = link_end[link]
+                hits = link_flows[end - link_len[link] : end]
+                saturated = hits[active[hits]]
+            else:
+                hits = link_flows[_runs(link_end, link_len, bottleneck, ramp)]
+                scratch[hits] = active[hits]
+                saturated = scratch.nonzero()[0]
+                scratch[saturated] = False
             active[saturated] = False
+            remaining[bottleneck] = np.inf
             frozen = (
                 saturated if frozen is None else np.concatenate((frozen, saturated))
             )
@@ -254,7 +284,6 @@ def _progressive_fill_fast(
         counts -= np.bincount(
             flow_links[_runs(flow_end, flow_len, frozen, ramp)], minlength=n_links
         )
-        np.greater(counts, 0.0, out=loaded)
         n_active -= frozen.size
     return np.minimum(rates, caps, out=rates)
 

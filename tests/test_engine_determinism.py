@@ -1,7 +1,7 @@
 """Determinism regression: the Fig. 7/8 code path replays, and the engine
 agrees with its reference end to end.
 
-Two guarantees are pinned here, at reduced scale so the suite stays fast:
+Three guarantees are pinned here, at reduced scale so the suite stays fast:
 
 * same RNG seed, run twice -> *identical* results (no hidden global state,
   no dict-order or floating-accumulation drift);
@@ -10,11 +10,17 @@ Two guarantees are pinned here, at reduced scale so the suite stays fast:
   randomness in event order, so this only holds because the vectorized
   engine reproduces the reference's completion *ordering* exactly; the
   0.1 s completion quantum of the sweep configuration absorbs any sub-ulp
-  rate differences the incremental solves introduce.
+  rate differences the incremental solves introduce;
+* a seeded flow replay through the engine, on its full-solve and on its
+  incremental path, gives pinned finish times and link traffic to the
+  last bit.
 
 There is no engine option to flip: the reference side is injected by
 patching the one constructor call the swarm makes.
 """
+
+import hashlib
+import random
 
 import pytest
 
@@ -93,3 +99,110 @@ def test_environment_does_not_select_the_engine(monkeypatch):
     # for it stays empty.
     monkeypatch.setenv("P4P_SIM" + "_ENGINE", "scalar")
     assert type(make_flow_network()) is VectorizedFlowNetwork
+
+
+# -- replay pins ---------------------------------------------------------------
+
+REPLAY_PEERS = 200
+REPLAY_IN_FLIGHT = 400
+REPLAY_TRANSFERS = 1_500
+REPLAY_UP_MBPS, REPLAY_DOWN_MBPS, REPLAY_RATE_CAP = 10.0, 20.0, 25.0
+
+
+def _replay_schedule(same_pop, n_pops):
+    """Peers over ``n_pops`` PoPs plus a transfer list, shaped like the
+    ``flows-*`` bench schedules: 1-4 Mbit transfers to any other peer, or
+    to a peer in the source's PoP."""
+    rng = random.Random(f"engine-replay-{int(same_pop)}")
+    peers = [rng.randrange(n_pops) for _ in range(REPLAY_PEERS)]
+    by_pop = {}
+    for index, pop in enumerate(peers):
+        by_pop.setdefault(pop, []).append(index)
+    transfers = []
+    for _ in range(REPLAY_TRANSFERS):
+        src = rng.randrange(REPLAY_PEERS)
+        local = by_pop[peers[src]]
+        dst = src
+        while dst == src:
+            if same_pop and len(local) > 1:
+                dst = rng.choice(local)
+            else:
+                dst = rng.randrange(REPLAY_PEERS)
+        transfers.append((src, dst, round(rng.uniform(1.0, 4.0), 6)))
+    return peers, transfers
+
+
+def _replay(same_pop):
+    """Replay with replacement through the engine: ``REPLAY_IN_FLIGHT``
+    transfers start at once and each completion starts the next.  Returns
+    the finish times, the per-link traffic and the engine's stats."""
+    topology = abilene()
+    routing = RoutingTable.build(topology)
+    pops = sorted(topology.nodes)
+    peers, transfers = _replay_schedule(same_pop, len(pops))
+    net = make_flow_network()
+    backbone = {
+        key: net.add_link(("bb", key), link.headroom)
+        for key, link in topology.links.items()
+        if link.headroom > 0
+    }
+    ups = [net.add_link(("up", i), REPLAY_UP_MBPS) for i in range(REPLAY_PEERS)]
+    downs = [net.add_link(("down", i), REPLAY_DOWN_MBPS) for i in range(REPLAY_PEERS)]
+
+    def start(index):
+        src, dst, size = transfers[index]
+        route = tuple(
+            backbone[key]
+            for key in routing.route(pops[peers[src]], pops[peers[dst]])
+            if key in backbone
+        )
+        net.start_flow(
+            (ups[src],) + route + (downs[dst],), size, meta=index,
+            rate_cap=REPLAY_RATE_CAP,
+        )
+
+    following = min(REPLAY_IN_FLIGHT, len(transfers))
+    for index in range(following):
+        start(index)
+    finished_at = [None] * len(transfers)
+    while (when := net.next_completion()) is not None:
+        net.advance(when)
+        for flow in net.pop_finished():
+            finished_at[flow.meta] = when
+            if following < len(transfers):
+                start(following)
+                following += 1
+    return finished_at, net.link_traffic(), net.stats
+
+
+def _replay_digest(finished_at, traffic):
+    doc = "\n".join(
+        [repr(when) for when in finished_at]
+        + [f"{name!r} {mbit!r}" for name, mbit in sorted(traffic.items(), key=repr)]
+    )
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "same_pop, pinned",
+    [
+        (False, "0556be117be1344abc0841d16d8f65b695059df205372d949086cd0a708f0a2d"),
+        (True, "1991d27008882c4d3d842b4d761f5e134ae3cee2094496a52832f56c2670d258"),
+    ],
+    ids=["uniform-full-path", "same-pop-incremental-path"],
+)
+def test_engine_replay_bits_are_pinned(same_pop, pinned):
+    """Finish times and link traffic of a seeded replay, to the last bit.
+
+    Uniform destinations keep one giant component, so nearly every event
+    is a full solve; same-PoP destinations keep small components, so the
+    incremental path carries the replay.  A change to the fill or to
+    either solve path that moves any rate by one ulp moves a finish time
+    and fails here."""
+    finished_at, traffic, stats = _replay(same_pop)
+    assert None not in finished_at
+    if same_pop:
+        assert stats.incremental_solves > 10 * stats.full_solves
+    else:
+        assert stats.full_solves > 10 * stats.incremental_solves
+    assert _replay_digest(finished_at, traffic) == pinned

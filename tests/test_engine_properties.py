@@ -447,6 +447,126 @@ def test_engine_closure_solves_get_the_reference_bits(monkeypatch):
     assert max(calls) > 16 and min(calls) < 16
 
 
+def _assert_exact_without_zero_by_zero(link_of, flow_of, capacities, n_flows, caps):
+    """The reference's bits, with a ``0 / 0`` in either fill raised rather
+    than left to turn a link's level into NaN."""
+    with np.errstate(invalid="raise"):
+        return _assert_fast_equals_reference(link_of, flow_of, capacities, n_flows, caps)
+
+
+def _exact_drain_instance(rng):
+    """Groups of links that saturate together at binary-fraction levels,
+    beside links that go idle with headroom left.
+
+    Every level, cap and capacity is a multiple of 1/8 and small, so every
+    operation of the fill is exact: a group's links drain to exactly 0.0
+    and its flows freeze at exactly the group's level.  A shared link
+    crossed only by group flows goes idle, with most of its capacity
+    left, once the last of those groups froze; another goes idle once its
+    capped flows froze at their caps.  A last single-link group saturates
+    after both, so the fill still runs levels over the idle links."""
+    *levels, top = sorted(rng.sample([k / 8 for k in range(4, 160)], rng.randint(3, 6)))
+    capacities = [4096.0, 512.0]  # the shared link, the capped flows' link
+    flow_links, caps, expected = [], [], []
+    for level in levels:
+        for _ in range(rng.randint(1, 3)):  # links that saturate together
+            crossing = rng.randint(1, 4)
+            capacities.append(crossing * level)
+            for _ in range(crossing):
+                shared = [0] if rng.random() < 0.5 else []
+                flow_links.append([len(capacities) - 1] + shared)
+                caps.append(None)
+                expected.append(level)
+    for _ in range(rng.randint(1, 5)):
+        cap = rng.randrange(2, int(8 * top)) / 8
+        flow_links.append([1])
+        caps.append(cap)
+        expected.append(cap)
+    crossing = rng.randint(1, 3)
+    capacities.append(crossing * top)
+    for _ in range(crossing):
+        flow_links.append([len(capacities) - 1])
+        caps.append(None)
+        expected.append(top)
+    order = list(range(len(flow_links)))
+    rng.shuffle(order)
+    return (
+        [flow_links[i] for i in order],
+        capacities,
+        [caps[i] for i in order],
+        [expected[i] for i in order],
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fill_drains_links_to_exact_zero_beside_idle_ones(seed):
+    """A saturated link's headroom reaches exactly 0.0 and every flow on it
+    freezes, so it must leave the next level's divide as ``inf``, not
+    ``0 / 0``; links whose flows all froze elsewhere or at their caps go
+    idle with headroom left and must read ``inf`` too."""
+    rng = random.Random(58_000 + seed)
+    flow_links, capacities, caps, expected = _exact_drain_instance(rng)
+    rates = _assert_exact_without_zero_by_zero(*_entries(flow_links, capacities, caps))
+    assert rates.tolist() == expected
+
+
+def _chain_instance(rng):
+    """Chain links saturating one at a time, levels >= 0.5 apart, among
+    links no flow crosses.  A chain link's flows cross later chain links
+    too, so each later link's entries hold flows that froze levels ago,
+    whose other links are idle by then."""
+    n_chain = rng.randint(3, 8)
+    n_links = n_chain + rng.randint(1, 6)
+    chain = rng.sample(range(n_links), n_chain)
+    levels = []
+    for _ in range(n_chain):
+        levels.append((levels[-1] if levels else 0.0) + rng.uniform(0.5, 3.0))
+    capacities = [rng.uniform(1.0, 50.0) for _ in range(n_links)]
+    for link in chain:
+        capacities[link] = 0.0
+    flow_links = []
+    for k, link in enumerate(chain):
+        for _ in range(rng.randint(1, 4)):
+            links = [link] + [later for later in chain[k + 1 :] if rng.random() < 0.4]
+            for crossed in links:
+                capacities[crossed] += levels[k]
+            flow_links.append(links)
+    rng.shuffle(flow_links)
+    return flow_links, capacities, [None] * len(flow_links)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fill_lone_bottleneck_chains(seed):
+    """Every level has one bottleneck link, whose flows are its run of
+    entries: the ones still active freeze, the ones frozen at an earlier
+    level stay as they are."""
+    rng = random.Random(59_000 + seed)
+    flow_links, capacities, caps = _chain_instance(rng)
+    rates = _assert_exact_without_zero_by_zero(*_entries(flow_links, capacities, caps))
+    assert len(set(rates.tolist())) > 2
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fill_with_an_infinite_capacity_link(seed):
+    """A link of infinite capacity never saturates and, once its flows
+    froze elsewhere, is idle like any other; a capped flow crossing only
+    that link rises to its cap."""
+    rng = random.Random(60_000 + seed)
+    flow_links, capacities, caps = _access_instance(rng)
+    infinite = rng.randrange(len(capacities) + 1)
+    flow_links = [
+        [link + (link >= infinite) for link in links]
+        + ([infinite] if rng.random() < 0.5 else [])
+        for links in flow_links
+    ]
+    capacities.insert(infinite, np.inf)
+    flow_links.append([infinite])
+    caps.append(rng.uniform(1.0, 25.0))
+    rates = _assert_exact_without_zero_by_zero(*_entries(flow_links, capacities, caps))
+    assert np.isfinite(rates).all()
+    assert rates[-1] == caps[-1]
+
+
 def test_rates_scale_with_capacity():
     """Doubling every capacity doubles every uncapped rate (scale-freeness)."""
     rng = random.Random(5)

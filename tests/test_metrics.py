@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.bdp import mean_pid_pair_hops, unit_bdp, weighted_unit_bdp
+from repro.metrics.bdp import mean_pid_pair_hops, unit_bdp
 from repro.metrics.bottleneck import (
     bottleneck_traffic,
-    high_load_duration,
     most_utilized_link,
     utilization_timeline,
 )
@@ -80,12 +79,6 @@ class TestBdp:
         with pytest.raises(ValueError):
             unit_bdp({}, 0.0)
 
-    def test_weighted_unit_bdp(self):
-        topo = abilene()
-        key = ("WASH", "NYCM")
-        distance = topo.links[key].distance
-        assert weighted_unit_bdp({key: 10.0}, 10.0, topo) == pytest.approx(distance)
-
     def test_mean_pid_pair_hops(self):
         routing = RoutingTable.build(abilene())
         mean_hops = mean_pid_pair_hops(routing)
@@ -127,10 +120,6 @@ class TestBottleneck:
     def test_timeline_specific_link(self):
         series = utilization_timeline(self.make_samples(), link=("A", "B"))
         assert series[1] == (10.0, 0.25)
-
-    def test_high_load_duration(self):
-        assert high_load_duration(self.make_samples(), threshold=0.25) == pytest.approx(20.0)
-        assert high_load_duration(self.make_samples(), threshold=0.6) == 0.0
 
 
 class TestChargingMetrics:
