@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.core.pdistance import PDistanceMap
 
@@ -63,6 +62,8 @@ def nash_bargaining_weights(
     Raises:
         ValueError: On empty pairs or missing/negative costs.
     """
+    from scipy.optimize import minimize  # here, so importing repro never loads SciPy
+
     if not pairs:
         raise ValueError("need at least one candidate pair")
     n = len(pairs)

@@ -67,13 +67,6 @@ class UsageThresholds:
         if not 0 < self.heavy_usage <= 1:
             raise ValueError("heavy_usage must be in (0, 1]")
 
-    def link_state(self, utilization: float) -> str:
-        """Classify a link: "normal" or "near-congestion"."""
-        return "near-congestion" if utilization >= self.near_congestion else "normal"
-
-    def is_heavy_user(self, client_share: float) -> bool:
-        return client_share >= self.heavy_usage
-
 
 @dataclass
 class NetworkPolicy:

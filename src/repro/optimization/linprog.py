@@ -4,16 +4,21 @@ The P4P formulations (centralized MLU, bandwidth matching, interdomain
 constraints) are most naturally written with named variables and sparse
 constraints; this module provides that, assembling the matrices for the
 HiGHS solver.
+
+SciPy is imported by the first :meth:`LinearProgram.solve`, not by this
+module: a process that builds no LP -- the simulator, the portal server,
+the CLI's other commands -- never pays its start-up time or memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 class InfeasibleError(Exception):
@@ -99,6 +104,8 @@ class LinearProgram:
 
     def solve(self) -> LpSolution:
         """Solve with HiGHS; raise :class:`InfeasibleError` on failure."""
+        from scipy.optimize import linprog
+
         n = len(self._names)
         if n == 0:
             raise ValueError("LP has no variables")
@@ -132,9 +139,11 @@ class LinearProgram:
 
 def _assemble(
     constraints: List[_Constraint], n_vars: int
-) -> Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray]]:
+) -> Tuple[Optional[csr_matrix], Optional[np.ndarray]]:
     if not constraints:
         return None, None
+    from scipy import sparse
+
     rows: List[int] = []
     cols: List[int] = []
     data: List[float] = []

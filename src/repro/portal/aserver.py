@@ -35,10 +35,10 @@ transport, built for "millions of users":
   (:class:`~repro.portal.views.ViewPublisher`); the view handlers serve
   from the published snapshot instead of re-aggregating the full mesh
   per request, an unrestricted read is answered with the snapshot's
-  document as compact-JSON bytes (encoded by the first such read of a
-  version), and a restricted read of undegraded values is bytes spliced
-  from source rows encoded by the first read of a version that touches
-  them.
+  document as compact-JSON bytes, framed once (both built by the first
+  such read of a version) and written as that one frame, and a
+  restricted read of undegraded values is bytes spliced from source
+  rows encoded by the first read of a version that touches them.
 
 * **Request coalescing.**  Identical concurrent ``get_pdistances``
   requests that find the snapshot stale park on one in-flight
@@ -251,12 +251,22 @@ class _Connection(asyncio.Protocol):
 
     def _respond(self, message: Dict[str, Any], response: Dict[str, Any]) -> None:
         server = self.server
-        try:
-            payload = protocol.encode_frame(response)
-        except protocol.ProtocolError as exc:
-            # The answer cannot be framed: say so on a connection that
-            # stays usable instead of dropping it unannounced.
-            payload = server._oversized(message, exc)
+        payload: Optional[bytes] = None
+        if (
+            len(response) == 1
+            and type(response.get("result")) is bytes
+            and (message.get("params") or {}).get("pids") is None
+        ):
+            # An unrestricted view read: its generation's memoised frame.
+            # (The test on ``pids`` spares restricted reads the lookup.)
+            payload = server.publisher.frame(response["result"])
+        if payload is None:
+            try:
+                payload = protocol.encode_frame(response)
+            except protocol.ProtocolError as exc:
+                # The answer cannot be framed: say so on a connection that
+                # stays usable instead of dropping it unannounced.
+                payload = server._oversized(message, exc)
         server._bytes_out.inc(len(payload))
         self.transport.write(payload)
         self.served += 1
@@ -573,8 +583,9 @@ class AsyncPortalServer(PortalDispatcher):
     # responses explicitly marked ``degraded``) -- so the data and what is
     # derived from its version (the ALTO vtag) cannot disagree.  An
     # unrestricted read is answered with that snapshot's memoised document
-    # bytes.  A restricted read of raw values is bytes spliced from the
-    # snapshot's encoded rows; one the iTracker degrades (noise, ranks --
+    # bytes, and ``_respond`` writes their memoised frame.  A restricted
+    # read of raw values is bytes spliced from the snapshot's encoded
+    # rows; one the iTracker degrades (noise, ranks --
     # ordinal cost maps are ranks too) depends on the restricted set as a
     # whole and is rebuilt from the rows as a plain document.
 

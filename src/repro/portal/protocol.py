@@ -81,7 +81,15 @@ def encode_json(value: Any) -> bytes:
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
-    """Header plus compact JSON; :class:`ProtocolError` over the limit."""
+    """Header plus compact JSON; :class:`ProtocolError` over the limit.
+
+    A ``bytes`` result is copied into the frame once, in one join.  The
+    portal server builds the frame of each full-mesh document this way
+    once per generation (:meth:`~repro.portal.views.ViewPublisher.frame`)
+    and writes it for every unrestricted read; a response with more
+    keys (``degraded``), a restricted read and an error are framed here
+    per request.
+    """
     if type(message.get("result")) is not bytes:
         payload = encode_json(message)
         if len(payload) > MAX_FRAME_BYTES:

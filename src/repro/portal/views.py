@@ -36,11 +36,13 @@ once build the same thing and one assignment wins), and dropped with
 it:
 
 * the *encoded* full-mesh documents (:meth:`ViewPublisher.
-  pdistances_document`, :meth:`~ViewPublisher.costmap_document`): an
+  pdistances_document`, :meth:`~ViewPublisher.costmap_document`), each
+  with its response frame (:meth:`ViewPublisher.frame`): an
   unrestricted read is the same bytes for every caller until the next
-  publication.  A raw view gets ``get_pdistances`` and the numerical
-  cost map in one pass (:meth:`MeshLayout.encode`): every value is
-  encoded once, the intra-PID entries as the configured
+  publication, and the server writes the frame as it is.  A raw view
+  gets ``get_pdistances`` and the numerical cost map in one pass
+  (:meth:`MeshLayout.encode`): every value is encoded once, the
+  intra-PID entries as the configured
   ``intra_pid_distance`` encodes (an int stays ``1``, not ``1.0``),
   and spliced between the layout's text for both documents.  Degraded
   views and the ordinal cost map are built by the reference
@@ -65,7 +67,8 @@ restricted row), so those configurations restrict the dense raw view
 and finish it through :meth:`ViewPublisher.finish`.  Every memoised or
 spliced result is the document's compact-JSON ``bytes``, which
 :func:`~repro.portal.protocol.encode_frame` copies into the frame as
-they are.
+they are: once per generation for a memoised document, per request for
+a spliced one.
 """
 
 from __future__ import annotations
@@ -205,13 +208,14 @@ class MeshLayout:
 class _Snapshot:
     """One published generation: the raw p-distance vector in its
     layout's order, and what has been derived from it so far -- the
-    full-mesh wire documents, the per-source rows of cells, the dense
-    raw view (:attr:`view`) and the finished one (:attr:`full`).  Each
-    is built on first use, without a lock: two readers missing at once
+    full-mesh wire documents and their response frames, the per-source
+    rows of cells, the dense raw view (:attr:`view`) and the finished one
+    (:attr:`full`).  Each is built on first use, without a lock: two readers missing at once
     build the same thing and one assignment wins."""
 
     __slots__ = (
-        "key", "layout", "values", "intra", "diagonal", "documents", "cells",
+        "key", "layout", "values", "intra", "diagonal", "documents", "frames",
+        "cells",
         "_itracker", "_view", "_full",
     )
 
@@ -229,6 +233,8 @@ class _Snapshot:
         self.intra = itracker.config.intra_pid_distance
         self.diagonal = encode_json(self.intra)
         self.documents: Dict[str, bytes] = {}
+        # Each document's ``{"result": document}`` frame, when it fits one.
+        self.frames: Dict[str, bytes] = {}
         self.cells: Dict[str, Dict[str, Cell]] = {}
         self._itracker = itracker
         self._view: Optional[PDistanceMap] = None
@@ -438,10 +444,11 @@ class ViewPublisher:
         A raw view gets both documents of :meth:`MeshLayout.encode` at
         once, straight from the snapshot's vector; a degraded view
         (noise, ranks) or the ordinal cost map is ``reference()``,
-        encoded.  No lock: two workers missing at once both build the
-        same bytes and one assignment wins, which costs a duplicate
-        build once per generation instead of a lock acquisition per
-        read.
+        encoded.  Each document's response frame is built with it
+        (:meth:`frame`).  No lock: two workers missing at once both
+        build the same bytes and one assignment wins, which costs a
+        duplicate build once per generation instead of a lock
+        acquisition per read.
         """
         document = snapshot.documents.get(name)
         if document is not None:
@@ -454,9 +461,35 @@ class ViewPublisher:
         else:
             built = {name: encode_json(reference())}
         for built_name, document in built.items():
+            try:
+                snapshot.frames[built_name] = protocol.encode_frame(
+                    protocol.ok(document)
+                )
+            except protocol.ProtocolError:
+                pass  # over the frame limit: the server answers with the error
             snapshot.documents[built_name] = document
             self._encodes.labels(document=built_name).inc()
         return built[name]
+
+    def frame(self, document: bytes) -> Optional[bytes]:
+        """The memoised frame of the response ``{"result": document}``
+        when ``document`` *is* one of the published snapshot's full-mesh
+        documents (compared by identity), else ``None``.
+
+        A full-mesh read is 230-330 KB on an 80-PID provider:
+        serving each read this frame, instead of joining the document
+        into a fresh one, leaves nothing of that size to allocate and
+        free per read.  The frame is dropped with its generation, and
+        a document of an older one (a response built before the latest
+        publication) is not found.
+        """
+        with self._lock:
+            snapshot = self._current
+        if snapshot is not None:
+            for name, memo in snapshot.documents.items():
+                if memo is document:
+                    return snapshot.frames.get(name)
+        return None
 
     def cells(self, snapshot: _Snapshot, src: str) -> Dict[str, Cell]:
         """``snapshot``'s encoded row of ``src``: one :data:`Cell` per

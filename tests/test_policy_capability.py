@@ -38,16 +38,6 @@ class TestTimeOfDayPolicy:
 
 
 class TestUsageThresholds:
-    def test_link_state(self):
-        thresholds = UsageThresholds(near_congestion=0.7)
-        assert thresholds.link_state(0.8) == "near-congestion"
-        assert thresholds.link_state(0.5) == "normal"
-
-    def test_heavy_user(self):
-        thresholds = UsageThresholds(heavy_usage=0.1)
-        assert thresholds.is_heavy_user(0.15)
-        assert not thresholds.is_heavy_user(0.05)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             UsageThresholds(near_congestion=0.0)

@@ -8,9 +8,11 @@ and :func:`~repro.portal.protocol.encode_frame` splices those bytes into
 the frame.  Pinned here: the spliced frame is byte-for-byte the frame of
 the plain rebuilt document (:func:`tests.conftest.reference_frame` -- a
 bare ``PortalDispatcher`` rebuilds per request and is the reference),
-each document is built once per generation, racing
-first builds cannot tear a frame, the frame size limit still applies, and
-the ALTO version tag names the version of the data it labels.  Restricted
+each document is built once per generation, an unrestricted read over a
+socket is its generation's memoised frame in one write (and a brownout or
+restricted read is not), racing first builds cannot tear a frame, the
+frame size limit still applies, and the ALTO version tag names the
+version of the data it labels.  Restricted
 reads have their own contract in ``test_portal_restricted_reads.py``.
 """
 
@@ -29,7 +31,7 @@ from repro.core.pdistance import uniform_pid_map
 from repro.network.generators import US_METROS, synthetic_isp
 from repro.network.library import abilene
 from repro.observability import NULL_TELEMETRY, Telemetry, flatten_snapshot
-from repro.portal import alto, protocol, views
+from repro.portal import alto, aserver, protocol, views
 from repro.portal.aserver import AsyncPortalServer
 from repro.portal.overload import OverloadConfig
 from tests.conftest import reference_frame, view_pairs
@@ -320,6 +322,107 @@ class TestBuiltOncePerGeneration:
             assert set(server.publisher.current().documents) == {
                 name for name, _ in DOCUMENTS
             }
+
+
+class _RecordingTransport:
+    """A server transport that keeps every object written to it."""
+
+    def __init__(self, transport, writes):
+        self._transport = transport
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(data)
+        self._transport.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
+
+
+def record_writes(monkeypatch):
+    """Every ``transport.write`` argument of servers started from now on."""
+    writes = []
+    made = aserver._Connection.connection_made
+
+    def connection_made(self, transport):
+        made(self, _RecordingTransport(transport, writes))
+
+    monkeypatch.setattr(aserver._Connection, "connection_made", connection_made)
+    return writes
+
+
+@pytest.mark.timeout(60)
+class TestFrameMemo:
+    """An unrestricted full-mesh read is answered with its generation's
+    memoised frame, in one write; everything else is framed per request."""
+
+    MEMOISED = DOCUMENTS[:2]  # get_pdistances and the numerical cost map
+
+    def test_a_generation_serves_one_frame_per_document(self, monkeypatch):
+        writes = record_writes(monkeypatch)
+        tracker, twin = make_itracker("bdp80"), make_itracker("bdp80")
+        with make_async(tracker) as server:
+            previous = {}
+            for generation in range(3):
+                for name, message in self.MEMOISED:
+                    request = protocol.encode_frame(message)
+                    del writes[:]
+                    frames = exchange(server.address, [request] * 2)
+                    frames += exchange(server.address, [request])
+                    # One write per response, each the same memoised object ...
+                    assert frames == writes and len(writes) == 3
+                    frame = writes[0]
+                    assert all(written is frame for written in writes)
+                    snapshot = server.publisher.current()
+                    assert frame is snapshot.frames[name]
+                    # ... which is the frame of the document, and the
+                    # reference dispatcher's frame, byte for byte.
+                    document = snapshot.documents[name]
+                    assert frame == protocol.encode_frame({"result": document})
+                    assert frame == reference_frame(twin, message), name
+                    if generation:  # an observe_loads moved it on
+                        assert frame != previous[name], name
+                    previous[name] = frame
+                advance(tracker)
+                advance(twin)
+
+    def test_brownout_and_restricted_reads_are_framed_per_request(
+        self, monkeypatch
+    ):
+        writes = record_writes(monkeypatch)
+        tracker, twin = make_itracker("bdp80"), make_itracker("bdp80")
+        pids = sorted(twin.view_snapshot().pids)[::7]
+        with make_async(tracker) as server:
+            for name, message in self.MEMOISED:
+                exchange(server.address, [protocol.encode_frame(message)])
+                memo = server.publisher.current().frames[name]
+                restricted = dict(message, params={"pids": pids})
+                del writes[:]
+                assert exchange(
+                    server.address, [protocol.encode_frame(restricted)]
+                ) == [reference_frame(twin, restricted)]
+                assert writes[0] is not memo
+                server.force_brownout(True)
+                expected = json.loads(reference_frame(twin, message)[4:])
+                expected["degraded"] = "brownout"
+                del writes[:]
+                assert exchange(
+                    server.address, [protocol.encode_frame(message)]
+                ) == [protocol.encode_frame(expected)]
+                assert writes[0] is not memo
+                server.force_brownout(False)
+
+    def test_an_older_generations_document_has_no_frame(self):
+        tracker = make_itracker()
+        publisher = views.ViewPublisher(tracker, NULL_TELEMETRY)
+        old = publisher.pdistances_document(publisher.current())
+        assert publisher.frame(old) is not None
+        advance(tracker)
+        new = publisher.pdistances_document(publisher.current())
+        assert publisher.frame(old) is None
+        assert publisher.frame(new) == protocol.encode_frame({"result": new})
+        # Equal bytes are not enough: the memo answers its own document only.
+        assert publisher.frame(bytes(bytearray(new))) is None
 
 
 @pytest.mark.timeout(120)

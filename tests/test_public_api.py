@@ -47,8 +47,6 @@ _DEFERRED = {
     "endpoint_cost_document": "tests/test_alto.py::TestEndpointCost (3 tests)",
     "TrackerlessSwarm.leave": "test_leave_withdraws; orphans DhtNode.forget and its test",
     "simulate": "two tests/test_loadgen.py tests",
-    "UsageThresholds.link_state": "test_link_state",
-    "UsageThresholds.is_heavy_user": "test_heavy_user",
     "graceful_handoff": "tests/test_portal_overload.py::TestGracefulHandoff (2 tests)",
 }
 
