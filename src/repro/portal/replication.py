@@ -386,33 +386,3 @@ class FailoverPortalClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def graceful_handoff(
-    primary_server: Any,
-    replica: StandbyReplica,
-    *,
-    timeout: Optional[float] = None,
-) -> bool:
-    """Drain a primary into a standby takeover without dropping the storm.
-
-    The planned-maintenance twin of crash failover: sync the standby one
-    last time *while the primary still serves* (so the WAL tail is as
-    fresh as it can be), then :meth:`drain` the primary -- new connects
-    refused, requests still arriving on established connections shed
-    with ``busy`` frames whose ``retry_after`` covers the drain bound,
-    which is exactly the backoff a :class:`FailoverPortalClient` needs to
-    walk its health ladder onto the standby -- and finally close it.
-    Returns whether the drain emptied the backlog inside the bound.
-    """
-    replica.sync()
-    drained = bool(primary_server.drain(timeout))
-    if not drained:
-        logger.warning(
-            "primary drain did not empty its backlog inside the bound; "
-            "closing anyway (remaining work is severed)"
-        )
-    primary_server.close()
-    replica.close()
-    return drained
-

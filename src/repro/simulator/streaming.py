@@ -71,7 +71,7 @@ class StreamingConfig:
         return int(self.duration / self.block_interval)
 
 
-@dataclass
+@dataclass(eq=False)
 class _StreamPeer:
     info: PeerInfo
     is_source: bool
@@ -225,24 +225,33 @@ class StreamingSimulation:
         return {block for block in candidate if block >= window_start}
 
     def _fill_slots(self, uploader: _StreamPeer) -> None:
-        while len(uploader.active_uploads) < self.config.upload_slots:
-            candidates: List[Tuple[int, _StreamPeer]] = []
-            for peer_id in uploader.neighbors:
-                if peer_id in uploader.active_uploads:
-                    continue
-                other = self.peers[peer_id]
-                if other.is_source:
-                    continue
-                wanted = self._wanted(uploader, other)
-                if not wanted:
-                    continue
-                # Push the *freshest* useful block: live streaming must keep
-                # the swarm at the live edge -- chasing the oldest deadline
-                # first lets the edge expire for everyone downstream.
-                candidates.append((max(wanted), other))
-            if not candidates:
-                return
-            block, downloader = self.rng.choice(candidates)
+        """Push blocks from ``uploader`` until its slots are full or no
+        neighbour wants one.
+
+        One scan serves every slot: a push changes only the chosen peer's
+        wants, so the list minus that peer is, in the same order, what a
+        rescan would build, and ``rng`` draws the same.
+        """
+        slots = self.config.upload_slots
+        if len(uploader.active_uploads) >= slots:
+            return
+        candidates: List[Tuple[int, _StreamPeer]] = []
+        for peer_id in uploader.neighbors:
+            if peer_id in uploader.active_uploads:
+                continue
+            other = self.peers[peer_id]
+            if other.is_source:
+                continue
+            wanted = self._wanted(uploader, other)
+            if not wanted:
+                continue
+            # Push the *freshest* useful block: live streaming must keep
+            # the swarm at the live edge -- chasing the oldest deadline
+            # first lets the edge expire for everyone downstream.
+            candidates.append((max(wanted), other))
+        while candidates:
+            chosen = self.rng.choice(candidates)
+            block, downloader = chosen
             links = (
                 (uploader.up_link,)
                 + self._route_links(uploader.info.pid, downloader.info.pid)
@@ -256,6 +265,9 @@ class StreamingSimulation:
             )
             uploader.active_uploads.add(downloader.peer_id)
             downloader.in_progress.add(block)
+            if len(uploader.active_uploads) >= slots:
+                return
+            candidates.remove(chosen)
 
     def _on_transfer_done(self, flow: Flow) -> None:
         uploader_id, downloader_id, block = flow.meta

@@ -80,7 +80,7 @@ class SwarmConfig:
         return max(1, round(self.file_mbit / self.block_mbit))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _SimPeer:
     """Internal per-peer protocol state.
 
@@ -88,6 +88,9 @@ class _SimPeer:
     ``have`` and ``pending`` are bitmasks of ``blocks`` and ``in_progress``.
     The simulation keeps all three exact: they change only in
     ``_connect``, ``_receive``, ``depart`` and ``reserve`` / ``release``.
+    ``idle`` caches an empty interest scan: while it is set, no unserved
+    neighbour wants a block this peer holds, and every change that could
+    give it one clears the flag.  ``eq=False``: peers compare by identity.
     """
 
     info: PeerInfo
@@ -105,6 +108,7 @@ class _SimPeer:
     joined_at: float = 0.0
     completed_at: Optional[float] = None
     departed: bool = False
+    idle: bool = False
 
     @property
     def peer_id(self) -> int:
@@ -332,6 +336,19 @@ class SwarmSimulation:
             a.rarity[block] += 1
         for block in a.blocks:
             b.rarity[block] += 1
+        self._wake_for(a, b)
+        self._wake_for(b, a)
+
+    @staticmethod
+    def _wake_for(uploader: _SimPeer, other: _SimPeer) -> None:
+        """Clear ``uploader.idle`` if ``other``, an unserved neighbour,
+        passes the interest test (the scan's test for one neighbour)."""
+        if (
+            uploader.idle
+            and not (other.departed or other.is_seed or other.completed_at is not None)
+            and uploader.have & ~(other.have | other.pending)
+        ):
+            uploader.idle = False
 
     # -- protocol -------------------------------------------------------------
 
@@ -339,7 +356,6 @@ class SwarmSimulation:
         """Neighbors that want a block the uploader has and aren't served."""
         interested = []
         peers = self.peers
-        now = self.engine.now
         serving = uploader.active_uploads
         have = uploader.have
         for peer_id in uploader.neighbors:
@@ -347,8 +363,6 @@ class SwarmSimulation:
                 continue
             other = peers[peer_id]
             if other.departed or other.is_seed or other.completed_at is not None:
-                continue
-            if other.joined_at > now:
                 continue
             if have & ~(other.have | other.pending):
                 interested.append(other)
@@ -383,11 +397,20 @@ class SwarmSimulation:
         return self.rng.choice(pool)
 
     def _fill_slots(self, uploader: _SimPeer) -> None:
-        if uploader.departed or uploader.joined_at > self.engine.now:
+        """Start transfers from ``uploader`` until its slots are full or
+        nobody wants what it has.
+
+        One scan serves every slot: a reservation changes only the chosen
+        peer's interest, so the scan's list minus that peer is, in the
+        same order, what a rescan would return, and ``rng`` draws the same.
+        """
+        slots = self.config.upload_slots
+        if uploader.departed or uploader.idle or len(uploader.active_uploads) >= slots:
             return
-        while len(uploader.active_uploads) < self.config.upload_slots:
-            interested = self._interested_neighbors(uploader)
+        interested = self._interested_neighbors(uploader)
+        while True:
             if not interested:
+                uploader.idle = True
                 return
             downloader = self._choose_recipient(uploader, interested)
             block = self._choose_block(uploader, downloader)
@@ -406,14 +429,33 @@ class SwarmSimulation:
             )
             uploader.active_uploads.add(downloader.peer_id)
             downloader.reserve(block)
+            if len(uploader.active_uploads) >= slots:
+                return
+            interested.remove(downloader)
 
     def _receive(self, peer: _SimPeer, block: int) -> None:
-        """``peer`` now holds ``block``; its neighbours count one more copy."""
+        """``peer`` now holds ``block``; its neighbours count one more copy.
+
+        An idle ``peer`` wakes if an unserved neighbour lacks ``block``:
+        the only block it can newly offer.
+        """
         peer.blocks.add(block)
-        peer.have |= 1 << block
+        bit = 1 << block
+        peer.have |= bit
         peers = self.peers
+        serving = peer.active_uploads
+        idle = peer.idle
         for other_id in peer.neighbors:
-            peers[other_id].rarity[block] += 1
+            other = peers[other_id]
+            other.rarity[block] += 1
+            if (
+                idle
+                and other_id not in serving
+                and not (other.have | other.pending) & bit
+                and not (other.departed or other.is_seed or other.completed_at is not None)
+            ):
+                idle = False
+        peer.idle = idle
 
     def _on_transfer_done(self, flow: Flow) -> None:
         owner, uploader_id, downloader_id, block = flow.meta
@@ -431,6 +473,7 @@ class SwarmSimulation:
                     )
         if not downloader.departed:
             self._receive(downloader, block)
+            self._wake_for(uploader, downloader)
             downloader.received_from[uploader_id] = (
                 downloader.received_from.get(uploader_id, 0.0) + self.config.block_mbit
             )
@@ -463,8 +506,17 @@ class SwarmSimulation:
                 continue
             if src == peer_id or dst == peer_id:
                 self.net.abort_flow(flow.flow_id)
+                # The uploader's freed slot wakes nobody: either it or the
+                # peer it served is the one departing.
                 self.peers[src].active_uploads.discard(dst)
-                self.peers[dst].release(block)
+                downloader = self.peers[dst]
+                downloader.release(block)
+                # ``block`` is wanted again: its holders may offer it.
+                bit = 1 << block
+                for holder_id in downloader.neighbors:
+                    holder = self.peers[holder_id]
+                    if holder.have & bit:
+                        holder.idle = False
         for other_id in peer.neighbors:
             other = self.peers[other_id]
             other.neighbors.discard(peer_id)

@@ -46,6 +46,7 @@ from repro.optimization.maxmin import (
 LinkKey = Tuple[str, str]
 
 _DONE_EPS = 1e-6
+_INF = float("inf")
 
 
 @dataclass
@@ -583,22 +584,27 @@ class VectorizedFlowNetwork(FlowNetwork):
             self._s_estart[slots[starts]] = starts
         self.stats.compactions += 1
 
-    def _free_slot(self, slot: int) -> None:
-        flow = self._slot_flow[slot]
-        start = self._s_estart[slot]
-        count = len(flow.link_indices)
-        if count:
-            self._e_slot[start : start + count] = -1
-            self._e_live -= count
-            comp = self._link_comp[flow.link_indices[0]]
-            self._comp_slots[comp].discard(slot)
-            self._comp_departs[comp] += 1
-            self._dirty_comps.add(comp)
-        self._s_active[slot] = False
-        self._s_flow_id[slot] = -1
-        del self._slot_of_flow[flow.flow_id]
-        self._slot_flow[slot] = None
-        self._free_slots.append(slot)
+    def _release_slots(self, slots: np.ndarray) -> None:
+        """Free ``slots`` at once: one write per slot array, the entries and
+        component membership of each, one compaction check.  The free list
+        takes them back in the order given."""
+        self._s_active[slots] = False
+        self._s_flow_id[slots] = -1
+        slot_flow = self._slot_flow
+        for slot in slots.tolist():
+            flow = slot_flow[slot]
+            start = self._s_estart[slot]
+            count = len(flow.link_indices)
+            if count:
+                self._e_slot[start : start + count] = -1
+                self._e_live -= count
+                comp = self._link_comp[flow.link_indices[0]]
+                self._comp_slots[comp].discard(slot)
+                self._comp_departs[comp] += 1
+                self._dirty_comps.add(comp)
+            del self._slot_of_flow[flow.flow_id]
+            slot_flow[slot] = None
+            self._free_slots.append(slot)
         self._act_cache = None
         # Compact here (not only on full solves) so a workload that stays
         # on the incremental path cannot grow the entry store unboundedly.
@@ -670,7 +676,7 @@ class VectorizedFlowNetwork(FlowNetwork):
         flow = self._slot_flow[slot]
         flow.remaining_mbit = float(self._s_remaining[slot])
         flow.rate = float(self._s_rate[slot])
-        self._free_slot(slot)
+        self._release_slots(np.array([slot]))
         return flow
 
     @property
@@ -843,18 +849,20 @@ class VectorizedFlowNetwork(FlowNetwork):
         done_slots = act[done_mask]
         if not done_slots.size:
             return []
+        # Flow-id order, as the reference returns them; the free list takes
+        # the slots back in the same order.
         order = np.argsort(self._s_flow_id[done_slots], kind="stable")
-        done: List[Flow] = []
-        for slot in done_slots[order]:
-            slot = int(slot)
-            flow = self._slot_flow[slot]
-            rate = float(self._s_rate[slot])
-            flow.remaining_mbit = 0.0 if np.isinf(rate) else float(
-                self._s_remaining[slot]
-            )
+        done_slots = done_slots[order]
+        slot_flow = self._slot_flow
+        done = [slot_flow[slot] for slot in done_slots.tolist()]
+        for flow, rate, left in zip(
+            done,
+            self._s_rate[done_slots].tolist(),
+            self._s_remaining[done_slots].tolist(),
+        ):
+            flow.remaining_mbit = 0.0 if rate == _INF else left
             flow.rate = rate
-            done.append(flow)
-            self._free_slot(slot)
+        self._release_slots(done_slots)
         return done
 
     # -- accounting ----------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.portal.overload import (
     DEFAULT_BROWNOUT_METHODS,
 )
 from repro.portal.aserver import AsyncPortalServer
-from repro.portal.replication import graceful_handoff
 
 
 def make_itracker(
@@ -508,35 +507,3 @@ class TestCloseLeakAccounting:
                 gc.collect()
         assert [str(w.message) for w in caught if "unclosed" in str(w.message)] == []
         assert [record.getMessage() for record in caplog.records] == []
-
-
-class _HandoffRecorder:
-    def __init__(self, drained=True):
-        self.calls = []
-        self._drained = drained
-
-    def sync(self):
-        self.calls.append("sync")
-
-    def drain(self, timeout=None):
-        self.calls.append("drain")
-        return self._drained
-
-    def close(self):
-        self.calls.append("close")
-
-
-class TestGracefulHandoff:
-    def test_handoff_syncs_then_drains_then_closes(self):
-        primary = _HandoffRecorder()
-        replica = _HandoffRecorder()
-        assert graceful_handoff(primary, replica) is True
-        assert replica.calls[0] == "sync"
-        assert primary.calls == ["drain", "close"]
-        assert replica.calls[-1] == "close"
-
-    def test_handoff_reports_incomplete_drain(self):
-        primary = _HandoffRecorder(drained=False)
-        replica = _HandoffRecorder()
-        assert graceful_handoff(primary, replica) is False
-        assert primary.calls == ["drain", "close"]

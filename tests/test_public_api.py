@@ -47,7 +47,6 @@ _DEFERRED = {
     "endpoint_cost_document": "tests/test_alto.py::TestEndpointCost (3 tests)",
     "TrackerlessSwarm.leave": "test_leave_withdraws; orphans DhtNode.forget and its test",
     "simulate": "two tests/test_loadgen.py tests",
-    "graceful_handoff": "tests/test_portal_overload.py::TestGracefulHandoff (2 tests)",
 }
 
 

@@ -1,5 +1,7 @@
 """Tests for the Liveswarms streaming simulation."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -70,6 +72,23 @@ class TestStreamingSimulation:
         a = build_streaming(n_clients=6).run()
         b = build_streaming(n_clients=6).run()
         assert a.received_blocks == b.received_blocks
+
+    def test_seeded_run_is_pinned(self):
+        """Received blocks and link traffic repeat bit for bit, so any
+        change to the RNG draw order or the transfer schedule shows here."""
+        result = build_streaming(n_clients=10).run()
+        doc = [
+            sorted(result.received_blocks.items()),
+            sorted(
+                (list(key), value) for key, value in result.link_traffic_mbit.items()
+            ),
+            result.total_blocks,
+            result.duration,
+        ]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "16be5b5e8cd0b6db3477b760c2d8eb31d9529ede8bf511c7de325b59ab9b193b"
+        )
 
     def test_duration_respected(self):
         result = build_streaming(n_clients=4).run()

@@ -221,7 +221,8 @@ def _mask(blocks):
 
 
 def _check_peer_state(sim):
-    """Every live peer's counts and masks equal a recount from the sets."""
+    """Every live peer's counts and masks equal a recount from the sets,
+    and an idle peer's interest scan finds nobody."""
     for peer in sim.peers.values():
         if peer.departed:
             continue
@@ -232,37 +233,83 @@ def _check_peer_state(sim):
         assert peer.rarity == recount, peer.peer_id
         assert peer.have == _mask(peer.blocks), peer.peer_id
         assert peer.pending == _mask(peer.in_progress), peer.peer_id
+        if peer.idle:
+            assert sim._interested_neighbors(peer) == [], peer.peer_id
+
+
+def _churn_swarm():
+    topo = abilene()
+    routing = RoutingTable.build(topo)
+    config = SwarmConfig(
+        file_mbit=16.0, block_mbit=2.0, neighbors=6, join_window=120.0,
+        access_up_mbps=0.5, access_down_mbps=8.0, seed_up_mbps=8.0,
+        reannounce_interval=10.0, rng_seed=5,
+    )
+    peers = place_peers(topo, 60, random.Random(5), first_id=1)
+    seed_pid = topo.aggregation_pids[0]
+    seeds = [PeerInfo(0, seed_pid, topo.node(seed_pid).as_number)]
+    return SwarmSimulation(
+        topo, routing, config, RandomSelection(), peers, seeds,
+        linger_time=10.0,
+    )
+
+
+def _check_after_every_transfer(sim):
+    """Wrap the transfer handler so the state check runs after each one;
+    returns the list the finished transfers are appended to."""
+    on_done = sim._on_transfer_done
+    transfers = []
+
+    def checked(flow):
+        on_done(flow)
+        transfers.append(flow.meta)
+        _check_peer_state(sim)
+
+    sim._on_transfer_done = checked
+    return transfers
 
 
 class TestMaintainedState:
     def test_counts_and_masks_stay_exact_under_churn(self):
-        topo = abilene()
-        routing = RoutingTable.build(topo)
-        config = SwarmConfig(
-            file_mbit=16.0, block_mbit=2.0, neighbors=6, join_window=120.0,
-            access_up_mbps=0.5, access_down_mbps=8.0, seed_up_mbps=8.0,
-            reannounce_interval=10.0, rng_seed=5,
-        )
-        peers = place_peers(topo, 60, random.Random(5), first_id=1)
-        seed_pid = topo.aggregation_pids[0]
-        seeds = [PeerInfo(0, seed_pid, topo.node(seed_pid).as_number)]
-        sim = SwarmSimulation(
-            topo, routing, config, RandomSelection(), peers, seeds,
-            linger_time=10.0,
-        )
-        on_done = sim._on_transfer_done
-        transfers = []
-
-        def checked(flow):
-            on_done(flow)
-            transfers.append(flow.meta)
-            _check_peer_state(sim)
-
-        sim._on_transfer_done = checked
+        sim = _churn_swarm()
+        transfers = _check_after_every_transfer(sim)
         result = sim.run(until=5000.0)
         assert len(result.completion_times) == 60
         assert sum(peer.departed for peer in sim.peers.values()) == 60
-        assert len(transfers) >= 60 * config.n_blocks
+        assert len(transfers) >= 60 * sim.config.n_blocks
+
+    def test_state_stays_exact_when_downloaders_depart(self):
+        """Peers that leave mid-download abort the blocks they were
+        serving, so live downloaders lose reservations without a receive."""
+        sim = _churn_swarm()
+        transfers = _check_after_every_transfer(sim)
+        aborted = []
+
+        def leave(peer_id):
+            aborted.extend(
+                flow.meta[2]
+                for flow in sim.net.flows()
+                if flow.meta[1] == peer_id and not sim.peers[flow.meta[2]].departed
+            )
+            sim.depart(peer_id)
+            _check_peer_state(sim)
+
+        leavers = range(1, 61, 4)
+        join = sim._join
+
+        def join_then_leave(peer):
+            join(peer)
+            if peer.peer_id in leavers:
+                delay = 6.0 + peer.peer_id % 5
+                sim.engine.schedule(delay, lambda p=peer.peer_id: leave(p))
+
+        sim._join = join_then_leave
+        result = sim.run(until=5000.0)
+        assert aborted  # live downloaders did lose reservations
+        left_early = [p for p in leavers if p not in result.completion_times]
+        assert left_early
+        assert len(result.completion_times) == 60 - len(left_early)
+        assert len(transfers) >= len(result.completion_times) * sim.config.n_blocks
 
 
 def test_comparison_digest_is_pinned():
